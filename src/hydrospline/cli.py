@@ -83,12 +83,6 @@ def _add_io_args(parser: argparse.ArgumentParser) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--input", metavar="FILE", help="monitoring CSV file")
     source.add_argument("--fixture", choices=["gropeni"], help="bundled dataset")
-    parser.add_argument(
-        "--epoch-format",
-        choices=["M/D/YYYY"],
-        default="M/D/YYYY",
-        help="input date format (fixed)",
-    )
 
 
 def _add_method_args(parser: argparse.ArgumentParser) -> None:

@@ -6,7 +6,9 @@ measurement is absent; serialization re-emits absent cells as "*".
 """
 
 import csv
+import importlib.resources
 import io
+import math
 import re
 from dataclasses import dataclass
 from datetime import date
@@ -20,23 +22,6 @@ from .errors import (
     UnknownParameter,
 )
 from .series import Sample, TimeSeries, build_series, format_date, parse_date
-
-#: Dunare-Gropeni station table, 9/11/2003 .. 7/15/2004, bundled both as this
-#: string and as data/gropeni.csv inside the package.
-GROPENI_CSV = """\
-Data,temp,pH,OD,CBO5,CCO-Mn,CCO-Cr
-9/11/2003,21,7.5,8.1,4.8,6.4,20
-10/14/2003,14,7.5,7.5,6.8,16.8,-
-11/11/2003,11,7.2,7.9,4.7,8.8,20
-12/5/2003,7,7.5,7.3,5.9,9.6,20
-1/30/2004,3,7.2,8.3,14,24,45
-2/5/2004,3,6.8,8.5,7.7,13.6,30
-3/25/2004,9,7.6,9.2,7,12.8,20
-4/30/2004,*,7.1,9.8,5.8,8,30
-5/31/2004,20,8,8,4.9,6.4,14.4
-6/28/2004,26,7.9,9,5.5,8,19.2
-7/15/2004,*,7.9,7.6,7.9,15.2,33.6
-"""
 
 GROPENI_STATION = "Dunare-Gropeni"
 
@@ -88,7 +73,10 @@ def _parse_cell(cell: str, row_number: int, code: str) -> float | None:
         return None
     if not _NUMBER_RE.match(cell):
         raise MalformedNumber(f"row {row_number}, column {code}: not a number: {cell!r}")
-    return float(cell)
+    value = float(cell)
+    if not math.isfinite(value):
+        raise MalformedNumber(f"row {row_number}, column {code}: out of range: {cell!r}")
+    return value
 
 
 def parse_csv(text: str, station: str = "unknown", source: str = "<memory>") -> Dataset:
@@ -144,15 +132,16 @@ def serialize_csv(dataset: Dataset) -> str:
 
 
 def load_csv(path: str | Path, station: str | None = None) -> Dataset:
-    """Read a dataset from a file; the station defaults to the file stem."""
+    """Read a dataset from a file, skipping a UTF-8 BOM; the station defaults to the file stem."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = path.read_text(encoding="utf-8-sig")
     return parse_csv(text, station=station or path.stem, source=str(path))
 
 
 def gropeni_dataset() -> Dataset:
-    """The bundled Dunare-Gropeni table (11 rows, 6 parameters)."""
-    return parse_csv(GROPENI_CSV, station=GROPENI_STATION, source="fixture:gropeni")
+    """The bundled Dunare-Gropeni table (11 rows, 6 parameters), 9/11/2003 .. 7/15/2004."""
+    text = importlib.resources.files(__package__).joinpath("data/gropeni.csv").read_text("utf-8")
+    return parse_csv(text, station=GROPENI_STATION, source="fixture:gropeni")
 
 
 def dataset_series(dataset: Dataset, parameter: str) -> TimeSeries:

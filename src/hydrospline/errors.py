@@ -57,6 +57,10 @@ class DuplicateKnots(HydrosplineError):
     """Two knots share the same abscissa."""
 
 
+class WeightOverflow(HydrosplineError):
+    """Barycentric weights overflow or underflow for this knot layout."""
+
+
 class ResolutionTooSmall(HydrosplineError):
     """A dense grid needs at least two points."""
 

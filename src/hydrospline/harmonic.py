@@ -89,16 +89,8 @@ def fit_amplitude_offset(
     The angular coefficient and exponent are kept; only the affine scaling
     of the unit-amplitude, zero-offset reference is re-estimated.
     """
-    base = np.array(
-        [
-            signed_pow(
-                math.sin(spec.angular_coeff * index_map.index_at(t))
-                + math.cos(spec.angular_coeff * index_map.index_at(t)),
-                spec.exponent,
-            )
-            for t in curve.t
-        ]
-    )
+    unit = replace(spec, amplitude=1.0, offset=0.0)
+    base = np.array([harmonic_reference(index_map.index_at(t), unit) for t in curve.t])
     design = np.column_stack([base, np.ones(base.size)])
     amplitude, offset = solve_least_squares(
         LeastSquaresProblem(design, np.asarray(curve.y, dtype=float))

@@ -9,7 +9,6 @@ squared curvature with weight ``lam`` and collapses to the interpolant at
 """
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Union
@@ -22,6 +21,7 @@ from .errors import (
     ResolutionTooSmall,
     TooFewKnots,
     UnsupportedOrder,
+    WeightOverflow,
 )
 from .linalg import TridiagonalSystem, solve_banded_spd, solve_tridiagonal
 from .series import TimeSeries
@@ -44,12 +44,12 @@ class SplineModel:
 
     knots: tuple[tuple[float, float], ...]
     coefficients: tuple[tuple[float, float, float, float], ...]
-    boundary: str = "natural"
     smoothing: float = 0.0
 
     @cached_property
-    def _ts(self) -> tuple[float, ...]:
-        return tuple(t for t, _ in self.knots)
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Knot times and the (n-1, 4) coefficient matrix."""
+        return np.array([t for t, _ in self.knots]), np.array(self.coefficients, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,6 @@ def fit_natural_spline(series: TimeSeries) -> SplineModel:
     return SplineModel(
         knots=series.knots,
         coefficients=_coefficients_from_moments(t, y, moments),
-        boundary="natural",
         smoothing=0.0,
     )
 
@@ -196,33 +195,36 @@ def fit_smoothing_spline(series: TimeSeries, lam: float) -> SplineModel:
     return SplineModel(
         knots=series.knots,
         coefficients=_coefficients_from_moments(t, fitted, moments),
-        boundary="natural",
         smoothing=float(lam),
     )
 
 
-def _segment_index(ts: tuple[float, ...], t: float) -> int:
-    i = bisect_right(ts, t) - 1
-    return min(max(i, 0), len(ts) - 2)
+def _evaluate(model: SplineModel, t: float | np.ndarray, order: int) -> np.ndarray:
+    """Value (order 0) or derivative (order 1, 2) of the spline at each of ``t``.
+
+    Points outside the knot span are clipped to it; the value then extends
+    linearly with the boundary slope, the slope stays constant and the
+    curvature is zero.
+    """
+    ts, coefficients = model._arrays
+    t = np.asarray(t, dtype=float)
+    clipped = np.clip(t, ts[0], ts[-1])
+    i = np.clip(np.searchsorted(ts, clipped, side="right") - 1, 0, ts.size - 2)
+    s = clipped - ts[i]
+    a, b, c, d = coefficients[i].T
+    inside = t == clipped
+    slope = (3.0 * d * s + 2.0 * c) * s + b
+    if order == 1:
+        return slope
+    if order == 2:
+        return np.where(inside, 6.0 * d * s + 2.0 * c, 0.0)
+    value = ((d * s + c) * s + b) * s + a
+    return np.where(inside, value, value + slope * (t - clipped))
 
 
 def eval_spline(model: SplineModel, t: float) -> float:
     """Evaluate the spline; outside the knot span it extends linearly."""
-    ts = model._ts
-    t0, tn = ts[0], ts[-1]
-    if t < t0:
-        a, b, _, _ = model.coefficients[0]
-        return a + b * (t - t0)
-    if t > tn:
-        a, b, c, d = model.coefficients[-1]
-        h = tn - ts[-2]
-        value = ((d * h + c) * h + b) * h + a
-        slope = (3.0 * d * h + 2.0 * c) * h + b
-        return value + slope * (t - tn)
-    i = _segment_index(ts, t)
-    a, b, c, d = model.coefficients[i]
-    s = t - ts[i]
-    return ((d * s + c) * s + b) * s + a
+    return float(_evaluate(model, t, 0))
 
 
 def eval_spline_derivative(model: SplineModel, t: float, order: int) -> float:
@@ -233,22 +235,7 @@ def eval_spline_derivative(model: SplineModel, t: float, order: int) -> float:
     """
     if order not in (1, 2):
         raise UnsupportedOrder(f"derivative order must be 1 or 2, got {order}")
-    ts = model._ts
-    t0, tn = ts[0], ts[-1]
-    if t < t0:
-        return model.coefficients[0][1] if order == 1 else 0.0
-    if t > tn:
-        if order == 2:
-            return 0.0
-        _, b, c, d = model.coefficients[-1]
-        h = tn - ts[-2]
-        return (3.0 * d * h + 2.0 * c) * h + b
-    i = _segment_index(ts, t)
-    _, b, c, d = model.coefficients[i]
-    s = t - ts[i]
-    if order == 1:
-        return (3.0 * d * s + 2.0 * c) * s + b
-    return 6.0 * d * s + 2.0 * c
+    return float(_evaluate(model, t, order))
 
 
 def fit_lagrange(series: TimeSeries) -> LagrangeModel:
@@ -270,7 +257,7 @@ def fit_lagrange(series: TimeSeries) -> LagrangeModel:
                 prod *= ts[i] - ts[j]
         w = 1.0 / prod
         if not math.isfinite(w) or w == 0.0:
-            raise ValueError("barycentric weights overflow for this knot layout")
+            raise WeightOverflow("barycentric weights overflow for this knot layout")
         weights.append(w)
     return LagrangeModel(knots=series.knots, weights=tuple(weights))
 
@@ -301,15 +288,14 @@ def dense_grid(model: SplineOrLagrange, resolution: int) -> CurveSamples:
     """
     if resolution < 2:
         raise ResolutionTooSmall(f"need at least 2 grid points, got {resolution}")
-    ts = model._ts
-    grid = np.linspace(ts[0], ts[-1], resolution)
+    grid = np.linspace(model.knots[0][0], model.knots[-1][0], resolution)
     if isinstance(model, SplineModel):
         source = "smoothing" if model.smoothing > 0 else "spline"
-        values = tuple(eval_spline(model, float(t)) for t in grid)
+        values = tuple(_evaluate(model, grid, 0).tolist())
     else:
         source = "lagrange"
-        values = tuple(eval_lagrange(model, float(t)) for t in grid)
-    return CurveSamples(t=tuple(float(t) for t in grid), y=values, source=source)
+        values = tuple(eval_lagrange(model, t) for t in grid.tolist())
+    return CurveSamples(t=tuple(grid.tolist()), y=values, source=source)
 
 
 def _stationary_points(b: float, c: float, d: float) -> list[float]:
@@ -338,7 +324,7 @@ def spline_extrema(model: SplineModel) -> list[Extremum]:
     are counted once.  Points with |f''| <= FLAT_CURVATURE_TOL are treated
     as inflection-flat and dropped; the span endpoints are never reported.
     """
-    ts = model._ts
+    ts = [t for t, _ in model.knots]
     t_first, t_last = ts[0], ts[-1]
     found: list[Extremum] = []
     for i, (a, b, c, d) in enumerate(model.coefficients):

@@ -1,6 +1,14 @@
+import importlib.resources
+
 import pytest
 
 from hydrospline.dataio import dataset_series, gropeni_dataset
+
+
+@pytest.fixture(scope="session")
+def gropeni_text():
+    """Text of the bundled data/gropeni.csv, the fixture's only source."""
+    return importlib.resources.files("hydrospline").joinpath("data/gropeni.csv").read_text("utf-8")
 
 
 @pytest.fixture(scope="session")

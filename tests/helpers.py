@@ -3,9 +3,11 @@
 The oracles here deliberately take different routes than the package code:
 dense Gaussian elimination with partial pivoting instead of the banded
 Thomas sweep, normal equations instead of orthogonalization, and the full
-per-segment constraint system instead of the moment form.
+per-segment constraint system instead of the moment form.  The scalar
+spline evaluator is the per-point loop that the vectorised one replaced.
 """
 
+from bisect import bisect_right
 from datetime import date
 
 import numpy as np
@@ -105,3 +107,23 @@ def dense_spline_coefficients(t, y):
     row += 1
     assert row == 4 * nseg
     return gauss_solve(a, b).reshape(nseg, 4)
+
+
+def scalar_spline(model, t, order=0):
+    """Value or derivative of a SplineModel at one point, by bisection and Horner.
+
+    Outside the knot span the value extends linearly with the boundary slope,
+    which keeps the slope constant and the curvature zero.
+    """
+    ts = [k for k, _ in model.knots]
+    if t < ts[0]:
+        a, b, _, _ = model.coefficients[0]
+        return (a + b * (t - ts[0]), b, 0.0)[order]
+    i = min(max(bisect_right(ts, t) - 1, 0), len(ts) - 2)
+    a, b, c, d = model.coefficients[i]
+    s = min(t, ts[-1]) - ts[i]
+    value = ((d * s + c) * s + b) * s + a
+    slope = (3.0 * d * s + 2.0 * c) * s + b
+    if t > ts[-1]:
+        return (value + slope * (t - ts[-1]), slope, 0.0)[order]
+    return (value, slope, 6.0 * d * s + 2.0 * c)[order]

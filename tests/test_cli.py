@@ -1,27 +1,42 @@
 """Command line interface: outputs, exit codes, and determinism."""
 
 import importlib.metadata
+import importlib.util
+import json
 import os
 import shutil
 import subprocess
 import sys
+from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
 
 import hydrospline
 from hydrospline.cli import main
-from hydrospline.dataio import GROPENI_CSV
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 # The console scripts pyproject.toml declares; an install must create these.
 CONSOLE_SCRIPTS = {"hydrospline": "hydrospline.cli:main"}
 
 
+def _bench_workloads():
+    """bench/workloads.py, loaded by path: its CLI_COMMANDS and GOLDEN_DIR."""
+    path = ROOT / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _bench_workloads()
+
+
 @pytest.fixture()
-def csv_path(tmp_path):
+def csv_path(tmp_path, gropeni_text):
     path = tmp_path / "gropeni.csv"
-    path.write_text(GROPENI_CSV)
+    path.write_text(gropeni_text)
     return str(path)
 
 
@@ -115,6 +130,23 @@ def test_interp_methods_differ(capsys, tmp_path):
         assert text.splitlines()[1].split(",")[0] == "0.000000"
 
 
+@pytest.mark.parametrize(
+    "name, args", WORKLOADS.CLI_COMMANDS, ids=[name for name, _ in WORKLOADS.CLI_COMMANDS]
+)
+def test_fixture_commands_match_goldens(capsys, tmp_path, name, args):
+    # the goldens the benchmark checks, pinned here in-process
+    goldens = WORKLOADS.GOLDEN_DIR
+    argv = [a.replace("{out}", str(tmp_path)) for a in args]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == json.loads((goldens / "exit_codes.json").read_text())[name]
+    assert captured.err == ""
+    assert captured.out.encode() == (goldens / f"{name}.stdout").read_bytes()
+    for written, raw in zip(argv, args):
+        if "{out}" in raw:
+            assert Path(written).read_bytes() == (goldens / f"{name}.file").read_bytes()
+
+
 def test_file_input_matches_fixture(capsys, csv_path):
     code_file, out_file, _ = run(capsys, "trend", "--input", csv_path, "--param", "OD")
     code_fix, out_fix, _ = run(capsys, "trend", "--fixture", "gropeni", "--param", "OD")
@@ -201,6 +233,36 @@ def test_malformed_file_is_data_error(capsys, tmp_path):
     code, _, err = run(capsys, "trend", "--input", str(bad), "--param", "temp")
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_overflowing_cell_is_data_error(capsys, tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("Data,temp\n1/2/2003,5.0\n1/3/2003,1e400\n1/4/2003,6.0\n")
+    code, _, err = run(capsys, "trend", "--input", str(bad), "--param", "temp")
+    assert code == 2
+    assert err == "error: row 3, column temp: out of range: '1e400'\n"
+
+
+def test_byte_order_mark_file_matches_fixture(capsys, tmp_path, gropeni_text):
+    path = tmp_path / "gropeni.csv"
+    path.write_text("\ufeff" + gropeni_text, encoding="utf-8")
+    code, out, err = run(capsys, "trend", "--input", str(path), "--param", "OD")
+    assert code == 0
+    assert err == ""
+    assert out == "0.003014566131 0.9284863682 308 up\n"
+
+
+def test_lagrange_overflow_is_data_error(capsys, tmp_path):
+    days = tmp_path / "daily.csv"
+    dates = [date(2003, 1, 1) + timedelta(days=i) for i in range(400)]
+    days.write_text("Data,OD\n" + "".join(
+        f"{d.month}/{d.day}/{d.year},{8 + i % 3 / 10}\n" for i, d in enumerate(dates)))
+    code, _, err = run(
+        capsys, "interp", "--input", str(days), "--param", "OD", "--method", "lagrange",
+        "--out", str(tmp_path / "grid.csv"),
+    )
+    assert code == 2
+    assert err == "error: barycentric weights overflow for this knot layout\n"
 
 
 def _installed():

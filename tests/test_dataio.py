@@ -1,7 +1,5 @@
 """CSV parsing, serialization round trips, and the bundled dataset."""
 
-import importlib.resources
-
 import pytest
 
 from hydrospline import (
@@ -13,7 +11,7 @@ from hydrospline import (
     parse_csv,
     serialize_csv,
 )
-from hydrospline.dataio import GROPENI_CSV, GROPENI_STATION
+from hydrospline.dataio import GROPENI_STATION
 from hydrospline.errors import (
     DuplicateTimestamp,
     HeaderMismatch,
@@ -82,6 +80,20 @@ def test_bad_cells_rejected():
             parse_csv(f"Data,temp\n1/2/2003,{cell}\n")
 
 
+def test_overflowing_cell_rejected():
+    # 1e400 matches the number pattern but float() turns it into inf
+    with pytest.raises(MalformedNumber, match=r"row 3, column pH: out of range: '-1e400'"):
+        parse_csv("Data,temp,pH\n1/2/2003,5.0,7.1\n1/3/2003,6.0,-1e400\n")
+
+
+def test_byte_order_mark_skipped(tmp_path, gropeni, gropeni_text):
+    path = tmp_path / "gropeni.csv"
+    path.write_text("\ufeff" + gropeni_text, encoding="utf-8")
+    dataset = load_csv(path)
+    assert dataset.parameters == gropeni.parameters
+    assert dataset.rows == gropeni.rows
+
+
 def test_bad_dates_rejected():
     with pytest.raises(InvalidDate):
         parse_csv("Data,temp\n2/30/2004,5.0\n")
@@ -116,13 +128,6 @@ def test_round_trip_preserves_float_precision():
 def test_missing_serializes_as_star(gropeni):
     lines = serialize_csv(gropeni).splitlines()
     assert lines[8].startswith("4/30/2004,*")
-
-
-def test_data_file_matches_embedded_text():
-    bundled = (
-        importlib.resources.files("hydrospline").joinpath("data/gropeni.csv").read_text()
-    )
-    assert bundled == GROPENI_CSV
 
 
 def test_load_csv_defaults_station_to_stem(tmp_path):

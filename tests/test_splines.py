@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import dense_spline_coefficients, make_series, random_knots
+from helpers import dense_spline_coefficients, make_series, random_knots, scalar_spline
 from hydrospline import (
     CurveSamples,
     SplineModel,
@@ -24,6 +24,7 @@ from hydrospline.errors import (
     ResolutionTooSmall,
     TooFewKnots,
     UnsupportedOrder,
+    WeightOverflow,
 )
 from hydrospline.regression import eval_poly, fit_polynomial, poly_curve
 
@@ -113,6 +114,22 @@ def test_extrapolation_is_linear():
         assert eval_spline(model, 14.0 + dt) == pytest.approx(yn + right_slope * dt, rel=1e-12)
         assert eval_spline_derivative(model, -dt, 1) == pytest.approx(left_slope, rel=1e-12)
         assert eval_spline_derivative(model, 14.0 + dt, 2) == 0.0
+
+
+def test_evaluation_matches_scalar_reference(od_series):
+    # same arithmetic as the per-point loop, so the values must be equal, not close
+    rng = np.random.default_rng(577)
+    for series in (od_series, make_series(*random_knots(rng, 40))):
+        t0, tn = series.t[0], series.t[-1]
+        probes = [*rng.uniform(2 * t0 - tn, 2 * tn - t0, 400).tolist(), *series.t]
+        for model in (fit_natural_spline(series), fit_smoothing_spline(series, 5.0)):
+            assert [eval_spline(model, p) for p in probes] == [
+                scalar_spline(model, p) for p in probes]
+            for order in (1, 2):
+                assert [eval_spline_derivative(model, p, order) for p in probes] == [
+                    scalar_spline(model, p, order) for p in probes]
+            curve = dense_grid(model, 1001)
+            assert curve.y == tuple(scalar_spline(model, p) for p in curve.t)
 
 
 # smoothing spline
@@ -234,6 +251,13 @@ def test_lagrange_duplicate_knots_rejected():
 
     with pytest.raises(DuplicateKnots):
         fit_lagrange(Degenerate())
+
+
+def test_lagrange_weight_overflow_is_typed():
+    # 400 daily knots: prod_{j != i} (t_i - t_j) overflows to inf
+    days = [float(d) for d in range(400)]
+    with pytest.raises(WeightOverflow):
+        fit_lagrange(make_series(days, [math.sin(d / 30.0) for d in days]))
 
 
 def test_lagrange_matches_spline_at_knots():
