@@ -19,6 +19,7 @@ from .errors import (
     HeaderMismatch,
     MalformedNumber,
     MalformedRow,
+    UndecodableFile,
     UnknownParameter,
 )
 from .series import Sample, TimeSeries, build_series, format_date, parse_date
@@ -134,7 +135,11 @@ def serialize_csv(dataset: Dataset) -> str:
 def load_csv(path: str | Path, station: str | None = None) -> Dataset:
     """Read a dataset from a file, skipping a UTF-8 BOM; the station defaults to the file stem."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8-sig")
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        reason = f"{exc.reason} at byte {exc.start}"
+        raise UndecodableFile(f"{path}: not UTF-8 text ({reason})") from None
     return parse_csv(text, station=station or path.stem, source=str(path))
 
 

@@ -65,6 +65,10 @@ class ResolutionTooSmall(HydrosplineError):
     """A dense grid needs at least two points."""
 
 
+class NumericOverflow(HydrosplineError):
+    """Values too large (or too small) for a finite result in float arithmetic."""
+
+
 # regression and correlation
 
 class DegreeTooHigh(HydrosplineError):
@@ -99,6 +103,10 @@ class MalformedRow(HydrosplineError):
 
 class MalformedNumber(HydrosplineError):
     """CSV cell is neither a number nor a missing-value marker."""
+
+
+class UndecodableFile(HydrosplineError):
+    """A data file is not UTF-8 text."""
 
 
 class UnknownParameter(HydrosplineError):

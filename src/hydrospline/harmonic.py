@@ -12,6 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import NumericOverflow
 from .linalg import LeastSquaresProblem, solve_least_squares
 from .splines import CurveSamples
 
@@ -74,11 +75,15 @@ def harmonic_reference(k: float, spec: HarmonicSpec) -> float:
     return spec.offset + spec.amplitude * signed_pow(base, spec.exponent)
 
 
+def _reference_values(spec: HarmonicSpec, index_map: IndexMap, ts) -> list[float]:
+    """The reference at each day offset of ``ts``, one ``math`` call per point."""
+    return [harmonic_reference(index_map.index_at(t), spec) for t in ts]
+
+
 def sample_harmonic(spec: HarmonicSpec, index_map: IndexMap, grid) -> CurveSamples:
     """Evaluate the harmonic on a day grid (uniform, as for other curves)."""
-    ts = tuple(float(t) for t in grid)
-    values = tuple(harmonic_reference(index_map.index_at(t), spec) for t in ts)
-    return CurveSamples(t=ts, y=values, source="harmonic")
+    ts = tuple(np.asarray(grid, dtype=float).tolist())
+    return CurveSamples(t=ts, y=tuple(_reference_values(spec, index_map, ts)), source="harmonic")
 
 
 def fit_amplitude_offset(
@@ -90,7 +95,7 @@ def fit_amplitude_offset(
     of the unit-amplitude, zero-offset reference is re-estimated.
     """
     unit = replace(spec, amplitude=1.0, offset=0.0)
-    base = np.array([harmonic_reference(index_map.index_at(t), unit) for t in curve.t])
+    base = np.array(_reference_values(unit, index_map, curve.t))
     design = np.column_stack([base, np.ones(base.size)])
     amplitude, offset = solve_least_squares(
         LeastSquaresProblem(design, np.asarray(curve.y, dtype=float))
@@ -98,23 +103,23 @@ def fit_amplitude_offset(
     return replace(spec, amplitude=float(amplitude), offset=float(offset))
 
 
+@np.errstate(over="ignore")  # an rmse that overflows raises NumericOverflow
 def compare_to_harmonic(
     curve: CurveSamples, spec: HarmonicSpec, index_map: IndexMap
 ) -> HarmonicResiduals:
     """Residual statistics of a curve against the harmonic reference.
 
     Returns the rmse, the maximum absolute deviation, and the day offset
-    where that maximum occurs (the earliest grid point on ties).
+    where that maximum occurs (the earliest grid point on ties).  Raises
+    NumericOverflow when the rmse leaves the float range.
     """
-    residuals = [
-        y - harmonic_reference(index_map.index_at(t), spec)
-        for t, y in zip(curve.t, curve.y)
-    ]
-    rmse = math.sqrt(math.fsum(r * r for r in residuals) / len(residuals))
-    worst = 0
-    for i, r in enumerate(residuals):
-        if abs(r) > abs(residuals[worst]):
-            worst = i
-    return HarmonicResiduals(
-        rmse=rmse, max_abs_dev=abs(residuals[worst]), argmax_t=curve.t[worst]
-    )
+    residuals = np.subtract(curve.y, _reference_values(spec, index_map, curve.t))
+    try:
+        rmse = math.sqrt(math.fsum((residuals * residuals).tolist()) / residuals.size)
+    except OverflowError:  # the sum of squares overflows
+        rmse = math.inf
+    if not math.isfinite(rmse):
+        raise NumericOverflow("harmonic residuals overflow the float range for these values")
+    deviation = np.abs(residuals)
+    worst = int(np.argmax(deviation))
+    return HarmonicResiduals(rmse, float(deviation[worst]), curve.t[worst])

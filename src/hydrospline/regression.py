@@ -6,6 +6,7 @@ live in u-space and :func:`eval_poly` maps back from days.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,7 @@ from .errors import (
     GridMismatch,
     InsufficientData,
     InsufficientPairs,
+    NumericOverflow,
     ResolutionTooSmall,
     ZeroVariance,
 )
@@ -146,8 +148,9 @@ def pearson(a: TimeSeries, b: TimeSeries) -> float:
     """Pearson product-moment correlation over date-matched pairs.
 
     Requires both series to come from the same station and at least three
-    matched pairs; a constant side raises ZeroVariance.  The result is
-    clamped to [-1, 1] against last-bit rounding.
+    matched pairs; a constant side raises ZeroVariance, and sums that
+    leave the float range raise NumericOverflow.  The result is clamped to
+    [-1, 1] against last-bit rounding.
     """
     if a.station != b.station:
         raise ValueError(f"series stations differ: {a.station!r} vs {b.station!r}")
@@ -159,11 +162,17 @@ def pearson(a: TimeSeries, b: TimeSeries) -> float:
     if max(xs) == min(xs) or max(ys) == min(ys):
         raise ZeroVariance("correlation is undefined for a constant series")
     n = len(pairs)
-    mean_x = math.fsum(xs) / n
-    mean_y = math.fsum(ys) / n
-    sxy = math.fsum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    sxx = math.fsum((x - mean_x) ** 2 for x in xs)
-    syy = math.fsum((y - mean_y) ** 2 for y in ys)
+    try:
+        mean_x = math.fsum(xs) / n
+        mean_y = math.fsum(ys) / n
+        sxy = math.fsum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+        sxx = math.fsum((x - mean_x) ** 2 for x in xs)
+        syy = math.fsum((y - mean_y) ** 2 for y in ys)
+    except (OverflowError, ValueError):  # a sum overflows, or meets both signs of inf
+        sxy = sxx = syy = math.inf
+    # a product that overflows, or underflows below the normal range, would clamp garbage
+    if not (math.isfinite(sxy) and sys.float_info.min <= sxx * syy < math.inf):
+        raise NumericOverflow("correlation sums leave the float range for these values")
     r = sxy / math.sqrt(sxx * syy)
     return max(-1.0, min(1.0, r))
 

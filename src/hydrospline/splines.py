@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     DuplicateKnots,
     NegativeLambda,
+    NumericOverflow,
     ResolutionTooSmall,
     TooFewKnots,
     UnsupportedOrder,
@@ -75,15 +76,14 @@ class CurveSamples:
     def __post_init__(self) -> None:
         if not self.t or len(self.t) != len(self.y):
             raise ValueError("grid and values must be non-empty and equal length")
-        if not all(map(math.isfinite, self.t)) or not all(map(math.isfinite, self.y)):
-            raise ValueError("curve samples must be finite")
-        steps = [b - a for a, b in zip(self.t, self.t[1:])]
-        if steps:
-            step = steps[0]
-            if step <= 0 or any(
-                abs(s - step) > 1e-9 * max(1.0, abs(step)) for s in steps
-            ):
-                raise ValueError("grid must be strictly increasing with uniform step")
+        t = np.asarray(self.t, dtype=float)
+        if not (np.isfinite(t).all() and np.isfinite(self.y).all()):
+            raise NumericOverflow("curve values are not finite (float overflow)")
+        steps = np.diff(t)
+        if steps.size and (
+            steps[0] <= 0 or np.abs(steps - steps[0]).max() > 1e-9 * max(1.0, abs(steps[0]))
+        ):
+            raise ValueError("grid must be strictly increasing with uniform step")
 
 
 class Extremum(NamedTuple):
@@ -122,11 +122,13 @@ def _coefficients_from_moments(
     b = (values[1:] - values[:-1]) / h - h * (2.0 * moments[:-1] + moments[1:]) / 6.0
     c = moments[:-1] / 2.0
     d = (moments[1:] - moments[:-1]) / (6.0 * h)
-    return tuple(
-        (float(a[i]), float(b[i]), float(c[i]), float(d[i])) for i in range(h.size)
-    )
+    coefficients = np.column_stack((a, b, c, d))
+    if not np.isfinite(coefficients).all():
+        raise NumericOverflow("spline coefficients overflow the float range for these values")
+    return tuple(map(tuple, coefficients.tolist()))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite fit raises NumericOverflow
 def fit_natural_spline(series: TimeSeries) -> SplineModel:
     """Interpolating natural cubic spline through the series knots.
 
@@ -146,6 +148,7 @@ def fit_natural_spline(series: TimeSeries) -> SplineModel:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fit_smoothing_spline(series: TimeSeries, lam: float) -> SplineModel:
     """Natural cubic smoothing spline minimizing misfit plus lam * curvature.
 
@@ -199,6 +202,16 @@ def fit_smoothing_spline(series: TimeSeries, lam: float) -> SplineModel:
     )
 
 
+def _cubic(rows: np.ndarray, s: np.ndarray, order: int) -> np.ndarray:
+    """Value (order 0), slope (1) or curvature (2) of a + b s + c s^2 + d s^3 per row."""
+    a, b, c, d = rows.T
+    if order == 2:
+        return 6.0 * d * s + 2.0 * c
+    if order == 1:
+        return (3.0 * d * s + 2.0 * c) * s + b
+    return ((d * s + c) * s + b) * s + a
+
+
 def _evaluate(model: SplineModel, t: float | np.ndarray, order: int) -> np.ndarray:
     """Value (order 0) or derivative (order 1, 2) of the spline at each of ``t``.
 
@@ -211,15 +224,12 @@ def _evaluate(model: SplineModel, t: float | np.ndarray, order: int) -> np.ndarr
     clipped = np.clip(t, ts[0], ts[-1])
     i = np.clip(np.searchsorted(ts, clipped, side="right") - 1, 0, ts.size - 2)
     s = clipped - ts[i]
-    a, b, c, d = coefficients[i].T
-    inside = t == clipped
-    slope = (3.0 * d * s + 2.0 * c) * s + b
-    if order == 1:
-        return slope
-    if order == 2:
-        return np.where(inside, 6.0 * d * s + 2.0 * c, 0.0)
-    value = ((d * s + c) * s + b) * s + a
-    return np.where(inside, value, value + slope * (t - clipped))
+    rows, inside = coefficients[i], t == clipped
+    if order == 0:
+        value = _cubic(rows, s, 0)
+        return np.where(inside, value, value + _cubic(rows, s, 1) * (t - clipped))
+    derivative = _cubic(rows, s, order)
+    return derivative if order == 1 else np.where(inside, derivative, 0.0)
 
 
 def eval_spline(model: SplineModel, t: float) -> float:
@@ -280,6 +290,7 @@ def eval_lagrange(model: LagrangeModel, t: float) -> float:
 SplineOrLagrange = Union[SplineModel, LagrangeModel]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # CurveSamples rejects non-finite values
 def dense_grid(model: SplineOrLagrange, resolution: int) -> CurveSamples:
     """Evaluate a model on a uniform grid of ``resolution`` points.
 
@@ -288,6 +299,8 @@ def dense_grid(model: SplineOrLagrange, resolution: int) -> CurveSamples:
     """
     if resolution < 2:
         raise ResolutionTooSmall(f"need at least 2 grid points, got {resolution}")
+    if len(model.knots) < 2:
+        raise TooFewKnots("a dense grid needs at least 2 knots")
     grid = np.linspace(model.knots[0][0], model.knots[-1][0], resolution)
     if isinstance(model, SplineModel):
         source = "smoothing" if model.smoothing > 0 else "spline"
@@ -298,24 +311,6 @@ def dense_grid(model: SplineOrLagrange, resolution: int) -> CurveSamples:
     return CurveSamples(t=tuple(grid.tolist()), y=values, source=source)
 
 
-def _stationary_points(b: float, c: float, d: float) -> list[float]:
-    """Real roots of f'(s) = b + 2 c s + 3 d s^2, ascending."""
-    qa, qb, qc = 3.0 * d, 2.0 * c, b
-    if qa == 0.0:
-        if qb == 0.0:
-            return []
-        return [-qc / qb]
-    disc = qb * qb - 4.0 * qa * qc
-    if disc < 0.0:
-        return []
-    if disc == 0.0:
-        return [-qb / (2.0 * qa)]
-    # split the quadratic formula to avoid cancellation between -qb and the root
-    q = -(qb + math.copysign(math.sqrt(disc), qb)) / 2.0
-    roots = sorted((q / qa, qc / q))
-    return roots
-
-
 def spline_extrema(model: SplineModel) -> list[Extremum]:
     """Interior local extrema of the piecewise cubic, sorted by t.
 
@@ -324,29 +319,30 @@ def spline_extrema(model: SplineModel) -> list[Extremum]:
     are counted once.  Points with |f''| <= FLAT_CURVATURE_TOL are treated
     as inflection-flat and dropped; the span endpoints are never reported.
     """
-    ts = [t for t, _ in model.knots]
-    t_first, t_last = ts[0], ts[-1]
-    found: list[Extremum] = []
-    for i, (a, b, c, d) in enumerate(model.coefficients):
-        h = ts[i + 1] - ts[i]
-        snap = 1e-12 * max(1.0, abs(h))
-        for s in _stationary_points(b, c, d):
-            if s < -snap or s >= h:
-                continue
-            s = max(s, 0.0)
-            t = ts[i] + s
-            if not (t_first < t < t_last):
-                continue
-            curvature = 6.0 * d * s + 2.0 * c
-            if abs(curvature) <= FLAT_CURVATURE_TOL:
-                continue
-            y = ((d * s + c) * s + b) * s + a
-            kind = "max" if curvature < 0.0 else "min"
-            found.append(Extremum(t=t, y=y, kind=kind))
-    found.sort(key=lambda e: e.t)
+    ts, coefficients = model._arrays
+    # two slots per segment for the ascending real roots of f'(s) = qc + qb s + qa s^2
+    segment = np.repeat(np.arange(ts.size - 1), 2)
+    upper = np.arange(segment.size) % 2 == 1
+    rows, h = coefficients[segment], np.diff(ts)[segment]
+    qa, qb, qc = 3.0 * rows[:, 3], 2.0 * rows[:, 2], rows[:, 1]
+    with np.errstate(all="ignore"):
+        disc = qb * qb - 4.0 * qa * qc
+        # split the quadratic formula to avoid cancellation between -qb and the root
+        q = -(qb + np.copysign(np.sqrt(disc), qb)) / 2.0
+        r1, r2 = q / qa, qc / q
+        single = (qa == 0.0) | (disc == 0.0)
+        s = np.where(qa == 0.0, -qc / qb, -qb / (2.0 * qa))
+        # a pair of roots fills the two slots in the order sorted((r1, r2)) gives
+        s = np.where(single, s, np.where((r2 < r1) != upper, r2, r1))
+        exists = np.where(qa == 0.0, qb != 0.0, ~(disc < 0.0)) & ~(upper & single)
+        snapped = np.where(s < 0.0, 0.0, s)  # a root just before a segment snaps to its start
+        t, curvature, y = ts[segment] + snapped, _cubic(rows, snapped, 2), _cubic(rows, snapped, 0)
+    keep = exists & ~(s < -1e-12 * np.maximum(1.0, np.abs(h))) & ~(s >= h)
+    keep &= (ts[0] < t) & (t < ts[-1]) & ~(np.abs(curvature) <= FLAT_CURVATURE_TOL)
+    order = np.argsort(t[keep], kind="stable")
     deduped: list[Extremum] = []
-    for e in found:
-        if deduped and abs(e.t - deduped[-1].t) <= 1e-9:
+    for when, value, bend in zip(*(x[keep][order].tolist() for x in (t, y, curvature))):
+        if deduped and abs(when - deduped[-1].t) <= 1e-9:
             continue
-        deduped.append(e)
+        deduped.append(Extremum(t=when, y=value, kind="max" if bend < 0.0 else "min"))
     return deduped

@@ -7,7 +7,7 @@ appear in a fixed order, so identical input always yields identical bytes.
 """
 
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
+from html import escape
 
 from .errors import EmptyPlot
 from .splines import CurveSamples
@@ -96,17 +96,17 @@ def render_svg(spec: PlotSpec) -> str:
     if spec.title:
         parts.append(
             f'<text x="{_fmt(w / 2)}" y="16" text-anchor="middle" '
-            f'font-size="14">{escape(spec.title)}</text>'
+            f'font-size="14">{escape(spec.title, quote=False)}</text>'
         )
     if spec.x_label:
         parts.append(
             f'<text x="{_fmt(w / 2)}" y="{_fmt(h - 4)}" text-anchor="middle" '
-            f'font-size="11">{escape(spec.x_label)}</text>'
+            f'font-size="11">{escape(spec.x_label, quote=False)}</text>'
         )
     if spec.y_label:
         parts.append(
             f'<text x="12" y="{_fmt(h / 2)}" text-anchor="middle" font-size="11" '
-            f'transform="rotate(-90 12 {_fmt(h / 2)})">{escape(spec.y_label)}</text>'
+            f'transform="rotate(-90 12 {_fmt(h / 2)})">{escape(spec.y_label, quote=False)}</text>'
         )
     for layer in spec.layers:
         if not layer.points:
@@ -131,7 +131,7 @@ def render_svg(spec: PlotSpec) -> str:
         if layer.label:
             parts.append(
                 f'<text x="8" y="{legend_y}" font-size="11" '
-                f'fill="{layer.color}">{escape(layer.label)}</text>'
+                f'fill="{layer.color}">{escape(layer.label, quote=False)}</text>'
             )
             legend_y += 14
     parts.append("</svg>")

@@ -4,15 +4,18 @@ The oracles here deliberately take different routes than the package code:
 dense Gaussian elimination with partial pivoting instead of the banded
 Thomas sweep, normal equations instead of orthogonalization, and the full
 per-segment constraint system instead of the moment form.  The scalar
-spline evaluator is the per-point loop that the vectorised one replaced.
+spline evaluator, extrema finder and harmonic residuals are the
+per-point and per-segment loops that the vectorised ones replaced.
 """
 
+import math
 from bisect import bisect_right
 from datetime import date
 
 import numpy as np
 
-from hydrospline import TimeSeries
+from hydrospline import TimeSeries, harmonic_reference
+from hydrospline.splines import FLAT_CURVATURE_TOL, Extremum
 
 EPOCH = date(2000, 1, 1)
 
@@ -127,3 +130,68 @@ def scalar_spline(model, t, order=0):
     if t > ts[-1]:
         return (value + slope * (t - ts[-1]), slope, 0.0)[order]
     return (value, slope, 6.0 * d * s + 2.0 * c)[order]
+
+
+def _stationary_points(b, c, d):
+    """Real roots of f'(s) = b + 2 c s + 3 d s^2, ascending."""
+    qa, qb, qc = 3.0 * d, 2.0 * c, b
+    if qa == 0.0:
+        if qb == 0.0:
+            return []
+        return [-qc / qb]
+    disc = qb * qb - 4.0 * qa * qc
+    if disc < 0.0:
+        return []
+    if disc == 0.0:
+        return [-qb / (2.0 * qa)]
+    # split the quadratic formula to avoid cancellation between -qb and the root
+    q = -(qb + math.copysign(math.sqrt(disc), qb)) / 2.0
+    return sorted((q / qa, qc / q))
+
+
+def scalar_extrema(model):
+    """Interior extrema of a SplineModel, one segment and one root at a time.
+
+    Roots are taken on the half-open segment, flat points with
+    |f''| <= FLAT_CURVATURE_TOL are dropped, and points within 1e-9 days of
+    an earlier one are merged into it.
+    """
+    ts = [t for t, _ in model.knots]
+    t_first, t_last = ts[0], ts[-1]
+    found = []
+    for i, (a, b, c, d) in enumerate(model.coefficients):
+        h = ts[i + 1] - ts[i]
+        snap = 1e-12 * max(1.0, abs(h))
+        for s in _stationary_points(b, c, d):
+            if s < -snap or s >= h:
+                continue
+            s = max(s, 0.0)
+            t = ts[i] + s
+            if not (t_first < t < t_last):
+                continue
+            curvature = 6.0 * d * s + 2.0 * c
+            if abs(curvature) <= FLAT_CURVATURE_TOL:
+                continue
+            y = ((d * s + c) * s + b) * s + a
+            kind = "max" if curvature < 0.0 else "min"
+            found.append(Extremum(t=t, y=y, kind=kind))
+    found.sort(key=lambda e: e.t)
+    deduped = []
+    for e in found:
+        if deduped and abs(e.t - deduped[-1].t) <= 1e-9:
+            continue
+        deduped.append(e)
+    return deduped
+
+
+def scalar_residuals(curve, spec, index_map):
+    """(rmse, max |residual|, earliest t of that maximum) of a curve against the reference."""
+    residuals = [
+        y - harmonic_reference(index_map.index_at(t), spec) for t, y in zip(curve.t, curve.y)
+    ]
+    rmse = math.sqrt(math.fsum(r * r for r in residuals) / len(residuals))
+    worst = 0
+    for i, r in enumerate(residuals):
+        if abs(r) > abs(residuals[worst]):
+            worst = i
+    return rmse, abs(residuals[worst]), curve.t[worst]

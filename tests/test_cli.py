@@ -265,6 +265,61 @@ def test_lagrange_overflow_is_data_error(capsys, tmp_path):
     assert err == "error: barycentric weights overflow for this knot layout\n"
 
 
+BIG_ROWS = ["1/1/2003", "1/2/2003", "1/3/2003", "1/4/2003"]
+
+
+def _alternating(tmp_path, size):
+    path = tmp_path / "big.csv"
+    path.write_text("Data,OD\n" + "".join(
+        f"{day},{size * (-1) ** i}\n" for i, day in enumerate(BIG_ROWS)))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "size, argv",
+    [
+        ("1e300", ["interp", "--param", "OD", "--method", "smooth", "--lambda", "1e308",
+                   "--out", "{out}/grid.csv"]),
+        ("1e308", ["interp", "--param", "OD", "--out", "{out}/grid.csv"]),
+        ("1e308", ["extrema", "--param", "OD"]),
+        ("1e308", ["plot", "--param", "OD", "--out", "{out}/plot.svg"]),
+        ("1e300", ["correlate", "--param-a", "OD", "--param-b", "OD"]),
+        ("1e308", ["correlate", "--param-a", "OD", "--param-b", "OD"]),
+    ],
+    ids=["smooth", "interp", "extrema", "plot", "correlate-square", "correlate-sum"],
+)
+def test_values_outside_float_range_are_data_errors(capsys, tmp_path, size, argv):
+    path = _alternating(tmp_path, float(size))
+    argv = [arg.replace("{out}", str(tmp_path)) for arg in argv]
+    code, out, err = run(capsys, argv[0], "--input", path, *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "overflow" in err or "float range" in err
+
+
+def test_non_utf8_file_is_data_error(capsys, tmp_path):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"Data,temp\n1/2/2003,5.0\n1/3/2003,caf\xe9\n")
+    code, _, err = run(capsys, "trend", "--input", str(path), "--param", "temp")
+    assert code == 2
+    assert err == f"error: {path}: not UTF-8 text (invalid continuation byte at byte 35)\n"
+
+
+def test_cli_import_leaves_network_modules_unloaded():
+    # the CLI's start-up cost: none of these may ride in with an import
+    script = (
+        "import sys, hydrospline.cli\n"
+        "print([m for m in ('urllib.request', 'http.client', 'ssl', 'email') "
+        "if m in sys.modules])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(hydrospline.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout == "[]\n"
+
+
 def _installed():
     try:
         importlib.metadata.distribution("hydrospline")

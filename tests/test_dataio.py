@@ -18,6 +18,7 @@ from hydrospline.errors import (
     InvalidDate,
     MalformedNumber,
     MalformedRow,
+    UndecodableFile,
     UnknownParameter,
 )
 
@@ -161,3 +162,10 @@ def test_datasets_compare_by_value(gropeni):
         source=gropeni.source,
     )
     assert clone == gropeni
+
+
+def test_non_utf8_file_names_the_file(tmp_path):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"Data,temp\n1/2/2003,5.0\n1/3/2003,caf\xe9\n")
+    with pytest.raises(UndecodableFile, match="latin.csv: not UTF-8 text"):
+        load_csv(path)

@@ -2,12 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import make_series
+from helpers import make_series, random_knots, scalar_residuals
 from hydrospline import (
+    CurveSamples,
     HarmonicSpec,
     IndexMap,
     compare_to_harmonic,
@@ -18,6 +20,7 @@ from hydrospline import (
     sample_harmonic,
     signed_pow,
 )
+from hydrospline.errors import NumericOverflow
 
 CBRT4 = 2.0 ** (2.0 / 3.0)  # (sin + cos) peak value 2^(1/2) raised to 4/3
 
@@ -138,3 +141,25 @@ def test_residual_argmax_reports_earliest_tie(spec):
     result = compare_to_harmonic(shifted, spec, imap)
     assert result.max_abs_dev == pytest.approx(1.0, abs=1e-12)
     assert result.argmax_t == 0.0
+
+
+@pytest.mark.parametrize("big", [1e200, 1.5e154], ids=["squares", "sum"])
+def test_overflowing_residuals_are_typed(spec, big):
+    # 1e200 overflows each square; 1.5e154 squares stay finite but their sum does not
+    grid = tuple(float(i) for i in range(1000))
+    curve = CurveSamples(t=grid, y=tuple(big * (-1) ** i for i in range(1000)), source="spline")
+    with pytest.raises(NumericOverflow):
+        compare_to_harmonic(curve, spec, IndexMap.spanning(0.0, 999.0))
+
+
+def test_residuals_match_scalar_reference(od_series):
+    rng = np.random.default_rng(31)
+    series = [od_series] + [make_series(*random_knots(rng, n)) for n in (3, 12, 60)]
+    for knots in series:
+        curve = dense_grid(fit_natural_spline(knots), 997)
+        imap = IndexMap.spanning(knots.t[0], knots.t[-1])
+        for spec in (HarmonicSpec(), HarmonicSpec(angular_coeff=0.3, exponent=2.5)):
+            fitted = fit_amplitude_offset(curve, spec, imap)
+            result = compare_to_harmonic(curve, fitted, imap)
+            expected = scalar_residuals(curve, fitted, imap)
+            assert [v.hex() for v in result] == [v.hex() for v in expected]

@@ -20,6 +20,7 @@ from hydrospline.errors import (
     GridMismatch,
     InsufficientData,
     InsufficientPairs,
+    NumericOverflow,
     ZeroVariance,
 )
 
@@ -260,3 +261,14 @@ def test_rmse_between_requires_matching_grids(od_series):
     model = fit_natural_spline(od_series)
     with pytest.raises(GridMismatch):
         rmse_between(dense_grid(model, 100), dense_grid(model, 101))
+
+
+@pytest.mark.parametrize("size", [1e300, 1e308, 1e-170], ids=["square", "sum", "tiny"])
+def test_correlation_outside_float_range_is_typed(size):
+    # 1e300 overflows a square, 1e308 the sum of the values, and 1e-170 underflows
+    # the product of the sums of squares to zero
+    t = [0.0, 1.0, 2.0, 3.0]
+    a = make_series(t, [size, -size, size, -size])
+    b = make_series(t, [-size, size, size, -size])
+    with pytest.raises(NumericOverflow):
+        pearson(a, b)

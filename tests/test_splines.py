@@ -1,11 +1,18 @@
 """Spline and Lagrange model behavior against independent oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from helpers import dense_spline_coefficients, make_series, random_knots, scalar_spline
+from helpers import (
+    dense_spline_coefficients,
+    make_series,
+    random_knots,
+    scalar_extrema,
+    scalar_spline,
+)
 from hydrospline import (
     CurveSamples,
     SplineModel,
@@ -21,6 +28,7 @@ from hydrospline import (
 from hydrospline.errors import (
     DuplicateKnots,
     NegativeLambda,
+    NumericOverflow,
     ResolutionTooSmall,
     TooFewKnots,
     UnsupportedOrder,
@@ -448,3 +456,69 @@ def test_unsupported_derivative_order(od_series):
         eval_spline_derivative(model, 10.0, 3)
     with pytest.raises(UnsupportedOrder):
         eval_spline_derivative(model, 10.0, 0)
+
+
+def _exact(extrema):
+    return [(e.t.hex(), e.y.hex(), e.kind) for e in extrema]
+
+
+def test_extrema_match_scalar_reference():
+    rng = np.random.default_rng(2024)
+    for _ in range(60):
+        n = int(rng.integers(2, 80))
+        t, y = random_knots(rng, n)
+        if rng.random() < 0.3:
+            y = np.round(y / 4.0)  # plateaus
+        series = make_series(t + rng.choice([0.0, 1000.0]), y)
+        for lam in (0.0, 0.5, 50.0, 1e6) if n > 2 else (0.0,):
+            model = fit_smoothing_spline(series, lam)
+            assert _exact(spline_extrema(model)) == _exact(scalar_extrema(model))
+
+
+@pytest.mark.parametrize(
+    "coefficients",
+    [
+        ((1.0, 2.0, -1.0, 0.0), (2.0, 0.0, -1.0, 0.0)),  # d == 0: parabolas
+        ((1.0, 0.0, 0.0, 0.0), (1.0, 2.0, 0.0, 0.0)),  # c == d == 0: flat and linear
+        ((0.0, 3.0, -3.0, 1.0), (1.0, 0.0, 0.0, 0.0)),  # zero discriminant at s = 1
+        ((0.0, 1.0, -1.5, 0.5), (0.0, -0.5, 0.0, 0.5)),  # roots on and past a junction
+        ((0.0, -3.0, 0.0, 1.0), (-2.0, 0.0, 3.0, -1.0)),  # two roots, one per segment end
+        ((0.0, 1.0, -0.25, 0.0), (1.0, 2e-13, 1.0, 0.0)),  # root 1e-13 before a knot snaps
+    ],
+)
+def test_extrema_of_hand_built_segments_match_scalar_reference(coefficients):
+    model = SplineModel(knots=((0.0, 0.0), (2.0, 0.0), (4.0, 0.0)), coefficients=coefficients)
+    assert _exact(spline_extrema(model)) == _exact(scalar_extrema(model))
+
+
+def test_coefficients_are_tuples_of_python_floats(od_series):
+    model = fit_natural_spline(od_series)
+    assert all(type(row) is tuple and len(row) == 4 for row in model.coefficients)
+    assert {type(v) for row in model.coefficients for v in row} == {float}
+
+
+@pytest.mark.parametrize(
+    "big, lam", [(1e308, 0.0), (1e300, 1e308), (1e308, 50.0)], ids=["natural", "lam", "smooth"]
+)
+def test_non_finite_fit_is_typed_and_silent(big, lam):
+    series = make_series([0.0, 1.0, 2.0, 3.0], [big, -big, big, -big])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericOverflow):
+            fit_smoothing_spline(series, lam)
+
+
+def test_overflowing_curve_is_typed():
+    # finite coefficients whose cubic overshoots the float range between knots
+    peak = 1.6467945348926161e308
+    model = fit_natural_spline(make_series([0.0, 6.0, 10.0, 11.0], [0.0, peak, 0.0, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericOverflow):
+            dense_grid(model, 1000)
+
+
+def test_single_knot_lagrange_has_no_grid():
+    model = fit_lagrange(make_series([3.0], [1.0]))
+    with pytest.raises(TooFewKnots):
+        dense_grid(model, 10)

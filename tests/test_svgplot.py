@@ -123,3 +123,31 @@ def test_text_is_escaped():
     )
     svg = render_svg(spec)
     assert "a &lt; b &amp; c" in svg
+
+
+def test_markup_characters_are_escaped_in_text():
+    # & < > become entities in title, axis labels and legend; quotes stay as they are
+    spec = PlotSpec(
+        width=100,
+        height=50,
+        layers=(marker_layer([(0.0, 1.0), (2.0, 3.0)], "red", label="x & \"y\" <'z'>"),),
+        title="A & B < C > \"D\" 'E'",
+        x_label="t > 0 & t < 1",
+        y_label="\"q\" 'r'",
+    )
+    assert render_svg(spec) == (
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="100" height="50" '
+        'viewBox="0 0 100 50">\n'
+        '<rect x="0" y="0" width="100" height="50" fill="white" stroke="black" '
+        'stroke-width="1"/>\n'
+        '<text x="50.0000" y="16" text-anchor="middle" font-size="14">'
+        "A &amp; B &lt; C &gt; \"D\" 'E'</text>\n"
+        '<text x="50.0000" y="46.0000" text-anchor="middle" font-size="11">'
+        "t &gt; 0 &amp; t &lt; 1</text>\n"
+        '<text x="12" y="25.0000" text-anchor="middle" font-size="11" '
+        "transform=\"rotate(-90 12 25.0000)\">\"q\" 'r'</text>\n"
+        '<circle cx="4.5455" cy="47.7273" r="3.0000" fill="red"/>\n'
+        '<circle cx="95.4545" cy="2.2727" r="3.0000" fill="red"/>\n'
+        '<text x="8" y="30" font-size="11" fill="red">x &amp; "y" &lt;\'z\'&gt;</text>\n'
+        "</svg>\n"
+    )
