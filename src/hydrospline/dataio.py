@@ -22,7 +22,7 @@ from .errors import (
     UndecodableFile,
     UnknownParameter,
 )
-from .series import Sample, TimeSeries, build_series, format_date, parse_date
+from .series import Sample, TimeSeries, _series_from_pairs, format_date, parse_date
 
 GROPENI_STATION = "Dunare-Gropeni"
 
@@ -69,7 +69,6 @@ class Dataset:
 
 
 def _parse_cell(cell: str, row_number: int, code: str) -> float | None:
-    cell = cell.strip()
     if cell in _MISSING_MARKERS:
         return None
     if not _NUMBER_RE.match(cell):
@@ -150,5 +149,7 @@ def gropeni_dataset() -> Dataset:
 
 
 def dataset_series(dataset: Dataset, parameter: str) -> TimeSeries:
-    """Build the day-count series for one parameter of a dataset."""
-    return build_series(dataset.samples(parameter), dataset.station, parameter)
+    """Build the day-count series for one parameter of a dataset (no Sample per cell)."""
+    i = dataset._parameter_index(parameter)
+    pairs = ((row.date, row.values[i]) for row in dataset.rows)
+    return _series_from_pairs(pairs, dataset.station, parameter)

@@ -10,7 +10,8 @@ Two public solvers with fixed numeric contracts:
 
 Both are deterministic: the same input bytes give the same output bytes.
 :func:`solve_banded_spd` is the banded Cholesky used by the smoothing
-spline's pentadiagonal system.
+spline's pentadiagonal system.  It and :func:`solve_tridiagonal` loop
+over Python floats, with the float64 operations in their fixed order.
 """
 
 import math
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankDeficient, ZeroPivot
+from .errors import NumericOverflow, RankDeficient, ZeroPivot
 
 #: pivots below this magnitude abort elimination
 ZERO_PIVOT_TOL = 1e-14
@@ -92,9 +93,11 @@ def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
     pivot falls below ``ZERO_PIVOT_TOL`` in magnitude.
     """
     n = system.n
-    lower, diag, upper, rhs = system.lower, system.diag, system.upper, system.rhs
-    gamma = np.empty(n - 1) if n > 1 else np.empty(0)
-    delta = np.empty(n)
+    lower, diag, upper, rhs = (
+        v.tolist() for v in (system.lower, system.diag, system.upper, system.rhs)
+    )
+    gamma = [0.0] * (n - 1)
+    delta = [0.0] * n
     pivot = diag[0]
     if abs(pivot) < ZERO_PIVOT_TOL:
         raise ZeroPivot("zero pivot at row 0")
@@ -105,13 +108,14 @@ def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
         if abs(pivot) < ZERO_PIVOT_TOL:
             raise ZeroPivot(f"zero pivot at row {i}")
         delta[i] = (rhs[i] - lower[i - 1] * delta[i - 1]) / pivot
-    x = np.empty(n)
+    x = [0.0] * n
     x[n - 1] = delta[n - 1]
     for i in range(n - 2, -1, -1):
         x[i] = delta[i] - gamma[i] * x[i + 1]
-    return x
+    return np.array(x)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite solution raises NumericOverflow
 def solve_least_squares(problem: LeastSquaresProblem) -> np.ndarray:
     """Least-squares coefficients via orthogonalization of the design columns.
 
@@ -119,7 +123,8 @@ def solve_least_squares(problem: LeastSquaresProblem) -> np.ndarray:
     re-orthogonalization pass, so the residual stays orthogonal to the
     column space to near machine precision), then the triangular factor is
     back-substituted.  Raises RankDeficient when a column collapses to less
-    than ``RANK_TOL`` of its original norm.
+    than ``RANK_TOL`` of its original norm, and NumericOverflow when the
+    solution leaves the float range.
     """
     design, targets = problem.design, problem.targets
     m, k = design.shape
@@ -147,6 +152,8 @@ def solve_least_squares(problem: LeastSquaresProblem) -> np.ndarray:
     x = np.empty(k)
     for j in range(k - 1, -1, -1):
         x[j] = (qt_b[j] - r[j, j + 1 :] @ x[j + 1 :]) / r[j, j]
+    if not np.isfinite(x).all():
+        raise NumericOverflow("least-squares solution overflows the float range for these values")
     return x
 
 
@@ -166,30 +173,34 @@ def solve_banded_spd(bands: np.ndarray, rhs) -> np.ndarray:
     b = _as_vector(rhs, "rhs")
     if b.size != n:
         raise ValueError("rhs length must match band columns")
-    chol = np.zeros_like(bands)
+    bands, b = bands.tolist(), b.tolist()
+    chol = [[0.0] * n for _ in range(p + 1)]
     for j in range(n):
-        s = bands[0, j]
+        s = bands[0][j]
         for k in range(max(0, j - p), j):
-            s -= chol[j - k, k] ** 2
+            try:
+                s -= chol[j - k][k] ** 2
+            except OverflowError:  # a float64 square rounds to inf instead
+                s -= math.inf
         if s <= ZERO_PIVOT_TOL:
             raise ZeroPivot(f"pivot collapsed at row {j}; matrix not positive definite")
-        chol[0, j] = math.sqrt(s)
+        chol[0][j] = math.sqrt(s)
         for i in range(j + 1, min(j + p, n - 1) + 1):
-            u = bands[i - j, j]
+            u = bands[i - j][j]
             for k in range(max(0, i - p), j):
-                u -= chol[i - k, k] * chol[j - k, k]
-            chol[i - j, j] = u / chol[0, j]
+                u -= chol[i - k][k] * chol[j - k][k]
+            chol[i - j][j] = u / chol[0][j]
     # forward then backward substitution on the banded factor
-    z = np.empty(n)
+    z = [0.0] * n
     for i in range(n):
         acc = b[i]
         for k in range(max(0, i - p), i):
-            acc -= chol[i - k, k] * z[k]
-        z[i] = acc / chol[0, i]
-    x = np.empty(n)
+            acc -= chol[i - k][k] * z[k]
+        z[i] = acc / chol[0][i]
+    x = [0.0] * n
     for i in range(n - 1, -1, -1):
         acc = z[i]
         for k in range(i + 1, min(i + p, n - 1) + 1):
-            acc -= chol[k - i, i] * x[k]
-        x[i] = acc / chol[0, i]
-    return x
+            acc -= chol[k - i][i] * x[k]
+        x[i] = acc / chol[0][i]
+    return np.array(x)

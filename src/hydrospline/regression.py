@@ -58,6 +58,7 @@ def fit_polynomial(series: TimeSeries, degree: int) -> PolyModel:
 
     Degrees 0..10 are supported and need at least degree + 1 knots.  The
     time axis is centered and scaled to [-1, 1] before building the design.
+    An rmse whose sum of squares overflows the float range is stored as inf.
     """
     if not 0 <= degree <= MAX_DEGREE:
         raise DegreeTooHigh(f"degree must be in 0..{MAX_DEGREE}, got {degree}")
@@ -72,8 +73,9 @@ def fit_polynomial(series: TimeSeries, degree: int) -> PolyModel:
     u = (t - t_mid) / t_scale
     design = np.vander(u, degree + 1, increasing=True)
     coeffs = solve_least_squares(LeastSquaresProblem(design, y))
-    residuals = y - design @ coeffs
-    rmse = math.sqrt(float(residuals @ residuals) / n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = y - design @ coeffs
+        rmse = math.sqrt(float(residuals @ residuals) / n)
     return PolyModel(
         degree=degree,
         coefficients=tuple(float(c) for c in coeffs),

@@ -10,6 +10,8 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import date, timedelta
+from functools import cached_property
+from operator import itemgetter
 
 from .errors import DuplicateTimestamp, EmptySeries, InvalidDate, MalformedDate
 
@@ -92,11 +94,11 @@ class TimeSeries:
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("knot times must be strictly increasing")
 
-    @property
+    @cached_property
     def t(self) -> tuple[float, ...]:
         return tuple(t for t, _ in self.knots)
 
-    @property
+    @cached_property
     def y(self) -> tuple[float, ...]:
         return tuple(y for _, y in self.knots)
 
@@ -123,12 +125,17 @@ def build_series(samples, station: str, parameter: str) -> TimeSeries:
                 f"sample for {s.station!r}/{s.parameter!r} does not belong to "
                 f"{station!r}/{parameter!r}"
             )
-    retained = sorted((s for s in samples if s.value is not None), key=lambda s: s.date)
+    return _series_from_pairs(((s.date, s.value) for s in samples), station, parameter)
+
+
+def _series_from_pairs(pairs, station: str, parameter: str) -> TimeSeries:
+    """The TimeSeries of ``(date, value)`` pairs, as :func:`build_series` describes it."""
+    retained = sorted((pair for pair in pairs if pair[1] is not None), key=itemgetter(0))
     if not retained:
         raise EmptySeries(f"no values for {station!r}/{parameter!r}")
-    for a, b in zip(retained, retained[1:]):
-        if a.date == b.date:
-            raise DuplicateTimestamp(f"two samples on {format_date(a.date)}")
-    epoch = retained[0].date
-    knots = tuple((float((s.date - epoch).days), float(s.value)) for s in retained)
+    for (a, _), (b, _) in zip(retained, retained[1:]):
+        if a == b:
+            raise DuplicateTimestamp(f"two samples on {format_date(a)}")
+    epoch = retained[0][0]
+    knots = tuple((float((when - epoch).days), float(value)) for when, value in retained)
     return TimeSeries(station=station, parameter=parameter, knots=knots, epoch=epoch)

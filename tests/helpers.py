@@ -5,7 +5,10 @@ dense Gaussian elimination with partial pivoting instead of the banded
 Thomas sweep, normal equations instead of orthogonalization, and the full
 per-segment constraint system instead of the moment form.  The scalar
 spline evaluator, extrema finder and harmonic residuals are the
-per-point and per-segment loops that the vectorised ones replaced.
+per-point and per-segment loops that the vectorised ones replaced, and
+the two scalar solvers are the numpy-scalar loops that the list-based
+ones replaced: same operations in the same order, so their results must
+match bit for bit.
 """
 
 import math
@@ -15,6 +18,8 @@ from datetime import date
 import numpy as np
 
 from hydrospline import TimeSeries, harmonic_reference
+from hydrospline.errors import ZeroPivot
+from hydrospline.linalg import ZERO_PIVOT_TOL
 from hydrospline.splines import FLAT_CURVATURE_TOL, Extremum
 
 EPOCH = date(2000, 1, 1)
@@ -195,3 +200,60 @@ def scalar_residuals(curve, spec, index_map):
         if abs(r) > abs(residuals[worst]):
             worst = i
     return rmse, abs(residuals[worst]), curve.t[worst]
+
+
+def scalar_tridiagonal(system):
+    """Thomas sweep over numpy scalars: the exact-equality reference for solve_tridiagonal."""
+    n = system.n
+    lower, diag, upper, rhs = system.lower, system.diag, system.upper, system.rhs
+    gamma = np.empty(n - 1) if n > 1 else np.empty(0)
+    delta = np.empty(n)
+    pivot = diag[0]
+    if abs(pivot) < ZERO_PIVOT_TOL:
+        raise ZeroPivot("zero pivot at row 0")
+    delta[0] = rhs[0] / pivot
+    for i in range(1, n):
+        gamma[i - 1] = upper[i - 1] / pivot
+        pivot = diag[i] - lower[i - 1] * gamma[i - 1]
+        if abs(pivot) < ZERO_PIVOT_TOL:
+            raise ZeroPivot(f"zero pivot at row {i}")
+        delta[i] = (rhs[i] - lower[i - 1] * delta[i - 1]) / pivot
+    x = np.empty(n)
+    x[n - 1] = delta[n - 1]
+    for i in range(n - 2, -1, -1):
+        x[i] = delta[i] - gamma[i] * x[i + 1]
+    return x
+
+
+def scalar_banded_spd(bands, rhs):
+    """Banded Cholesky over numpy scalars: the exact-equality reference for solve_banded_spd."""
+    bands = np.asarray(bands, dtype=float)
+    b = np.asarray(rhs, dtype=float)
+    p = bands.shape[0] - 1
+    n = bands.shape[1]
+    chol = np.zeros_like(bands)
+    for j in range(n):
+        s = bands[0, j]
+        for k in range(max(0, j - p), j):
+            s -= chol[j - k, k] ** 2
+        if s <= ZERO_PIVOT_TOL:
+            raise ZeroPivot(f"pivot collapsed at row {j}; matrix not positive definite")
+        chol[0, j] = math.sqrt(s)
+        for i in range(j + 1, min(j + p, n - 1) + 1):
+            u = bands[i - j, j]
+            for k in range(max(0, i - p), j):
+                u -= chol[i - k, k] * chol[j - k, k]
+            chol[i - j, j] = u / chol[0, j]
+    z = np.empty(n)
+    for i in range(n):
+        acc = b[i]
+        for k in range(max(0, i - p), i):
+            acc -= chol[i - k, k] * z[k]
+        z[i] = acc / chol[0, i]
+    x = np.empty(n)
+    for i in range(n - 1, -1, -1):
+        acc = z[i]
+        for k in range(i + 1, min(i + p, n - 1) + 1):
+            acc -= chol[k - i, i] * x[k]
+        x[i] = acc / chol[0, i]
+    return x

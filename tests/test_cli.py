@@ -298,6 +298,31 @@ def test_values_outside_float_range_are_data_errors(capsys, tmp_path, size, argv
     assert "overflow" in err or "float range" in err
 
 
+def _fresh_cli(*argv):
+    """Run the CLI in a new interpreter with the default warning filters, so a
+    numpy warning reaches stderr instead of pytest's warning capture."""
+    env = dict(os.environ, PYTHONPATH=str(Path(hydrospline.__file__).parents[1]))
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run(
+        [sys.executable, "-m", "hydrospline.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def test_least_squares_overflow_is_silent_in_a_fresh_process(tmp_path):
+    done = _fresh_cli("trend", "--input", _alternating(tmp_path, 1e300), "--param", "OD")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "-4e+299 -1.2e+300 3 down\n", "")
+    constant = tmp_path / "constant.csv"
+    constant.write_text("Data,OD\n" + "".join(f"{day},1e308\n" for day in BIG_ROWS))
+    for command in ("harmonic", "trend"):
+        done = _fresh_cli(command, "--input", str(constant), "--param", "OD")
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == (
+            "error: least-squares solution overflows the float range for these values\n"
+        )
+
+
 def test_non_utf8_file_is_data_error(capsys, tmp_path):
     path = tmp_path / "latin.csv"
     path.write_bytes(b"Data,temp\n1/2/2003,5.0\n1/3/2003,caf\xe9\n")

@@ -1,5 +1,8 @@
 """CSV parsing, serialization round trips, and the bundled dataset."""
 
+from datetime import date, timedelta
+
+import numpy as np
 import pytest
 
 from hydrospline import (
@@ -11,9 +14,10 @@ from hydrospline import (
     parse_csv,
     serialize_csv,
 )
-from hydrospline.dataio import GROPENI_STATION
+from hydrospline.dataio import GROPENI_STATION, DatasetRow
 from hydrospline.errors import (
     DuplicateTimestamp,
+    EmptySeries,
     HeaderMismatch,
     InvalidDate,
     MalformedNumber,
@@ -169,3 +173,71 @@ def test_non_utf8_file_names_the_file(tmp_path):
     path.write_bytes(b"Data,temp\n1/2/2003,5.0\n1/3/2003,caf\xe9\n")
     with pytest.raises(UndecodableFile, match="latin.csv: not UTF-8 text"):
         load_csv(path)
+
+
+def _seeded_table(rows=2000, seed=11):
+    """A daily table of six columns with 10% of cells missing, as CSV text."""
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-50.0, 50.0, (rows, 6))
+    missing = rng.random((rows, 6)) < 0.1
+    start = date(2000, 1, 1)
+    lines = ["Data,temp,pH,OD,CBO5,CCO-Mn,CCO-Cr"]
+    for i in range(rows):
+        day = start + timedelta(days=i)
+        cells = ["*" if gap else repr(v) for v, gap in zip(values[i].tolist(), missing[i])]
+        lines.append(f"{day.month}/{day.day}/{day.year}," + ",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("source", ["fixture", "seeded"])
+def test_dataset_series_equals_series_of_samples(gropeni, source):
+    ds = gropeni if source == "fixture" else parse_csv(_seeded_table(), station="seeded")
+    for p in ds.parameters:
+        assert dataset_series(ds, p) == build_series(ds.samples(p), ds.station, p)
+
+
+def _hand_built(*rows, parameters=("OD",)):
+    return Dataset(
+        station="s",
+        parameters=parameters,
+        rows=tuple(DatasetRow(date=d, values=v) for d, v in rows),
+        source="<hand>",
+    )
+
+
+def test_dataset_series_of_unsorted_rows():
+    ds = _hand_built(
+        (date(2004, 3, 1), (3.0,)), (date(2003, 9, 11), (1.0,)), (date(2004, 1, 5), (None,)),
+        (date(2003, 12, 31), (2.0,)),
+    )
+    series = dataset_series(ds, "OD")
+    assert series == build_series(ds.samples("OD"), "s", "OD")
+    assert series.epoch == date(2003, 9, 11)
+    assert series.y == (1.0, 2.0, 3.0)
+
+
+def _message(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def test_dataset_series_duplicate_dates_match_build_series():
+    ds = _hand_built((date(2003, 9, 11), (1.0,)), (date(2003, 9, 11), (2.0,)))
+    got = _message(lambda: dataset_series(ds, "OD"))
+    assert got == _message(lambda: build_series(ds.samples("OD"), "s", "OD"))
+    assert got == (DuplicateTimestamp, "two samples on 9/11/2003")
+
+
+def test_dataset_series_all_missing_matches_build_series():
+    ds = _hand_built((date(2003, 9, 11), (None, 1.0)), (date(2003, 9, 12), (None, 2.0)),
+                     parameters=("OD", "pH"))
+    got = _message(lambda: dataset_series(ds, "OD"))
+    assert got == _message(lambda: build_series(ds.samples("OD"), "s", "OD"))
+    assert got == (EmptySeries, "no values for 's'/'OD'")
+
+
+def test_dataset_series_rejects_infinite_values():
+    ds = _hand_built((date(2003, 9, 11), (1.0,)), (date(2003, 9, 12), (float("inf"),)))
+    with pytest.raises(ValueError):
+        dataset_series(ds, "OD")

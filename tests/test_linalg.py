@@ -3,14 +3,20 @@
 import numpy as np
 import pytest
 
-from helpers import gauss_solve, normal_equations_solve, tridiagonal_to_dense
+from helpers import (
+    gauss_solve,
+    normal_equations_solve,
+    scalar_banded_spd,
+    scalar_tridiagonal,
+    tridiagonal_to_dense,
+)
 from hydrospline import (
     LeastSquaresProblem,
     TridiagonalSystem,
     solve_least_squares,
     solve_tridiagonal,
 )
-from hydrospline.errors import RankDeficient, ZeroPivot
+from hydrospline.errors import NumericOverflow, RankDeficient, ZeroPivot
 from hydrospline.linalg import solve_banded_spd
 
 
@@ -164,3 +170,82 @@ def test_banded_spd_rejects_indefinite():
     bands = np.array([[1.0, -5.0], [2.0, 0.0]])  # [[1,2],[2,-5]] is indefinite
     with pytest.raises(ZeroPivot):
         solve_banded_spd(bands, [1.0, 1.0])
+
+
+def _bits(x):
+    return [float(v).hex() for v in x]
+
+
+SOLVER_SIZES = [1, 2, 3, 4, 7, 50, 333, 1000, 3000]
+
+
+@pytest.mark.parametrize("n", SOLVER_SIZES)
+def test_tridiagonal_matches_scalar_reference_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for scale in (1e-3, 1.0, 1e3):
+        system = random_tridiagonal(rng, n)
+        system = TridiagonalSystem(
+            system.lower * scale, system.diag * scale, system.upper * scale, system.rhs * scale
+        )
+        assert _bits(solve_tridiagonal(system)) == _bits(scalar_tridiagonal(system))
+
+
+def smoothing_bands(rng, m, lam):
+    """Lower bands (bandwidth 2) of R + lam Q^T Q on m interior knots with random gaps."""
+    h = rng.uniform(0.5, 3.0, m + 1)
+    ih = 1.0 / h
+    bands = np.zeros((3, m))
+    bands[0] = (h[:-1] + h[1:]) / 3.0 + lam * (
+        ih[:-1] ** 2 + (ih[:-1] + ih[1:]) ** 2 + ih[1:] ** 2
+    )
+    bands[1, : m - 1] = h[1:-1] / 6.0 - lam * ih[1:-1] * (ih[:-2] + 2.0 * ih[1:-1] + ih[2:])
+    bands[2, : max(m - 2, 0)] = lam * ih[1:-2] * ih[2:-1]
+    return bands
+
+
+@pytest.mark.parametrize("n", SOLVER_SIZES)
+def test_banded_spd_matches_scalar_reference_bit_for_bit(n):
+    rng = np.random.default_rng(1000 + n)
+    for lam in (0.5, 50.0, 1e6):
+        bands = smoothing_bands(rng, n, lam)
+        rhs = rng.uniform(-10.0, 10.0, n)
+        assert _bits(solve_banded_spd(bands, rhs)) == _bits(scalar_banded_spd(bands, rhs))
+    # bandwidths 0, 1 and 3 of a diagonally dominant matrix
+    for p in (0, 1, 3):
+        bands = np.vstack([rng.uniform(4.0, 8.0, (1, n)), rng.uniform(-1.0, 1.0, (p, n))])
+        rhs = rng.uniform(-1e3, 1e3, n)
+        assert _bits(solve_banded_spd(bands, rhs)) == _bits(scalar_banded_spd(bands, rhs))
+
+
+def test_banded_spd_squares_like_float64_power():
+    # x ** 2 and x * x round differently for this x; the factorization squares
+    # with ** 2, so the pivot of row 1 (2 - x ** 2) keeps that last bit
+    x = float.fromhex("-0x1.53d82875324fbp+0")
+    assert x**2 != x * x
+    bands = np.array([[1.0, 2.0, 3.0], [x, 0.5, 0.0]])
+    rhs = [1.0, -1.0, 0.5]
+    assert _bits(solve_banded_spd(bands, rhs)) == _bits(scalar_banded_spd(bands, rhs))
+
+
+@pytest.mark.parametrize("second", [1e300, np.inf], ids=["collapses", "nan"])
+def test_banded_spd_square_overflow_matches_float64(second):
+    # chol[1, 0] = 1e160 / sqrt(2e-13) squares past the float range: float64
+    # gives inf, so the pivot is 1e300 - inf (ZeroPivot) or inf - inf (nan)
+    bands = np.array([[2e-13, second, 1.0], [1e160, 1.0, 0.0]])
+    rhs = [1.0, 1.0, 1.0]
+    with np.errstate(all="ignore"):
+        try:
+            expected = _bits(scalar_banded_spd(bands, rhs))
+        except ZeroPivot as exc:
+            expected = str(exc)
+    try:
+        got = _bits(solve_banded_spd(bands, rhs))
+    except ZeroPivot as exc:
+        got = str(exc)
+    assert got == expected
+
+
+def test_least_squares_overflow_is_typed_and_silent():
+    design = np.column_stack([np.linspace(-1.0, 1.0, 4), np.ones(4)])
+    with pytest.raises(NumericOverflow):
+        solve_least_squares(LeastSquaresProblem(design, [1e308] * 4))

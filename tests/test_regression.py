@@ -272,3 +272,15 @@ def test_correlation_outside_float_range_is_typed(size):
     b = make_series(t, [-size, size, size, -size])
     with pytest.raises(NumericOverflow):
         pearson(a, b)
+
+
+def test_overflowing_rmse_is_inf():
+    # the fit is finite; only the sum of squared residuals leaves the float range
+    model = fit_polynomial(make_series([0.0, 1.0, 2.0, 3.0], [1e300, -1e300, 1e300, -1e300]), 1)
+    assert all(math.isfinite(c) for c in model.coefficients)
+    assert model.rmse == math.inf
+
+
+def test_overflowing_least_squares_fit_is_typed():
+    with pytest.raises(NumericOverflow):
+        trend_report(make_series([0.0, 1.0, 2.0, 3.0], [1e308] * 4))

@@ -138,6 +138,13 @@ def test_build_series_rejects_foreign_samples():
         build_series(samples, "s", "OD")
 
 
+def test_series_axes_are_built_once(od_series):
+    assert od_series.t is od_series.t
+    assert od_series.y is od_series.y
+    assert od_series.t == tuple(t for t, _ in od_series.knots)
+    assert od_series.y == tuple(y for _, y in od_series.knots)
+
+
 def test_calendar_date_truncates_fractions(od_series):
     assert od_series.calendar_date(0.0) == date(2003, 9, 11)
     assert od_series.calendar_date(33.9) == date(2003, 10, 14)
