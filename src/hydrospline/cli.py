@@ -7,6 +7,7 @@ bytes on stdout and in any file written.
 """
 
 import argparse
+import math
 import sys
 
 from .dataio import Dataset, dataset_series, gropeni_dataset, load_csv
@@ -20,7 +21,7 @@ from .harmonic import (
     fit_amplitude_offset,
     sample_harmonic,
 )
-from .regression import matched_pairs, pearson, trend_report
+from .regression import _pearson_of_pairs, matched_pairs, trend_report
 from .series import TimeSeries, format_date, parameter_unit
 from .splines import (
     dense_grid,
@@ -34,6 +35,8 @@ from .svgplot import PlotSpec, curve_layer, marker_layer, render_svg
 PLOT_WIDTH = 800
 PLOT_HEIGHT = 500
 DEFAULT_RESOLUTION = 1000
+#: the largest --resolution; at this size interp on the fixture peaks near 250 MB of memory
+MAX_RESOLUTION = 1_000_000
 
 
 def _num(value: float) -> str:
@@ -56,24 +59,30 @@ def _resolution(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 2:
         raise argparse.ArgumentTypeError("resolution must be at least 2")
+    if value > MAX_RESOLUTION:
+        raise argparse.ArgumentTypeError(f"resolution must be at most {MAX_RESOLUTION}")
     return value
 
 
-def _non_negative(text: str) -> float:
+def _finite(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _non_negative(text: str) -> float:
+    value = _finite(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be non-negative")
     return value
 
 
 def _positive(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    value = _finite(text)
     if value <= 0:
         raise argparse.ArgumentTypeError("must be positive")
     return value
@@ -96,7 +105,12 @@ def _add_method_args(parser: argparse.ArgumentParser) -> None:
         default=0.0,
         help="smoothing weight for --method smooth",
     )
-    parser.add_argument("--resolution", type=_resolution, default=DEFAULT_RESOLUTION)
+    parser.add_argument(
+        "--resolution",
+        type=_resolution,
+        default=DEFAULT_RESOLUTION,
+        help=f"grid points, 2 to {MAX_RESOLUTION} (default {DEFAULT_RESOLUTION})",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -208,9 +222,8 @@ def _cmd_trend(args, dataset: Dataset) -> int:
 def _cmd_correlate(args, dataset: Dataset) -> int:
     series_a = dataset_series(dataset, args.param_a)
     series_b = dataset_series(dataset, args.param_b)
-    r = pearson(series_a, series_b)
-    n_pairs = len(matched_pairs(series_a, series_b))
-    print(f"{_num(r)} {n_pairs}")
+    pairs = matched_pairs(series_a, series_b)
+    print(f"{_num(_pearson_of_pairs(pairs))} {len(pairs)}")
     return 0
 
 

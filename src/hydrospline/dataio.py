@@ -12,11 +12,14 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import date
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import (
     DuplicateTimestamp,
     HeaderMismatch,
+    InvalidDate,
+    MalformedDate,
     MalformedNumber,
     MalformedRow,
     UndecodableFile,
@@ -28,7 +31,12 @@ GROPENI_STATION = "Dunare-Gropeni"
 
 _MISSING_MARKERS = {"*", "-"}
 
-_NUMBER_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$")
+_NUMBER = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+
+_NUMBER_RE = re.compile(rf"^{_NUMBER}$")
+
+# the first line of a "\n"-joined column that is neither a number nor a missing marker
+_BAD_LINE_RE = re.compile(rf"^(?!(?:{_NUMBER}|[*-])$)", re.M)
 
 
 @dataclass(frozen=True)
@@ -79,6 +87,49 @@ def _parse_cell(cell: str, row_number: int, code: str) -> float | None:
     return value
 
 
+def _parse_rows(body: list[list[str]], parameters: tuple[str, ...]) -> list[DatasetRow]:
+    """The rows of ``body``, parsed a record at a time; the first bad cell in
+    row order raises (arity, then date, then values from left to right)."""
+    rows = []
+    for number, record in enumerate(body, start=2):
+        cells = [cell.strip() for cell in record]
+        if len(cells) != len(parameters) + 1:
+            raise MalformedRow(
+                f"row {number}: expected {len(parameters) + 1} cells, got {len(cells)}"
+            )
+        when = parse_date(cells[0])
+        values = tuple(
+            _parse_cell(cell, number, code) for cell, code in zip(cells[1:], parameters)
+        )
+        rows.append(DatasetRow(date=when, values=values))
+    return rows
+
+
+def _parse_columns(body: list[list[str]], parameters: tuple[str, ...]) -> list[DatasetRow] | None:
+    r"""The rows of ``body``, parsed a column at a time; None if any record is bad.
+
+    Each value column is stripped, joined with "\n" and checked by one
+    regex search, then converted with ``float``.  A cell holding "\n"
+    would pass as two lines, so it counts as bad.
+    """
+    if not parameters or set(map(len, body)) != {len(parameters) + 1}:
+        return None
+    try:
+        dates = list(map(parse_date, map(str.strip, map(itemgetter(0), body))))
+    except (MalformedDate, InvalidDate):
+        return None
+    value_columns = []
+    for j in range(1, len(parameters) + 1):
+        joined = "\n".join(map(str.strip, map(itemgetter(j), body)))
+        if joined.count("\n") != len(body) - 1 or _BAD_LINE_RE.search(joined):
+            return None
+        values = [None if cell in _MISSING_MARKERS else float(cell) for cell in joined.split("\n")]
+        if math.inf in values or -math.inf in values:  # float() overflowed
+            return None
+        value_columns.append(values)
+    return list(map(DatasetRow, dates, zip(*value_columns)))
+
+
 def parse_csv(text: str, station: str = "unknown", source: str = "<memory>") -> Dataset:
     """Parse a monitoring table from CSV text.
 
@@ -96,18 +147,9 @@ def parse_csv(text: str, station: str = "unknown", source: str = "<memory>") -> 
     parameters = tuple(header[1:])
     if len(set(parameters)) != len(parameters):
         raise HeaderMismatch("duplicate parameter codes in header")
-    rows = []
-    for number, record in enumerate(records[1:], start=2):
-        cells = [cell.strip() for cell in record]
-        if len(cells) != len(header):
-            raise MalformedRow(
-                f"row {number}: expected {len(header)} cells, got {len(cells)}"
-            )
-        when = parse_date(cells[0])
-        values = tuple(
-            _parse_cell(cell, number, code) for cell, code in zip(cells[1:], parameters)
-        )
-        rows.append(DatasetRow(date=when, values=values))
+    rows = _parse_columns(records[1:], parameters)
+    if rows is None:  # a bad record: the row-major loop raises for the first one
+        rows = _parse_rows(records[1:], parameters)
     rows.sort(key=lambda row: row.date)
     for a, b in zip(rows, rows[1:]):
         if a.date == b.date:
@@ -115,19 +157,17 @@ def parse_csv(text: str, station: str = "unknown", source: str = "<memory>") -> 
     return Dataset(station=station, parameters=parameters, rows=tuple(rows), source=source)
 
 
-def _format_value(value: float | None) -> str:
-    if value is None:
-        return "*"
-    return repr(value)
-
-
 def serialize_csv(dataset: Dataset) -> str:
     """Render a dataset back to CSV; parsing the result reproduces it."""
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["Data", *dataset.parameters])
-    for row in dataset.rows:
-        writer.writerow([format_date(row.date), *map(_format_value, row.values)])
+    csv.writer(out, lineterminator="\n").writerow(["Data", *dataset.parameters])
+    # value cells never need quoting: the date, then repr of each float or "*" for None
+    # (no float's repr holds "None")
+    sep = "," if dataset.parameters else ""
+    out.writelines(
+        f"{format_date(row.date)}{sep}{','.join(map(repr, row.values)).replace('None', '*')}\n"
+        for row in dataset.rows
+    )
     return out.getvalue()
 
 

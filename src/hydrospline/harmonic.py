@@ -76,8 +76,16 @@ def harmonic_reference(k: float, spec: HarmonicSpec) -> float:
 
 
 def _reference_values(spec: HarmonicSpec, index_map: IndexMap, ts) -> list[float]:
-    """The reference at each day offset of ``ts``, one ``math`` call per point."""
-    return [harmonic_reference(index_map.index_at(t), spec) for t in ts]
+    """The reference at each day offset of ``ts``, one ``math`` call per point.
+
+    Raises NumericOverflow when the signed power overflows or an angle is infinite.
+    """
+    try:
+        return [harmonic_reference(index_map.index_at(t), spec) for t in ts]
+    except (OverflowError, ValueError):  # |u| ** p overflows; sin or cos of inf
+        raise NumericOverflow(
+            "harmonic reference leaves the float range for these coefficients"
+        ) from None
 
 
 def sample_harmonic(spec: HarmonicSpec, index_map: IndexMap, grid) -> CurveSamples:

@@ -6,8 +6,10 @@ live in u-space and :func:`eval_poly` maps back from days.
 """
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -132,7 +134,8 @@ def matched_pairs(a: TimeSeries, b: TimeSeries) -> list[tuple[float, float, floa
 
     Keys are day ordinals (epoch ordinal plus day offset), so two series
     with different epochs still match on the actual date.  Returns
-    (ordinal, y_a, y_b) triples in date order.
+    (ordinal, y_a, y_b) triples in date order, which is the order of
+    ``b.knots``: their times are strictly increasing.
     """
     base_a = float(a.epoch.toordinal())
     base_b = float(b.epoch.toordinal())
@@ -142,7 +145,6 @@ def matched_pairs(a: TimeSeries, b: TimeSeries) -> list[tuple[float, float, floa
         day = base_b + t
         if day in by_day:
             pairs.append((day, by_day[day], y))
-    pairs.sort(key=lambda p: p[0])
     return pairs
 
 
@@ -156,7 +158,11 @@ def pearson(a: TimeSeries, b: TimeSeries) -> float:
     """
     if a.station != b.station:
         raise ValueError(f"series stations differ: {a.station!r} vs {b.station!r}")
-    pairs = matched_pairs(a, b)
+    return _pearson_of_pairs(matched_pairs(a, b))
+
+
+def _pearson_of_pairs(pairs: list[tuple[float, float, float]]) -> float:
+    """Pearson correlation of (day, x, y) triples, checked as :func:`pearson` describes."""
     if len(pairs) < 3:
         raise InsufficientPairs(f"need at least 3 matched pairs, have {len(pairs)}")
     xs = [p[1] for p in pairs]
@@ -167,9 +173,11 @@ def pearson(a: TimeSeries, b: TimeSeries) -> float:
     try:
         mean_x = math.fsum(xs) / n
         mean_y = math.fsum(ys) / n
-        sxy = math.fsum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-        sxx = math.fsum((x - mean_x) ** 2 for x in xs)
-        syy = math.fsum((y - mean_y) ** 2 for y in ys)
+        dx = [x - mean_x for x in xs]
+        dy = [y - mean_y for y in ys]
+        sxy = math.fsum(map(operator.mul, dx, dy))
+        sxx = math.fsum(map(pow, dx, repeat(2)))
+        syy = math.fsum(map(pow, dy, repeat(2)))
     except (OverflowError, ValueError):  # a sum overflows, or meets both signs of inf
         sxy = sxx = syy = math.inf
     # a product that overflows, or underflows below the normal range, would clamp garbage

@@ -7,10 +7,12 @@ since the earliest retained sample.
 """
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from datetime import date, timedelta
 from functools import cached_property
+from itertools import compress
 from operator import itemgetter
 
 from .errors import DuplicateTimestamp, EmptySeries, InvalidDate, MalformedDate
@@ -87,11 +89,10 @@ class TimeSeries:
     def __post_init__(self) -> None:
         if not self.knots:
             raise ValueError("a series needs at least one knot")
-        for t, y in self.knots:
-            if not (math.isfinite(t) and math.isfinite(y)):
-                raise ValueError("knots must be finite")
-        ts = [t for t, _ in self.knots]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
+        ts, ys = self.t, self.y  # computed here once, for the checks and for every reader
+        if not (all(map(math.isfinite, ts)) and all(map(math.isfinite, ys))):
+            raise ValueError("knots must be finite")
+        if any(map(operator.le, ts[1:], ts)):
             raise ValueError("knot times must be strictly increasing")
 
     @cached_property
@@ -133,9 +134,12 @@ def _series_from_pairs(pairs, station: str, parameter: str) -> TimeSeries:
     retained = sorted((pair for pair in pairs if pair[1] is not None), key=itemgetter(0))
     if not retained:
         raise EmptySeries(f"no values for {station!r}/{parameter!r}")
-    for (a, _), (b, _) in zip(retained, retained[1:]):
-        if a == b:
-            raise DuplicateTimestamp(f"two samples on {format_date(a)}")
-    epoch = retained[0][0]
-    knots = tuple((float((when - epoch).days), float(value)) for when, value in retained)
-    return TimeSeries(station=station, parameter=parameter, knots=knots, epoch=epoch)
+    dates = [when for when, _ in retained]
+    # sorted, so a repeated date is an equal neighbour
+    repeated = next(compress(dates, map(operator.eq, dates, dates[1:])), None)
+    if repeated is not None:
+        raise DuplicateTimestamp(f"two samples on {format_date(repeated)}")
+    base = dates[0].toordinal()
+    days = [float(when.toordinal() - base) for when in dates]
+    knots = tuple(zip(days, [float(value) for _, value in retained]))
+    return TimeSeries(station=station, parameter=parameter, knots=knots, epoch=dates[0])

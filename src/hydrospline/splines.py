@@ -341,8 +341,10 @@ def spline_extrema(model: SplineModel) -> list[Extremum]:
     keep &= (ts[0] < t) & (t < ts[-1]) & ~(np.abs(curvature) <= FLAT_CURVATURE_TOL)
     order = np.argsort(t[keep], kind="stable")
     deduped: list[Extremum] = []
+    last = -math.inf
     for when, value, bend in zip(*(x[keep][order].tolist() for x in (t, y, curvature))):
-        if deduped and abs(when - deduped[-1].t) <= 1e-9:
+        if abs(when - last) <= 1e-9:
             continue
-        deduped.append(Extremum(t=when, y=value, kind="max" if bend < 0.0 else "min"))
+        deduped.append(Extremum(when, value, "max" if bend < 0.0 else "min"))
+        last = when
     return deduped

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import hydrospline
-from hydrospline.cli import main
+from hydrospline.cli import MAX_RESOLUTION, build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
@@ -207,6 +207,42 @@ def test_bad_resolution_is_usage_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["interp", "plot"])
+def test_resolution_cap_is_usage_error(capsys, command):
+    # through the parser alone: no grid of this size is ever allocated
+    parser = build_parser()
+    argv = [command, "--fixture", "gropeni", "--param", "OD", "--out", "x", "--resolution"]
+    assert parser.parse_args([*argv, str(MAX_RESOLUTION)]).resolution == MAX_RESOLUTION
+    for too_many in (MAX_RESOLUTION + 1, 10**9, 10**20):
+        with pytest.raises(SystemExit) as info:
+            parser.parse_args([*argv, str(too_many)])
+        assert info.value.code == 1
+        assert capsys.readouterr().err.endswith(
+            f"argument --resolution: resolution must be at most {MAX_RESOLUTION}\n"
+        )
+
+
+def test_resolution_cap_is_in_the_help(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one line per option
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["interp", "--help"])
+    assert f"2 to {MAX_RESOLUTION}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "Infinity"])
+@pytest.mark.parametrize(
+    "argv",
+    [["harmonic", "--exponent"], ["harmonic", "--angular-coeff"],
+     ["interp", "--out", "x.csv", "--method", "smooth", "--lambda"]],
+    ids=["exponent", "angular-coeff", "lambda"],
+)
+def test_non_finite_flag_is_usage_error(capsys, argv, value):
+    command, *flags = argv
+    code, out, err = run(capsys, command, "--fixture", "gropeni", "--param", "OD", *flags, value)
+    assert (code, out) == (1, "")
+    assert err.endswith(f"{argv[-1]}: not a finite number: {value!r}\n")
+
+
 def test_negative_lambda_is_usage_error(capsys):
     code, _, _ = run(
         capsys, "interp", "--fixture", "gropeni", "--param", "OD",
@@ -296,6 +332,15 @@ def test_values_outside_float_range_are_data_errors(capsys, tmp_path, size, argv
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "overflow" in err or "float range" in err
+
+
+@pytest.mark.parametrize("flag", ["--exponent", "--angular-coeff"])
+def test_huge_harmonic_coefficients_are_data_errors(capsys, flag):
+    # 1e308 overflows the signed power, or makes every angle infinite
+    argv = ["harmonic", "--fixture", "gropeni", "--param", "OD", flag, "1e308"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: harmonic reference leaves the float range for these coefficients\n"
 
 
 def _fresh_cli(*argv):

@@ -1,4 +1,4 @@
-"""The CLI contract on arbitrary input files: exit 0, 1 or 2, never a traceback."""
+"""The CLI contract on arbitrary input files and flags: exit 0, 1 or 2, never a traceback."""
 
 import contextlib
 import io
@@ -24,23 +24,37 @@ ROWS = st.lists(st.tuples(st.integers(0, 800), CELLS, CELLS), max_size=12)
 EPOCHS = st.dates(min_value=date(1000, 1, 1), max_value=date(9000, 1, 1))
 PREFIXES = st.sampled_from([b"", b"\xef\xbb\xbf"])  # with and without a UTF-8 BOM
 
+
+def _flag(name, values):
+    """No flag (the default), or the flag with a drawn value."""
+    return st.one_of(st.just([]), values.map(lambda v: [name, str(v)]))
+
+
+# each flag over its whole accepted range; --resolution stops at 2,000 to keep examples fast
+METHOD = _flag("--method", st.sampled_from(["spline", "lagrange", "smooth"]))
+LAMBDA = _flag("--lambda", st.floats(0.0, 1e308))
+RESOLUTION = _flag("--resolution", st.integers(2, 2000))
+# the ends of the range drawn often: only huge coefficients leave the float range
+COEFFICIENT = st.one_of(st.sampled_from([1e-300, 1e308]), st.floats(1e-300, 1e308))
+
 COMMANDS = st.one_of(
     st.tuples(
-        st.just(["interp", "--param", "A", "--out", "{out}.csv"]),
-        st.sampled_from([[], ["--method", "lagrange"], ["--method", "smooth"]]),
-        st.sampled_from([[], ["--lambda", "0.5"], ["--lambda", "1e6"], ["--lambda", "1e308"]]),
-        st.sampled_from([[], ["--resolution", "2"], ["--resolution", "37"]]),
+        st.just(["interp", "--param", "A", "--out", "{out}.csv"]), METHOD, LAMBDA, RESOLUTION
     ),
     st.tuples(st.just(["extrema", "--param", "A"])),
     st.tuples(st.just(["trend", "--param", "B"])),
     st.tuples(st.just(["correlate", "--param-a", "A", "--param-b", "B"])),
     st.tuples(
         st.just(["harmonic", "--param", "A"]),
-        st.sampled_from([[], ["--angular-coeff", "1e-300"], ["--exponent", "1e3"]]),
+        _flag("--angular-coeff", COEFFICIENT),
+        _flag("--exponent", COEFFICIENT),
     ),
     st.tuples(
         st.just(["plot", "--param", "B", "--out", "{out}.svg"]),
-        st.sampled_from([[], ["--harmonic"], ["--method", "smooth", "--lambda", "1e308"]]),
+        st.sampled_from([[], ["--harmonic"]]),
+        METHOD,
+        LAMBDA,
+        RESOLUTION,
     ),
 )
 

@@ -1,5 +1,8 @@
 """CSV parsing, serialization round trips, and the bundled dataset."""
 
+import csv
+import io
+import random
 from datetime import date, timedelta
 
 import numpy as np
@@ -14,12 +17,14 @@ from hydrospline import (
     parse_csv,
     serialize_csv,
 )
-from hydrospline.dataio import GROPENI_STATION, DatasetRow
+from hydrospline.dataio import GROPENI_STATION, DatasetRow, _parse_columns, _parse_rows
 from hydrospline.errors import (
     DuplicateTimestamp,
     EmptySeries,
     HeaderMismatch,
+    HydrosplineError,
     InvalidDate,
+    MalformedDate,
     MalformedNumber,
     MalformedRow,
     UndecodableFile,
@@ -241,3 +246,86 @@ def test_dataset_series_rejects_infinite_values():
     ds = _hand_built((date(2003, 9, 11), (1.0,)), (date(2003, 9, 12), (float("inf"),)))
     with pytest.raises(ValueError):
         dataset_series(ds, "OD")
+
+
+# --- the column-at-a-time parse and its row-major fallback
+
+def _parse_failure(text):
+    with pytest.raises(HydrosplineError) as info:
+        parse_csv(text)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # column order meets B's bad row 3 first; row order meets C's bad row 2 first
+        ("Data,A,B,C\n1/1/2003,1,2,x\n1/2/2003,1,y,3\n",
+         (MalformedNumber, "row 2, column C: not a number: 'x'")),
+        # the date column is parsed first, but a bad number in an earlier row wins
+        ("Data,A\n1/1/2003,x\n2/30/2003,1\n",
+         (MalformedNumber, "row 2, column A: not a number: 'x'")),
+        # arity is checked first, but a bad cell in an earlier row wins
+        ("Data,A,B\n1/1/2003,1,x\n1/2/2003,1\n",
+         (MalformedNumber, "row 2, column B: not a number: 'x'")),
+        ("Data,A,B\n1/1/2003,1,1e400\n1/2/2003,x,1\n",
+         (MalformedNumber, "row 2, column B: out of range: '1e400'")),
+        # a quoted cell holding a newline is one bad cell, not two good lines
+        ('Data,A\n1/1/2003,"1\n2"\n', (MalformedNumber, "row 2, column A: not a number: '1\\n2'")),
+        ('Data,A\n1/1/2003," 7 "\n1/2/2003,"\n"\n',
+         (MalformedNumber, "row 3, column A: not a number: ''")),
+        ("Data,A\n1/1/2003,1\n1/2/2003\n", (MalformedRow, "row 3: expected 2 cells, got 1")),
+        ("Data,A\n1/1/2003,*\nx,1\n", (MalformedDate, "expected M/D/YYYY, got 'x'")),
+    ],
+    ids=["row-before-column", "number-before-date", "cell-before-arity", "range-before-number",
+         "quoted-newline", "quoted-blank", "arity", "date"],
+)
+def test_first_bad_cell_in_row_order_is_reported(text, expected):
+    assert _parse_failure(text) == expected
+
+
+def test_unicode_digits_parse_as_numbers():
+    assert parse_csv("Data,A\n1/1/2003,٣\n1/2/2003,١.٥e1\n").column("A") == [3.0, 15.0]
+
+
+def _messy_table(seed, rows=400):
+    """Shuffled daily rows whose cells carry whitespace, signs, exponents and both markers."""
+    rng = random.Random(seed)
+    start = date(1995, 1, 1)
+    order = list(range(rows))
+    rng.shuffle(order)
+
+    def cell():
+        if rng.random() < 0.1:
+            return rng.choice(["*", "-", " * ", "\t-"])
+        digits = str(rng.randint(0, 10**rng.randint(0, 9)))
+        body = rng.choice([digits, f"{digits}.{rng.randint(0, 999)}", f".{digits}", f"{digits}."])
+        exponent = rng.choice(["", "", f"e{rng.randint(-300, 300)}", f"E+{rng.randint(0, 9)}"])
+        pad = rng.choice(["", "", " ", "\t", "  "])
+        return f"{pad}{rng.choice(['', '+', '-'])}{body}{exponent}{pad[::-1]}"
+
+    lines = ["Data,temp, pH ,OD"]
+    for i in order:
+        day = start + timedelta(days=i)
+        lines.append(", ".join([f"{day.month}/{day.day}/{day.year}"] + [cell() for _ in range(3)]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_column_parse_equals_row_parse(seed):
+    text = _messy_table(seed)
+    records = [record for record in csv.reader(io.StringIO(text)) if record]
+    parameters = tuple(cell.strip() for cell in records[0][1:])
+    by_columns = _parse_columns(records[1:], parameters)
+    assert by_columns is not None
+    # repr tells -0.0 from 0.0, which == does not
+    assert repr(by_columns) == repr(_parse_rows(records[1:], parameters))
+    dataset = parse_csv(text)
+    assert parse_csv(serialize_csv(dataset)) == dataset
+    assert repr(parse_csv(serialize_csv(dataset))) == repr(dataset)
+
+
+def test_table_without_parameters_round_trips():
+    dataset = parse_csv("Data\n1/3/2003\n1/2/2003\n")
+    assert [row.values for row in dataset.rows] == [(), ()]
+    assert serialize_csv(dataset) == "Data\n1/2/2003\n1/3/2003\n"

@@ -484,6 +484,10 @@ def test_extrema_match_scalar_reference():
         ((0.0, 1.0, -1.5, 0.5), (0.0, -0.5, 0.0, 0.5)),  # roots on and past a junction
         ((0.0, -3.0, 0.0, 1.0), (-2.0, 0.0, 3.0, -1.0)),  # two roots, one per segment end
         ((0.0, 1.0, -0.25, 0.0), (1.0, 2e-13, 1.0, 0.0)),  # root 1e-13 before a knot snaps
+        ((0.0, -3.999999999998, 1.0, 0.0), (0.0, 1e-12, 1.0, 0.0)),  # minima 1e-12 apart merge
+        # 2 - 1e-12, 2 + 6e-10 and 2 + 1.2e-9: the middle one merges into the first, and
+        # the last is kept, as it is more than 1e-9 from the first
+        ((0.0, -3.999999999998, 1.0, 0.0), (0.0, 2.16e-18, -2.7e-9, 1.0)),
     ],
 )
 def test_extrema_of_hand_built_segments_match_scalar_reference(coefficients):
