@@ -258,8 +258,9 @@ def _cmd_plot(args, dataset: Dataset) -> int:
         x_label=f"days since {format_date(series.epoch)}",
         y_label=f"{args.param} [{parameter_unit(args.param)}]",
     )
+    svg = render_svg(spec)  # before opening --out, so a failed render leaves no file
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
-        handle.write(render_svg(spec))
+        handle.write(svg)
     return 0
 
 

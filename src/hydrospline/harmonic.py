@@ -78,14 +78,25 @@ def harmonic_reference(k: float, spec: HarmonicSpec) -> float:
 def _reference_values(spec: HarmonicSpec, index_map: IndexMap, ts) -> list[float]:
     """The reference at each day offset of ``ts``, one ``math`` call per point.
 
-    Raises NumericOverflow when the signed power overflows or an angle is infinite.
+    The loop is ``harmonic_reference(index_map.index_at(t), spec)`` inlined:
+    the same float operations in the same order, so the same bits.  Raises
+    NumericOverflow when the signed power overflows or an angle is infinite.
     """
+    w, p, amplitude, offset = spec.angular_coeff, spec.exponent, spec.amplitude, spec.offset
+    scale, shift = index_map.scale, index_map.offset
+    sin, cos, copysign = math.sin, math.cos, math.copysign
+    values = []
+    append = values.append
     try:
-        return [harmonic_reference(index_map.index_at(t), spec) for t in ts]
+        for t in ts:
+            k = scale * t + shift
+            u = sin(w * k) + cos(w * k)
+            append(offset + amplitude * copysign(abs(u) ** p, u))
     except (OverflowError, ValueError):  # |u| ** p overflows; sin or cos of inf
         raise NumericOverflow(
             "harmonic reference leaves the float range for these coefficients"
         ) from None
+    return values
 
 
 def sample_harmonic(spec: HarmonicSpec, index_map: IndexMap, grid) -> CurveSamples:

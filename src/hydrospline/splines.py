@@ -49,7 +49,10 @@ class SplineModel:
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Knot times and the (n-1, 4) coefficient matrix."""
+        """Knot times and the (n-1, 4) coefficient matrix.
+
+        The fits seed this cache; a hand-built model builds it on first use.
+        """
         return np.array([t for t, _ in self.knots]), np.array(self.coefficients, dtype=float)
 
 
@@ -114,9 +117,14 @@ def _natural_moments(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     return moments
 
 
-def _coefficients_from_moments(
-    t: np.ndarray, values: np.ndarray, moments: np.ndarray
-) -> tuple[tuple[float, float, float, float], ...]:
+def _model_from_moments(
+    series: TimeSeries, t: np.ndarray, values: np.ndarray, moments: np.ndarray, lam: float
+) -> SplineModel:
+    """The spline through ``values`` at ``t`` with these moments.
+
+    The model's ``_arrays`` cache is seeded with ``t`` and the coefficient
+    matrix its tuples are made from, so evaluation does not rebuild them.
+    """
     h = np.diff(t)
     a = values[:-1]
     b = (values[1:] - values[:-1]) / h - h * (2.0 * moments[:-1] + moments[1:]) / 6.0
@@ -125,7 +133,13 @@ def _coefficients_from_moments(
     coefficients = np.column_stack((a, b, c, d))
     if not np.isfinite(coefficients).all():
         raise NumericOverflow("spline coefficients overflow the float range for these values")
-    return tuple(map(tuple, coefficients.tolist()))
+    model = SplineModel(
+        knots=series.knots,
+        coefficients=tuple(map(tuple, coefficients.tolist())),
+        smoothing=float(lam),
+    )
+    model.__dict__["_arrays"] = (t, coefficients)
+    return model
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite fit raises NumericOverflow
@@ -140,12 +154,7 @@ def fit_natural_spline(series: TimeSeries) -> SplineModel:
         raise TooFewKnots("an interpolating spline needs at least 2 knots")
     t = np.asarray(series.t, dtype=float)
     y = np.asarray(series.y, dtype=float)
-    moments = _natural_moments(t, y)
-    return SplineModel(
-        knots=series.knots,
-        coefficients=_coefficients_from_moments(t, y, moments),
-        smoothing=0.0,
-    )
+    return _model_from_moments(series, t, y, _natural_moments(t, y), 0.0)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -195,11 +204,7 @@ def fit_smoothing_spline(series: TimeSeries, lam: float) -> SplineModel:
     fitted = y - lam * q_gamma
     moments = np.zeros(n)
     moments[1:-1] = gamma
-    return SplineModel(
-        knots=series.knots,
-        coefficients=_coefficients_from_moments(t, fitted, moments),
-        smoothing=float(lam),
-    )
+    return _model_from_moments(series, t, fitted, moments, lam)
 
 
 def _cubic(rows: np.ndarray, s: np.ndarray, order: int) -> np.ndarray:

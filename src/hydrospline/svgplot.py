@@ -6,10 +6,11 @@ pixel viewport.  All numbers are written with four decimals and elements
 appear in a fixed order, so identical input always yields identical bytes.
 """
 
+import math
 from dataclasses import dataclass
 from html import escape
 
-from .errors import EmptyPlot
+from .errors import EmptyPlot, NumericOverflow
 from .splines import CurveSamples
 
 MARKER_RADIUS = 3.0
@@ -69,7 +70,8 @@ def _padded(lo: float, hi: float) -> tuple[float, float]:
 def render_svg(spec: PlotSpec) -> str:
     """Render a plot spec to SVG 1.1 text.
 
-    Raises EmptyPlot when no layer carries any point.  Output is
+    Raises EmptyPlot when no layer carries any point and NumericOverflow
+    when a padded data span leaves the float range.  Output is
     byte-identical for identical input.
     """
     drawable = [layer for layer in spec.layers if layer.points]
@@ -79,12 +81,10 @@ def render_svg(spec: PlotSpec) -> str:
     ys = [p[1] for layer in drawable for p in layer.points]
     x_lo, x_hi = _padded(min(xs), max(xs))
     y_lo, y_hi = _padded(min(ys), max(ys))
+    x_span, y_span = x_hi - x_lo, y_hi - y_lo
+    if not (math.isfinite(x_span) and math.isfinite(y_span)):
+        raise NumericOverflow("plot range overflows the float range for these values")
     w, h = float(spec.width), float(spec.height)
-
-    def to_px(point: tuple[float, float]) -> tuple[float, float]:
-        px = (point[0] - x_lo) / (x_hi - x_lo) * w
-        py = h - (point[1] - y_lo) / (y_hi - y_lo) * h
-        return px, py
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -108,24 +108,29 @@ def render_svg(spec: PlotSpec) -> str:
             f'<text x="12" y="{_fmt(h / 2)}" text-anchor="middle" font-size="11" '
             f'transform="rotate(-90 12 {_fmt(h / 2)})">{escape(spec.y_label, quote=False)}</text>'
         )
-    for layer in spec.layers:
-        if not layer.points:
-            continue
+    # one f-string per point: x maps to (x - x_lo) / x_span * w and y to
+    # h - (y - y_lo) / y_span * h; a coordinate that rounds to "-0.0000" is
+    # then written "0.0000", as _fmt does
+    for layer in drawable:
         if layer.kind == "curve":
-            coords = " ".join(
-                f"{_fmt(px)},{_fmt(py)}" for px, py in map(to_px, layer.points)
-            )
+            coords = " ".join([
+                f"{(x - x_lo) / x_span * w:.4f},{h - (y - y_lo) / y_span * h:.4f}"
+                for x, y in layer.points
+            ])
             parts.append(
                 f'<polyline fill="none" stroke="{layer.color}" stroke-width="1.5" '
-                f'points="{coords}"/>'
+                f'points="{coords.replace("-0.0000", "0.0000")}"/>'
             )
         else:
-            for point in layer.points:
-                px, py = to_px(point)
-                parts.append(
-                    f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="{_fmt(MARKER_RADIUS)}" '
-                    f'fill="{layer.color}"/>'
-                )
+            tail = f'r="{_fmt(MARKER_RADIUS)}" fill="{layer.color}"/>'
+            circles = "\n".join([
+                f'<circle cx="{(x - x_lo) / x_span * w:.4f}" '
+                f'cy="{h - (y - y_lo) / y_span * h:.4f}" {tail}'
+                for x, y in layer.points
+            ])
+            parts.append(
+                circles.replace('x="-0.0000"', 'x="0.0000"').replace('y="-0.0000"', 'y="0.0000"')
+            )
     legend_y = 30
     for layer in spec.layers:
         if layer.label:

@@ -5,10 +5,11 @@ dense Gaussian elimination with partial pivoting instead of the banded
 Thomas sweep, normal equations instead of orthogonalization, and the full
 per-segment constraint system instead of the moment form.  The scalar
 spline evaluator, extrema finder and harmonic residuals are the
-per-point and per-segment loops that the vectorised ones replaced, and
-the two scalar solvers are the numpy-scalar loops that the list-based
-ones replaced: same operations in the same order, so their results must
-match bit for bit.
+per-point and per-segment loops that the vectorised ones replaced, the
+two scalar solvers are the numpy-scalar loops that the list-based ones
+replaced, and the SVG marks are the per-point ``to_px`` and ``_fmt`` loop
+that one f-string per point replaced: same operations in the same order,
+so their results must match bit for bit.
 """
 
 import math
@@ -21,6 +22,7 @@ from hydrospline import TimeSeries, harmonic_reference
 from hydrospline.errors import ZeroPivot
 from hydrospline.linalg import ZERO_PIVOT_TOL
 from hydrospline.splines import FLAT_CURVATURE_TOL, Extremum
+from hydrospline.svgplot import MARKER_RADIUS, _fmt, _padded
 
 EPOCH = date(2000, 1, 1)
 
@@ -200,6 +202,38 @@ def scalar_residuals(curve, spec, index_map):
         if abs(r) > abs(residuals[worst]):
             worst = i
     return rmse, abs(residuals[worst]), curve.t[worst]
+
+
+def scalar_svg_marks(spec):
+    """The polyline and circle lines of render_svg, mapping one point at a time."""
+    drawable = [layer for layer in spec.layers if layer.points]
+    xs = [p[0] for layer in drawable for p in layer.points]
+    ys = [p[1] for layer in drawable for p in layer.points]
+    x_lo, x_hi = _padded(min(xs), max(xs))
+    y_lo, y_hi = _padded(min(ys), max(ys))
+    w, h = float(spec.width), float(spec.height)
+
+    def to_px(point):
+        px = (point[0] - x_lo) / (x_hi - x_lo) * w
+        py = h - (point[1] - y_lo) / (y_hi - y_lo) * h
+        return px, py
+
+    lines = []
+    for layer in drawable:
+        if layer.kind == "curve":
+            coords = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in map(to_px, layer.points))
+            lines.append(
+                f'<polyline fill="none" stroke="{layer.color}" stroke-width="1.5" '
+                f'points="{coords}"/>'
+            )
+        else:
+            for point in layer.points:
+                px, py = to_px(point)
+                lines.append(
+                    f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="{_fmt(MARKER_RADIUS)}" '
+                    f'fill="{layer.color}"/>'
+                )
+    return lines
 
 
 def scalar_tridiagonal(system):

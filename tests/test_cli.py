@@ -311,6 +311,13 @@ def _alternating(tmp_path, size):
     return str(path)
 
 
+def _zero_and_huge(tmp_path):
+    """Two rows whose values are finite but whose plot range, padded by 5%, is not."""
+    path = tmp_path / "big.csv"
+    path.write_text("Data,OD\n1/1/2004,0\n1/2/2004,1.7e308\n")
+    return str(path)
+
+
 @pytest.mark.parametrize(
     "size, argv",
     [
@@ -321,17 +328,23 @@ def _alternating(tmp_path, size):
         ("1e308", ["plot", "--param", "OD", "--out", "{out}/plot.svg"]),
         ("1e300", ["correlate", "--param-a", "OD", "--param-b", "OD"]),
         ("1e308", ["correlate", "--param-a", "OD", "--param-b", "OD"]),
+        ("0,1.7e308", ["plot", "--param", "OD", "--resolution", "5", "--out", "{out}/plot.svg"]),
     ],
-    ids=["smooth", "interp", "extrema", "plot", "correlate-square", "correlate-sum"],
+    ids=["smooth", "interp", "extrema", "plot", "correlate-square", "correlate-sum",
+         "plot-range"],
 )
 def test_values_outside_float_range_are_data_errors(capsys, tmp_path, size, argv):
-    path = _alternating(tmp_path, float(size))
+    if size == "0,1.7e308":
+        path = _zero_and_huge(tmp_path)
+    else:
+        path = _alternating(tmp_path, float(size))
     argv = [arg.replace("{out}", str(tmp_path)) for arg in argv]
     code, out, err = run(capsys, argv[0], "--input", path, *argv[1:])
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "overflow" in err or "float range" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["big.csv"]  # no output file is left
 
 
 @pytest.mark.parametrize("flag", ["--exponent", "--angular-coeff"])

@@ -21,6 +21,7 @@ from hydrospline import (
     signed_pow,
 )
 from hydrospline.errors import NumericOverflow
+from hydrospline.harmonic import _reference_values
 
 CBRT4 = 2.0 ** (2.0 / 3.0)  # (sin + cos) peak value 2^(1/2) raised to 4/3
 
@@ -163,3 +164,21 @@ def test_residuals_match_scalar_reference(od_series):
             result = compare_to_harmonic(curve, fitted, imap)
             expected = scalar_residuals(curve, fitted, imap)
             assert [v.hex() for v in result] == [v.hex() for v in expected]
+
+
+@pytest.mark.parametrize("exponent", [0.5, 1.0, 4.0 / 3.0, 3.0])
+@pytest.mark.parametrize("amplitude, offset", [(1.0, 0.0), (2.5, -1.0), (-3.25, 7.5)])
+def test_reference_values_match_scalar_reference_bit_for_bit(
+    od_series, exponent, amplitude, offset
+):
+    rng = np.random.default_rng(53)
+    days = np.sort(rng.uniform(0.0, 2000.0, 2000))
+    spec = HarmonicSpec(exponent=exponent, amplitude=amplitude, offset=offset)
+    for t_first, t_last in ((od_series.t[0], od_series.t[-1]), (days[0], days[-1])):
+        index_map = IndexMap.spanning(t_first, t_last)
+        # the grid, the span's ends and points past them
+        ts = np.linspace(t_first, t_last, 10_007).tolist() + [t_first - 90.5, t_last + 1e3]
+        expected = [harmonic_reference(index_map.index_at(t), spec) for t in ts]
+        assert [v.hex() for v in _reference_values(spec, index_map, ts)] == [
+            v.hex() for v in expected
+        ]

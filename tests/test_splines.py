@@ -526,3 +526,18 @@ def test_single_knot_lagrange_has_no_grid():
     model = fit_lagrange(make_series([3.0], [1.0]))
     with pytest.raises(TooFewKnots):
         dense_grid(model, 10)
+
+
+def test_fitted_arrays_equal_arrays_built_from_the_tuples(od_series):
+    rng = np.random.default_rng(77)
+    for series in (od_series, make_series(*random_knots(rng, 1800, t_span=3600.0))):
+        for lam in (0.0, 50.0):
+            model = fit_smoothing_spline(series, lam)
+            assert "_arrays" in vars(model)  # seeded by the fit, not rebuilt on first use
+            hand_built = SplineModel(model.knots, model.coefficients, model.smoothing)
+            assert "_arrays" not in vars(hand_built)
+            for seeded, built in zip(model._arrays, hand_built._arrays):
+                assert (seeded.dtype, seeded.shape) == (built.dtype, built.shape)
+                assert seeded.tobytes() == built.tobytes()
+            assert model == hand_built
+            assert repr(model) == repr(hand_built)

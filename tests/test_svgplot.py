@@ -2,18 +2,26 @@
 
 import re
 
+import numpy as np
 import pytest
 
+from helpers import make_series, random_knots, scalar_svg_marks
 from hydrospline import (
+    CurveSamples,
+    HarmonicSpec,
+    IndexMap,
     PlotSpec,
     curve_layer,
     dense_grid,
+    fit_amplitude_offset,
     fit_natural_spline,
+    fit_smoothing_spline,
     marker_layer,
     render_svg,
+    sample_harmonic,
 )
-from hydrospline.errors import EmptyPlot
-from hydrospline.svgplot import _fmt
+from hydrospline.errors import EmptyPlot, NumericOverflow
+from hydrospline.svgplot import PlotLayer, _fmt
 
 
 @pytest.fixture()
@@ -151,3 +159,92 @@ def test_markup_characters_are_escaped_in_text():
         '<text x="8" y="30" font-size="11" fill="red">x &amp; "y" &lt;\'z\'&gt;</text>\n'
         "</svg>\n"
     )
+
+
+def _marks(svg):
+    return [line for line in svg.split("\n") if line.startswith(("<polyline", "<circle"))]
+
+
+def _curve_specs(series, resolution, width, height):
+    """Spline, smoothing and fitted harmonic curves plus the knots, as dense_curve draws them."""
+    curve = dense_grid(fit_natural_spline(series), resolution)
+    index_map = IndexMap.spanning(series.t[0], series.t[-1])
+    fitted = fit_amplitude_offset(curve, HarmonicSpec(), index_map)
+    layers = (
+        curve_layer(curve, "blue", "spline"),
+        curve_layer(dense_grid(fit_smoothing_spline(series, 50.0), resolution), "green"),
+        curve_layer(sample_harmonic(fitted, index_map, curve.t), "red", "harmonic"),
+        marker_layer(series.knots, "black", "samples"),
+    )
+    return [PlotSpec(width=width, height=height, layers=layers)]
+
+
+def _constant_and_extreme_specs():
+    flat = CurveSamples(t=(0.0, 1.0, 2.0, 3.0), y=(5.0, 5.0, 5.0, 5.0), source="spline")
+    zero = CurveSamples(t=(-2.0, -1.0), y=(-0.0, 0.0), source="spline")
+    tiny = ((0.0, 1.0), (-0.0, 2.0), (5e-324, 3.0))
+    huge = ((-1e306, 0.0), (0.0, 1e306), (1e306, -1e306))
+    return [
+        PlotSpec(width=100, height=80, layers=(curve_layer(flat, "red"),)),
+        PlotSpec(width=100, height=80, layers=(curve_layer(zero, "red"),)),
+        PlotSpec(width=7, height=3, layers=(marker_layer([(-0.0, -0.0)], "red"),)),
+        # a 5e-324 span pads by 0.0, so x = -0.0 maps to pixel -0.0, written as 0.0000
+        PlotSpec(
+            width=10,
+            height=10,
+            layers=tuple(
+                PlotLayer(kind=kind, points=tiny, color="red") for kind in ("curve", "markers")
+            ),
+        ),
+        PlotSpec(
+            width=640,
+            height=480,
+            layers=(
+                curve_layer(flat, "red"),
+                marker_layer([(1.5, 5.0), (1.5, 5.0)], "black"),
+                marker_layer((), "grey"),
+            ),
+        ),
+        # spans near 1e306: (x - x_lo) * w would overflow where (x - x_lo) / x_span * w does not
+        PlotSpec(
+            width=800,
+            height=500,
+            layers=tuple(
+                PlotLayer(kind=kind, points=huge, color="red") for kind in ("curve", "markers")
+            ),
+        ),
+    ]
+
+
+@pytest.mark.parametrize("case", ["fixture", "knots-1000", "constant-and-extreme", "grid-10000"])
+def test_marks_match_scalar_reference(od_series, case):
+    rng = np.random.default_rng(97)
+    if case == "fixture":
+        specs = _curve_specs(od_series, 1000, 800, 500)
+    elif case == "knots-1000":
+        t, y = random_knots(rng, 1000, t_span=2000.0, y_span=(-40.0, 12.0))
+        specs = _curve_specs(make_series(t - 500.0, y), 3001, 1031, 397)
+    elif case == "constant-and-extreme":
+        specs = _constant_and_extreme_specs()
+    else:
+        specs = _curve_specs(od_series, 10_000, 800, 500)
+    for spec in specs:
+        marks = _marks(render_svg(spec))
+        assert marks == scalar_svg_marks(spec)
+        assert len(marks) == sum(
+            1 if layer.kind == "curve" else len(layer.points)
+            for layer in spec.layers
+            if layer.points
+        )
+
+
+@pytest.mark.parametrize(
+    "points",
+    [[(0.0, 0.0), (1.0, 1.7e308)], [(0.0, 0.0), (1.7e308, 1.0)]],
+    ids=["y", "x"],
+)
+def test_overflowing_plot_range_is_typed(points):
+    # each span is finite, but padding it by 5% per side leaves the float range
+    spec = PlotSpec(width=100, height=100, layers=(marker_layer(points, "red"),))
+    with pytest.raises(NumericOverflow):
+        render_svg(spec)
