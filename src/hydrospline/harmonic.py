@@ -7,7 +7,7 @@ period 48 index units.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -30,6 +30,9 @@ class HarmonicSpec:
     exponent: float = DEFAULT_EXPONENT
     amplitude: float = 1.0
     offset: float = 0.0
+    #: ``fit_amplitude_offset`` seeds this with the signed powers it computed
+    #: (see ``_BasisSeed``); ``replace`` does not carry it over
+    _basis: "_BasisSeed | None" = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.angular_coeff > 0:
@@ -75,34 +78,74 @@ def harmonic_reference(k: float, spec: HarmonicSpec) -> float:
     return spec.offset + spec.amplitude * signed_pow(base, spec.exponent)
 
 
-def _reference_values(spec: HarmonicSpec, index_map: IndexMap, ts) -> list[float]:
-    """The reference at each day offset of ``ts``, one ``math`` call per point.
+class _BasisSeed(NamedTuple):
+    """Signed powers s(sin(w k) + cos(w k)) ** p on one grid object, for reuse."""
 
-    The loop is ``harmonic_reference(index_map.index_at(t), spec)`` inlined:
-    the same float operations in the same order, so the same bits.  Raises
-    NumericOverflow when the signed power overflows or an angle is infinite.
+    grid: object
+    key: tuple  # (angular_coeff, exponent, index_map) the powers were computed with
+    powers: np.ndarray
+
+
+def _signed_powers(spec: HarmonicSpec, index_map: IndexMap, ts) -> np.ndarray:
+    """copysign(|u| ** p, u), u = sin(w k) + cos(w k), at each day offset of ``ts``.
+
+    The loop is ``signed_pow`` of ``harmonic_reference``'s base at
+    ``index_map.index_at(t)``, inlined over bound locals: the same float
+    operations in the same order, so the same bits.  Raises NumericOverflow
+    when the signed power overflows or an angle is infinite.
     """
-    w, p, amplitude, offset = spec.angular_coeff, spec.exponent, spec.amplitude, spec.offset
+    w, p = spec.angular_coeff, spec.exponent
     scale, shift = index_map.scale, index_map.offset
     sin, cos, copysign = math.sin, math.cos, math.copysign
-    values = []
-    append = values.append
+    powers = []
+    append = powers.append
     try:
         for t in ts:
             k = scale * t + shift
             u = sin(w * k) + cos(w * k)
-            append(offset + amplitude * copysign(abs(u) ** p, u))
+            append(copysign(abs(u) ** p, u))
     except (OverflowError, ValueError):  # |u| ** p overflows; sin or cos of inf
         raise NumericOverflow(
             "harmonic reference leaves the float range for these coefficients"
         ) from None
-    return values
+    return np.array(powers)
+
+
+def _seeded_powers(spec: HarmonicSpec, index_map: IndexMap, grid) -> "np.ndarray | None":
+    """The fit's signed powers when they were computed for this grid tuple, map and spec."""
+    seed = spec._basis
+    if seed is not None and seed.grid is grid and type(grid) is tuple and seed.key == (
+        spec.angular_coeff, spec.exponent, index_map
+    ):
+        return seed.powers
+    return None
+
+
+@np.errstate(over="ignore", invalid="ignore")  # as Python floats do: inf or nan, no warning
+def _scaled(spec: HarmonicSpec, powers: np.ndarray) -> np.ndarray:
+    """offset + amplitude * power at each point: ``harmonic_reference``'s last two operations."""
+    return spec.offset + spec.amplitude * powers
+
+
+def _reference_values(spec: HarmonicSpec, index_map: IndexMap, ts) -> np.ndarray:
+    """``harmonic_reference(index_map.index_at(t), spec)`` at each day offset of ``ts``.
+
+    Bit for bit the scalar formula; a fitted spec reuses its seeded powers.
+    """
+    powers = _seeded_powers(spec, index_map, ts)
+    if powers is None:
+        powers = _signed_powers(spec, index_map, ts)
+    return _scaled(spec, powers)
 
 
 def sample_harmonic(spec: HarmonicSpec, index_map: IndexMap, grid) -> CurveSamples:
     """Evaluate the harmonic on a day grid (uniform, as for other curves)."""
-    ts = tuple(np.asarray(grid, dtype=float).tolist())
-    return CurveSamples(t=ts, y=tuple(_reference_values(spec, index_map, ts)), source="harmonic")
+    powers = _seeded_powers(spec, index_map, grid)
+    # a tuple of floats is already the grid that the conversion below makes
+    if powers is None or set(map(type, grid)) != {float}:
+        grid = tuple(np.asarray(grid, dtype=float).tolist())
+        powers = _signed_powers(spec, index_map, grid)
+    return CurveSamples(t=grid, y=tuple(_scaled(spec, powers).tolist()), source="harmonic")
 
 
 def fit_amplitude_offset(
@@ -111,15 +154,20 @@ def fit_amplitude_offset(
     """Fit amplitude and offset to a curve by two-column least squares.
 
     The angular coefficient and exponent are kept; only the affine scaling
-    of the unit-amplitude, zero-offset reference is re-estimated.
+    of the unit-amplitude, zero-offset reference is re-estimated.  The
+    result is seeded with the signed powers on ``curve.t``, so comparing or
+    sampling it on that same grid object does not compute them again.
     """
-    unit = replace(spec, amplitude=1.0, offset=0.0)
-    base = np.array(_reference_values(unit, index_map, curve.t))
-    design = np.column_stack([base, np.ones(base.size)])
+    powers = _signed_powers(spec, index_map, curve.t)
+    # the unit reference is 0.0 + 1.0 * power, which writes -0.0 as 0.0
+    design = np.column_stack([0.0 + powers, np.ones(powers.size)])
     amplitude, offset = solve_least_squares(
         LeastSquaresProblem(design, np.asarray(curve.y, dtype=float))
     )
-    return replace(spec, amplitude=float(amplitude), offset=float(offset))
+    fitted = replace(spec, amplitude=float(amplitude), offset=float(offset))
+    seed = _BasisSeed(curve.t, (spec.angular_coeff, spec.exponent, index_map), powers)
+    object.__setattr__(fitted, "_basis", seed)
+    return fitted
 
 
 @np.errstate(over="ignore")  # an rmse that overflows raises NumericOverflow

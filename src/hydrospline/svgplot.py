@@ -9,11 +9,17 @@ appear in a fixed order, so identical input always yields identical bytes.
 import math
 from dataclasses import dataclass
 from html import escape
+from operator import itemgetter
+
+import numpy as np
 
 from .errors import EmptyPlot, NumericOverflow
 from .splines import CurveSamples
 
 MARKER_RADIUS = 3.0
+
+#: points written by one ``%`` call; bounds the tuple of floats it formats
+_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -64,23 +70,60 @@ def _fmt(value: float) -> str:
 def _padded(lo: float, hi: float) -> tuple[float, float]:
     span = hi - lo
     pad = 0.05 * span if span > 0 else 0.5
-    return lo - pad, hi + pad
+    lo, hi = lo - pad, hi + pad
+    if hi == lo:  # the 0.5 pad is lost to rounding at about 1e16 and beyond
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    return lo, hi
+
+
+def _columns(points) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y columns of a layer's points; NumericOverflow if any is not finite."""
+    n = len(points)
+    x = np.fromiter(map(itemgetter(0), points), float, n)
+    y = np.fromiter(map(itemgetter(1), points), float, n)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise NumericOverflow("plot points are not finite")
+    return x, y
+
+
+def _bounds(columns) -> tuple[float, float]:
+    """The first smallest and first largest value over all columns.
+
+    argmin and argmax return the first of equal values, so a tie of -0.0
+    and 0.0 resolves as ``min`` and ``max`` over the points do.
+    """
+    lo = min(float(c[c.argmin()]) for c in columns)
+    hi = max(float(c[c.argmax()]) for c in columns)
+    return lo, hi
+
+
+def _format_pairs(px: np.ndarray, py: np.ndarray, mark: str, sep: str) -> str:
+    """Each (px, py) written into ``mark``, a template with two ``%.4f``, joined by ``sep``.
+
+    ``'%.4f' % v`` is the same text as ``f'{v:.4f}'``; one ``%`` call
+    formats a chunk of up to ``_CHUNK`` points.
+    """
+    pairs = np.column_stack((px, py))
+    chunks = []
+    for start in range(0, len(pairs), _CHUNK):
+        values = tuple(pairs[start:start + _CHUNK].ravel().tolist())
+        chunks.append(sep.join([mark] * (len(values) // 2)) % values)
+    return sep.join(chunks)
 
 
 def render_svg(spec: PlotSpec) -> str:
     """Render a plot spec to SVG 1.1 text.
 
     Raises EmptyPlot when no layer carries any point and NumericOverflow
-    when a padded data span leaves the float range.  Output is
-    byte-identical for identical input.
+    when a point is not finite or a padded data span leaves the float
+    range.  Output is byte-identical for identical input.
     """
     drawable = [layer for layer in spec.layers if layer.points]
     if not drawable:
         raise EmptyPlot("nothing to draw")
-    xs = [p[0] for layer in drawable for p in layer.points]
-    ys = [p[1] for layer in drawable for p in layer.points]
-    x_lo, x_hi = _padded(min(xs), max(xs))
-    y_lo, y_hi = _padded(min(ys), max(ys))
+    columns = [_columns(layer.points) for layer in drawable]
+    x_lo, x_hi = _padded(*_bounds([x for x, _ in columns]))
+    y_lo, y_hi = _padded(*_bounds([y for _, y in columns]))
     x_span, y_span = x_hi - x_lo, y_hi - y_lo
     if not (math.isfinite(x_span) and math.isfinite(y_span)):
         raise NumericOverflow("plot range overflows the float range for these values")
@@ -108,26 +151,22 @@ def render_svg(spec: PlotSpec) -> str:
             f'<text x="12" y="{_fmt(h / 2)}" text-anchor="middle" font-size="11" '
             f'transform="rotate(-90 12 {_fmt(h / 2)})">{escape(spec.y_label, quote=False)}</text>'
         )
-    # one f-string per point: x maps to (x - x_lo) / x_span * w and y to
-    # h - (y - y_lo) / y_span * h; a coordinate that rounds to "-0.0000" is
-    # then written "0.0000", as _fmt does
-    for layer in drawable:
+    # x maps to (x - x_lo) / x_span * w and y to h - (y - y_lo) / y_span * h,
+    # the same float operations as on Python floats; a coordinate that rounds
+    # to "-0.0000" is then written "0.0000", as _fmt does
+    for layer, (x, y) in zip(drawable, columns):
+        px = (x - x_lo) / x_span * w
+        py = h - (y - y_lo) / y_span * h
         if layer.kind == "curve":
-            coords = " ".join([
-                f"{(x - x_lo) / x_span * w:.4f},{h - (y - y_lo) / y_span * h:.4f}"
-                for x, y in layer.points
-            ])
+            coords = _format_pairs(px, py, "%.4f,%.4f", " ")
             parts.append(
                 f'<polyline fill="none" stroke="{layer.color}" stroke-width="1.5" '
                 f'points="{coords.replace("-0.0000", "0.0000")}"/>'
             )
         else:
-            tail = f'r="{_fmt(MARKER_RADIUS)}" fill="{layer.color}"/>'
-            circles = "\n".join([
-                f'<circle cx="{(x - x_lo) / x_span * w:.4f}" '
-                f'cy="{h - (y - y_lo) / y_span * h:.4f}" {tail}'
-                for x, y in layer.points
-            ])
+            fill = layer.color.replace("%", "%%")
+            mark = f'<circle cx="%.4f" cy="%.4f" r="{_fmt(MARKER_RADIUS)}" fill="{fill}"/>'
+            circles = _format_pairs(px, py, mark, "\n")
             parts.append(
                 circles.replace('x="-0.0000"', 'x="0.0000"').replace('y="-0.0000"', 'y="0.0000"')
             )

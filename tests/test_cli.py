@@ -347,6 +347,21 @@ def test_values_outside_float_range_are_data_errors(capsys, tmp_path, size, argv
     assert [p.name for p in tmp_path.iterdir()] == ["big.csv"]  # no output file is left
 
 
+def test_constant_series_of_large_magnitude_plots_a_flat_line(capsys, tmp_path):
+    # at 1e16 the 0.5 pad of a zero span is lost to rounding; the range is widened instead
+    path = tmp_path / "flat.csv"
+    path.write_text("Data,OD\n1/1/2004,1e16\n1/2/2004,1e16\n")
+    svg_path = tmp_path / "flat.svg"
+    argv = ["--input", str(path), "--param", "OD", "--resolution", "5", "--out", str(svg_path)]
+    assert run(capsys, "plot", *argv) == (0, "", "")
+    svg = svg_path.read_text(encoding="utf-8")
+    polyline = svg.split('points="')[1].split('"')[0]
+    circles = [line.split('cy="')[1].split('"')[0] for line in svg.splitlines()
+               if line.startswith("<circle")]
+    assert {pair.split(",")[1] for pair in polyline.split()} == {"250.0000"}
+    assert circles == ["250.0000", "250.0000"]
+
+
 @pytest.mark.parametrize("flag", ["--exponent", "--angular-coeff"])
 def test_huge_harmonic_coefficients_are_data_errors(capsys, flag):
     # 1e308 overflows the signed power, or makes every angle infinite

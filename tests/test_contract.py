@@ -37,6 +37,20 @@ RESOLUTION = _flag("--resolution", st.integers(2, 2000))
 # the ends of the range drawn often: only huge coefficients leave the float range
 COEFFICIENT = st.one_of(st.sampled_from([1e-300, 1e308]), st.floats(1e-300, 1e308))
 
+PLOT = st.tuples(
+    st.just(["plot", "--param", "B", "--out", "{out}.svg"]),
+    st.sampled_from([[], ["--harmonic"]]),
+    METHOD,
+    LAMBDA,
+    RESOLUTION,
+)
+# constant columns of large magnitude: their plot range has zero span, and the 0.5 pad
+# that widens a zero span is lost to rounding from about 1e16 on
+MAGNITUDES = st.one_of(st.sampled_from([1e15, 1e16, 1e300]), st.floats(1e15, 1e300))
+CONSTANT_CELLS = st.tuples(MAGNITUDES, st.sampled_from([1.0, -1.0])).map(
+    lambda pair: repr(pair[0] * pair[1]).encode()
+)
+
 COMMANDS = st.one_of(
     st.tuples(
         st.just(["interp", "--param", "A", "--out", "{out}.csv"]), METHOD, LAMBDA, RESOLUTION
@@ -49,13 +63,7 @@ COMMANDS = st.one_of(
         _flag("--angular-coeff", COEFFICIENT),
         _flag("--exponent", COEFFICIENT),
     ),
-    st.tuples(
-        st.just(["plot", "--param", "B", "--out", "{out}.svg"]),
-        st.sampled_from([[], ["--harmonic"]]),
-        METHOD,
-        LAMBDA,
-        RESOLUTION,
-    ),
+    PLOT,
 )
 
 
@@ -67,6 +75,20 @@ def _table(epoch, rows):
     return b"\n".join(lines) + b"\n"
 
 
+def _exits_cleanly(table, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        path.write_bytes(table)
+        argv = [arg.replace("{out}", str(Path(tmp) / "out")) for part in command for arg in part]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([argv[0], "--input", str(path), *argv[1:]])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()
+    if code == 2:
+        assert stderr.getvalue().count("\n") == 1
+
+
 # derandomized so the suite runs the same examples every time; raise max_examples to explore
 @settings(
     max_examples=150,
@@ -76,14 +98,20 @@ def _table(epoch, rows):
 )
 @given(prefix=PREFIXES, epoch=EPOCHS, rows=ROWS, command=COMMANDS)
 def test_any_table_exits_cleanly(prefix, epoch, rows, command):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "table.csv"
-        path.write_bytes(prefix + _table(epoch, rows))
-        argv = [arg.replace("{out}", str(Path(tmp) / "out")) for part in command for arg in part]
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main([argv[0], "--input", str(path), *argv[1:]])
-    assert code in (0, 1, 2)
-    assert "Traceback" not in stderr.getvalue()
-    if code == 2:
-        assert stderr.getvalue().count("\n") == 1
+    _exits_cleanly(prefix + _table(epoch, rows), command)
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    epoch=EPOCHS,
+    days=st.lists(st.integers(0, 800), max_size=12),
+    cell=CONSTANT_CELLS,
+    command=PLOT,
+)
+def test_constant_columns_of_large_magnitude_plot_cleanly(epoch, days, cell, command):
+    _exits_cleanly(_table(epoch, [(day, cell, cell) for day in days]), command)

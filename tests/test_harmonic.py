@@ -1,6 +1,8 @@
 """Seasonal reference curve: signed power, identities, and fitting."""
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from hydrospline import (
     sample_harmonic,
     signed_pow,
 )
+from hydrospline import harmonic
 from hydrospline.errors import NumericOverflow
 from hydrospline.harmonic import _reference_values
 
@@ -182,3 +185,125 @@ def test_reference_values_match_scalar_reference_bit_for_bit(
         assert [v.hex() for v in _reference_values(spec, index_map, ts)] == [
             v.hex() for v in expected
         ]
+
+
+def _harmonic_outputs(curve, spec, imap):
+    """compare_to_harmonic and sample_harmonic on the curve's grid, bit for bit."""
+    residuals = compare_to_harmonic(curve, spec, imap)
+    samples = sample_harmonic(spec, imap, curve.t)
+    return [v.hex() for v in residuals], repr(samples.t), [v.hex() for v in samples.y]
+
+
+@pytest.fixture()
+def seeded_fit(od_series):
+    curve = dense_grid(fit_natural_spline(od_series), 997)
+    imap = IndexMap.spanning(od_series.t[0], od_series.t[-1])
+    return curve, imap, fit_amplitude_offset(curve, HarmonicSpec(), imap)
+
+
+@pytest.fixture()
+def powers_calls(monkeypatch):
+    """Grids on which the signed powers are computed, not taken from a fit's seed."""
+    calls = []
+    compute = harmonic._signed_powers
+
+    def counted(spec, index_map, ts):
+        calls.append(ts)
+        return compute(spec, index_map, ts)
+
+    monkeypatch.setattr(harmonic, "_signed_powers", counted)
+    return calls
+
+
+def test_fitted_spec_hides_its_seed(seeded_fit):
+    _, _, fitted = seeded_fit
+    unseeded = replace(fitted)
+    assert fitted._basis is not None and unseeded._basis is None
+    assert fitted == unseeded and hash(fitted) == hash(unseeded)
+    assert repr(fitted) == repr(unseeded) == (
+        f"HarmonicSpec(angular_coeff={fitted.angular_coeff!r}, exponent={fitted.exponent!r}, "
+        f"amplitude={fitted.amplitude!r}, offset={fitted.offset!r})"
+    )
+
+
+def test_seeded_reference_matches_unseeded_bit_for_bit(seeded_fit, powers_calls):
+    curve, imap, fitted = seeded_fit
+    expected = _harmonic_outputs(curve, replace(fitted), imap)
+    assert len(powers_calls) == 2
+    assert _harmonic_outputs(curve, fitted, imap) == expected
+    # an equal index map is a hit too; neither call computed the powers again
+    assert _harmonic_outputs(curve, fitted, IndexMap(imap.scale, imap.offset)) == expected
+    assert len(powers_calls) == 2
+    rmse, max_abs_dev, argmax_t = scalar_residuals(curve, fitted, imap)
+    assert expected[0] == [rmse.hex(), max_abs_dev.hex(), argmax_t.hex()]
+
+
+def _stale_seed(fitted, **changes):
+    """``replace`` with the fit's seed carried over, which ``replace`` itself never does."""
+    spec = replace(fitted, **changes)
+    object.__setattr__(spec, "_basis", fitted._basis)
+    return spec
+
+
+@pytest.mark.parametrize(
+    "miss",
+    ["distinct-grid", "other-map", "hand-built", "exponent", "angular-coeff", "stale-exponent",
+     "stale-angular-coeff"],
+)
+def test_seed_misses_compute_the_reference(seeded_fit, powers_calls, miss):
+    curve, imap, fitted = seeded_fit
+    spec = fitted
+    if miss == "distinct-grid":
+        curve = CurveSamples(t=tuple(list(curve.t)), y=curve.y, source=curve.source)
+    elif miss == "other-map":
+        imap = IndexMap(imap.scale, imap.offset + 1.0)
+    elif miss == "hand-built":
+        spec = HarmonicSpec(amplitude=fitted.amplitude, offset=fitted.offset)
+    elif miss == "exponent":
+        spec = replace(fitted, exponent=2.5)
+    elif miss == "angular-coeff":
+        spec = replace(fitted, angular_coeff=0.3)
+    elif miss == "stale-exponent":
+        spec = _stale_seed(fitted, exponent=2.5)
+    else:
+        spec = _stale_seed(fitted, angular_coeff=0.3)
+    result = _harmonic_outputs(curve, spec, imap)
+    assert len(powers_calls) == 2
+    assert result == _harmonic_outputs(curve, replace(spec), imap)
+    reference = [harmonic_reference(imap.index_at(t), spec) for t in curve.t]
+    assert result[2] == [v.hex() for v in reference]
+
+
+def test_seeded_sample_keeps_a_grid_of_other_types(seeded_fit, powers_calls):
+    # integer days are written as floats, as the unseeded conversion writes them
+    _, imap, _ = seeded_fit
+    days = tuple(range(0, 300, 3))
+    curve = CurveSamples(t=days, y=tuple(float(d % 7) for d in days), source="spline")
+    fitted = fit_amplitude_offset(curve, HarmonicSpec(), imap)
+    seeded, unseeded = sample_harmonic(fitted, imap, days), sample_harmonic(replace(fitted), imap, days)
+    assert repr(seeded) == repr(unseeded)
+    assert all(type(t) is float for t in seeded.t)
+
+
+@pytest.mark.parametrize("amplitude", [1.7e308, -1.7e308])
+def test_seeded_overflow_is_typed_like_unseeded(seeded_fit, powers_calls, amplitude):
+    # amplitude * power leaves the float range where |power| > 1.06; the least-squares
+    # solver never returns such an amplitude, so the seed is moved by hand
+    curve, imap, fitted = seeded_fit
+    outcomes = []
+    for spec in (_stale_seed(fitted, amplitude=amplitude), replace(fitted, amplitude=amplitude)):
+        for call in (
+            lambda: compare_to_harmonic(curve, spec, imap),
+            lambda: sample_harmonic(spec, imap, curve.t),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericOverflow) as caught:
+                    call()
+            outcomes.append(str(caught.value))
+    assert len(powers_calls) == 2  # only the unseeded spec computed the powers
+    assert outcomes[:2] == outcomes[2:]
+    assert outcomes[:2] == [
+        "harmonic residuals overflow the float range for these values",
+        "curve values are not finite (float overflow)",
+    ]

@@ -21,7 +21,7 @@ from hydrospline import (
     sample_harmonic,
 )
 from hydrospline.errors import EmptyPlot, NumericOverflow
-from hydrospline.svgplot import PlotLayer, _fmt
+from hydrospline.svgplot import PlotLayer, _bounds, _fmt
 
 
 @pytest.fixture()
@@ -205,6 +205,22 @@ def _constant_and_extreme_specs():
                 marker_layer((), "grey"),
             ),
         ),
+        # points whose pixel lies within an ulp of a %.4f rounding edge: another order of the
+        # operations, such as (x - x_lo) * (w / x_span), writes a different last digit
+        PlotSpec(
+            width=800,
+            height=500,
+            layers=(
+                marker_layer(
+                    [(0.0, 0.0), (11.0, 7.0)]
+                    + [(x, 3.5) for x in (0.05651325625000003, 0.08222575625000006,
+                                          0.14272575625000006, 0.17600075625)]
+                    + [(5.5, y) for y in (6.887999229999999, 6.88645923,
+                                          6.8849192299999995, 6.883379229999999)],
+                    "black",
+                ),
+            ),
+        ),
         # spans near 1e306: (x - x_lo) * w would overflow where (x - x_lo) / x_span * w does not
         PlotSpec(
             width=800,
@@ -216,7 +232,31 @@ def _constant_and_extreme_specs():
     ]
 
 
-@pytest.mark.parametrize("case", ["fixture", "knots-1000", "constant-and-extreme", "grid-10000"])
+def _chunk_boundary_specs(rng):
+    """Layers around the 1,024-point formatting chunk, and -0.0 pixels on its edges."""
+    specs = []
+    for n in (1, 1023, 1024, 1025, 2049):
+        points = tuple(zip(np.sort(rng.uniform(-50.0, 50.0, n)).tolist(),
+                           rng.uniform(-3.0, 9.0, n).tolist()))
+        specs.append(PlotSpec(width=640, height=480, layers=(
+            PlotLayer(kind="curve", points=points, color="#1f%77b4"),
+            PlotLayer(kind="markers", points=points[::-1], color="%s%%d", label="50%"),
+        )))
+    # x = -0.0 against a lower bound of 0.0 maps to pixel -0.0, written as 0.0000;
+    # it falls on the last point of a chunk, the first of the next and the last of the layer
+    xs = [0.0, 5e-324] * 1024 + [0.0]
+    for i in (1023, 1024, 2048):
+        xs[i] = -0.0
+    points = tuple(zip(xs, rng.uniform(0.0, 1.0, len(xs)).tolist()))
+    specs.append(PlotSpec(width=10, height=10, layers=tuple(
+        PlotLayer(kind=kind, points=points, color="red") for kind in ("curve", "markers")
+    )))
+    return specs
+
+
+@pytest.mark.parametrize(
+    "case", ["fixture", "knots-1000", "constant-and-extreme", "grid-10000", "chunk-boundaries"]
+)
 def test_marks_match_scalar_reference(od_series, case):
     rng = np.random.default_rng(97)
     if case == "fixture":
@@ -226,6 +266,8 @@ def test_marks_match_scalar_reference(od_series, case):
         specs = _curve_specs(make_series(t - 500.0, y), 3001, 1031, 397)
     elif case == "constant-and-extreme":
         specs = _constant_and_extreme_specs()
+    elif case == "chunk-boundaries":
+        specs = _chunk_boundary_specs(rng)
     else:
         specs = _curve_specs(od_series, 10_000, 800, 500)
     for spec in specs:
@@ -248,3 +290,37 @@ def test_overflowing_plot_range_is_typed(points):
     spec = PlotSpec(width=100, height=100, layers=(marker_layer(points, "red"),))
     with pytest.raises(NumericOverflow):
         render_svg(spec)
+
+
+@pytest.mark.parametrize("position", [0, 2, 4], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("kind", ["curve", "markers"])
+@pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
+def test_non_finite_points_are_typed(kind, axis, value, position):
+    points = [[float(i), 2.0 * i] for i in range(5)]
+    points[position][axis] = value
+    layers = (
+        PlotLayer(kind="markers", points=((0.5, 1.0),), color="k"),
+        PlotLayer(kind=kind, points=tuple(map(tuple, points)), color="k"),
+    )
+    with pytest.raises(NumericOverflow, match="plot points are not finite"):
+        render_svg(PlotSpec(width=100, height=100, layers=layers))
+
+
+@pytest.mark.parametrize("value", [1e16, -3e17, 1e300, 5e307])
+def test_constant_of_large_magnitude_widens_its_span(value):
+    # the 0.5 pad is lost to rounding, so the range is widened by one float each side
+    flat = CurveSamples(t=(0.0, 1.0, 2.0), y=(value, value, value), source="spline")
+    svg = render_svg(PlotSpec(width=100, height=80, layers=(curve_layer(flat, "red"),)))
+    points = re.search(r'points="([^"]+)"', svg).group(1)
+    assert points == "4.5455,40.0000 50.0000,40.0000 95.4545,40.0000"
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [[[0.0, -0.0]], [[-0.0, 0.0]], [[0.0] * 9 + [-0.0]], [[1.0], [-0.0, 0.0]], [[0.0], [-0.0]]],
+)
+def test_bounds_resolve_signed_zero_ties_as_min_and_max(columns):
+    flat = [v for column in columns for v in column]
+    lo, hi = _bounds([np.array(column) for column in columns])
+    assert (lo.hex(), hi.hex()) == (min(flat).hex(), max(flat).hex())
