@@ -12,11 +12,12 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import date
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from .errors import (
     DuplicateTimestamp,
+    EmptySeries,
     HeaderMismatch,
     InvalidDate,
     MalformedDate,
@@ -25,7 +26,7 @@ from .errors import (
     UndecodableFile,
     UnknownParameter,
 )
-from .series import Sample, TimeSeries, _series_from_pairs, format_date, parse_date
+from .series import TimeSeries, format_date, parse_date
 
 GROPENI_STATION = "Dunare-Gropeni"
 
@@ -49,31 +50,20 @@ class DatasetRow:
 
 @dataclass(frozen=True)
 class Dataset:
-    """A parsed monitoring table: rows sorted by date, no duplicate dates."""
+    """A monitoring table.  Its rows are sorted by date when it is built (a
+    stable sort), and two rows on one date raise DuplicateTimestamp."""
 
     station: str
     parameters: tuple[str, ...]
     rows: tuple[DatasetRow, ...]
     source: str
 
-    def column(self, parameter: str) -> list[float | None]:
-        i = self._parameter_index(parameter)
-        return [row.values[i] for row in self.rows]
-
-    def samples(self, parameter: str) -> list[Sample]:
-        i = self._parameter_index(parameter)
-        return [
-            Sample(station=self.station, date=row.date, parameter=parameter, value=row.values[i])
-            for row in self.rows
-        ]
-
-    def _parameter_index(self, parameter: str) -> int:
-        try:
-            return self.parameters.index(parameter)
-        except ValueError:
-            raise UnknownParameter(
-                f"unknown parameter {parameter!r}; file has {', '.join(self.parameters)}"
-            ) from None
+    def __post_init__(self) -> None:
+        rows = tuple(sorted(self.rows, key=attrgetter("date")))
+        for a, b in zip(rows, rows[1:]):
+            if a.date == b.date:
+                raise DuplicateTimestamp(f"two rows on {format_date(a.date)}")
+        object.__setattr__(self, "rows", rows)
 
 
 def _parse_cell(cell: str, row_number: int, code: str) -> float | None:
@@ -134,11 +124,14 @@ def parse_csv(text: str, station: str = "unknown", source: str = "<memory>") -> 
     """Parse a monitoring table from CSV text.
 
     The first header cell must be "Data" or "Date"; the rest name the
-    parameter columns.  Rows are sorted by date on the way in and two rows
-    on the same date are rejected.
+    parameter columns.  The :class:`Dataset` sorts the rows by date and
+    rejects two rows on the same date.
     """
     reader = csv.reader(io.StringIO(text))
-    records = [row for row in reader if row]
+    try:
+        records = [row for row in reader if row]
+    except csv.Error as exc:  # e.g. a cell over the field size limit
+        raise MalformedRow(f"row {reader.line_num}: {exc}") from None
     if not records:
         raise HeaderMismatch("file has no header row")
     header = [cell.strip() for cell in records[0]]
@@ -150,11 +143,7 @@ def parse_csv(text: str, station: str = "unknown", source: str = "<memory>") -> 
     rows = _parse_columns(records[1:], parameters)
     if rows is None:  # a bad record: the row-major loop raises for the first one
         rows = _parse_rows(records[1:], parameters)
-    rows.sort(key=lambda row: row.date)
-    for a, b in zip(rows, rows[1:]):
-        if a.date == b.date:
-            raise DuplicateTimestamp(f"two rows on {format_date(a.date)}")
-    return Dataset(station=station, parameters=parameters, rows=tuple(rows), source=source)
+    return Dataset(station=station, parameters=parameters, rows=rows, source=source)
 
 
 def serialize_csv(dataset: Dataset) -> str:
@@ -189,7 +178,22 @@ def gropeni_dataset() -> Dataset:
 
 
 def dataset_series(dataset: Dataset, parameter: str) -> TimeSeries:
-    """Build the day-count series for one parameter of a dataset (no Sample per cell)."""
-    i = dataset._parameter_index(parameter)
-    pairs = ((row.date, row.values[i]) for row in dataset.rows)
-    return _series_from_pairs(pairs, dataset.station, parameter)
+    """The series of one parameter: its present cells in row (date) order,
+    with t the exact day count from the first of them, which is the epoch.
+
+    Raises UnknownParameter for a code the table lacks and EmptySeries when
+    every cell of the column is absent.
+    """
+    try:
+        i = dataset.parameters.index(parameter)
+    except ValueError:
+        raise UnknownParameter(
+            f"unknown parameter {parameter!r}; file has {', '.join(dataset.parameters)}"
+        ) from None
+    present = [(row.date, row.values[i]) for row in dataset.rows if row.values[i] is not None]
+    if not present:
+        raise EmptySeries(f"no values for {dataset.station!r}/{parameter!r}")
+    epoch = present[0][0]
+    base = epoch.toordinal()
+    knots = tuple((float(when.toordinal() - base), float(value)) for when, value in present)
+    return TimeSeries(station=dataset.station, parameter=parameter, knots=knots, epoch=epoch)

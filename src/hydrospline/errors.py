@@ -22,11 +22,11 @@ class InvalidDate(HydrosplineError):
 
 
 class DuplicateTimestamp(HydrosplineError):
-    """Two retained samples or rows fall on the same calendar date."""
+    """Two rows of a table fall on the same calendar date."""
 
 
 class EmptySeries(HydrosplineError):
-    """No sample carries a value; there is nothing to build a series from."""
+    """No cell of a column carries a value; there is nothing to build a series from."""
 
 
 # linear algebra kernels
@@ -85,10 +85,6 @@ class InsufficientPairs(HydrosplineError):
 
 class ZeroVariance(HydrosplineError):
     """A correlation input is constant; the coefficient is undefined."""
-
-
-class GridMismatch(HydrosplineError):
-    """Two curves do not share the same evaluation grid."""
 
 
 # CSV ingestion and plotting

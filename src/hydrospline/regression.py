@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import (
     DegreeTooHigh,
-    GridMismatch,
     InsufficientData,
     InsufficientPairs,
     NumericOverflow,
@@ -186,10 +185,3 @@ def _pearson_of_pairs(pairs: list[tuple[float, float, float]]) -> float:
     r = sxy / math.sqrt(sxx * syy)
     return max(-1.0, min(1.0, r))
 
-
-def rmse_between(curve_a: CurveSamples, curve_b: CurveSamples) -> float:
-    """Root-mean-square difference of two curves on the same grid."""
-    if curve_a.t != curve_b.t:
-        raise GridMismatch("curves are sampled on different grids")
-    diffs = [ya - yb for ya, yb in zip(curve_a.y, curve_b.y)]
-    return math.sqrt(math.fsum(d * d for d in diffs) / len(diffs))

@@ -1,9 +1,8 @@
-"""Domain types for monitoring samples and the calendar-to-day time axis.
+"""The time-series value type and the calendar-to-day time axis.
 
-A :class:`Sample` is one measurement cell (station, date, parameter,
-optional value).  :func:`build_series` turns a bag of samples for one
-station/parameter into a :class:`TimeSeries` whose abscissa counts days
-since the earliest retained sample.
+A :class:`TimeSeries` holds the knots of one station/parameter, with
+``t`` counting days since its epoch; ``dataio.dataset_series`` builds one
+from a table's column.
 """
 
 import math
@@ -12,10 +11,8 @@ import re
 from dataclasses import dataclass
 from datetime import date, timedelta
 from functools import cached_property
-from itertools import compress
-from operator import itemgetter
 
-from .errors import DuplicateTimestamp, EmptySeries, InvalidDate, MalformedDate
+from .errors import InvalidDate, MalformedDate
 
 #: Known parameter codes and their units.  Lookups are case-sensitive;
 #: codes outside the registry are accepted and report unit "unknown".
@@ -60,20 +57,6 @@ def format_date(d: date) -> str:
 
 
 @dataclass(frozen=True)
-class Sample:
-    """One measurement cell.  ``value`` is None when the cell is absent."""
-
-    station: str
-    date: date
-    parameter: str
-    value: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.value is not None and not math.isfinite(self.value):
-            raise ValueError("sample value must be finite or None, not a sentinel")
-
-
-@dataclass(frozen=True)
 class TimeSeries:
     """Strictly increasing (t, y) knots for one station and parameter.
 
@@ -111,35 +94,3 @@ class TimeSeries:
         """Calendar day containing day-offset ``t`` (fractions truncated)."""
         return self.epoch + timedelta(days=math.floor(t))
 
-
-def build_series(samples, station: str, parameter: str) -> TimeSeries:
-    """Assemble a TimeSeries from samples of one station and parameter.
-
-    Samples with absent values are dropped; the rest are sorted by date.
-    The earliest retained date becomes the epoch and each knot's t is the
-    exact day count from it.  Raises EmptySeries when nothing survives the
-    filter and DuplicateTimestamp when two retained samples share a date.
-    """
-    for s in samples:
-        if s.station != station or s.parameter != parameter:
-            raise ValueError(
-                f"sample for {s.station!r}/{s.parameter!r} does not belong to "
-                f"{station!r}/{parameter!r}"
-            )
-    return _series_from_pairs(((s.date, s.value) for s in samples), station, parameter)
-
-
-def _series_from_pairs(pairs, station: str, parameter: str) -> TimeSeries:
-    """The TimeSeries of ``(date, value)`` pairs, as :func:`build_series` describes it."""
-    retained = sorted((pair for pair in pairs if pair[1] is not None), key=itemgetter(0))
-    if not retained:
-        raise EmptySeries(f"no values for {station!r}/{parameter!r}")
-    dates = [when for when, _ in retained]
-    # sorted, so a repeated date is an equal neighbour
-    repeated = next(compress(dates, map(operator.eq, dates, dates[1:])), None)
-    if repeated is not None:
-        raise DuplicateTimestamp(f"two samples on {format_date(repeated)}")
-    base = dates[0].toordinal()
-    days = [float(when.toordinal() - base) for when in dates]
-    knots = tuple(zip(days, [float(value) for _, value in retained]))
-    return TimeSeries(station=station, parameter=parameter, knots=knots, epoch=dates[0])

@@ -18,7 +18,7 @@ from datetime import date
 
 import numpy as np
 
-from hydrospline import TimeSeries, harmonic_reference
+from hydrospline import Dataset, DatasetRow, TimeSeries, harmonic_reference
 from hydrospline.errors import ZeroPivot
 from hydrospline.linalg import ZERO_PIVOT_TOL
 from hydrospline.splines import FLAT_CURVATURE_TOL, Extremum
@@ -30,6 +30,16 @@ EPOCH = date(2000, 1, 1)
 def make_series(t, y, station="site-a", parameter="y") -> TimeSeries:
     knots = tuple((float(a), float(b)) for a, b in zip(t, y))
     return TimeSeries(station=station, parameter=parameter, knots=knots, epoch=EPOCH)
+
+
+def make_dataset(*rows, parameters=("OD",)) -> Dataset:
+    """A table of station "s" from (date, values) rows, built without parse_csv."""
+    return Dataset(
+        station="s",
+        parameters=parameters,
+        rows=tuple(DatasetRow(date=d, values=v) for d, v in rows),
+        source="<hand>",
+    )
 
 
 def random_knots(rng, n, t_span=200.0, y_span=(0.0, 12.0), min_gap=0.5):

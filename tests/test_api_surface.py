@@ -1,0 +1,58 @@
+"""The public names of the package, and the ones the benchmark relies on.
+
+The benchmark in ``bench/`` reaches the package through ``hydrospline.X``
+(aliased ``hs``) and wraps the functions its tracer names, so removing or
+renaming one of those breaks it; these tests catch that in the suite.
+"""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+from types import ModuleType
+
+import hydrospline
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+PACKAGE_ALIASES = {"hs", "hydrospline"}
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _package_reads(tree):
+    """Names read as ``hs.X``, ``hydrospline.X`` or ``self.hs.X``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            base = node.value
+            if isinstance(base, ast.Name) and base.id in PACKAGE_ALIASES or (
+                    isinstance(base, ast.Attribute) and base.attr in PACKAGE_ALIASES):
+                yield node.attr
+
+
+def test_benchmark_reads_only_exported_names():
+    tree = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
+    reads = set(_package_reads(tree))
+    assert {"parse_csv", "dataset_series", "render_svg"} <= reads  # the walk finds them
+    assert sorted(reads - set(hydrospline.__all__)) == []
+
+
+def test_traced_functions_exist():
+    targets = _load("tracer").TARGETS
+    assert targets
+    for module_name, attr, _, _ in targets:
+        module = importlib.import_module(f"hydrospline.{module_name}")
+        assert callable(getattr(module, attr, None)), f"hydrospline.{module_name}.{attr}"
+
+
+def test_all_lists_every_public_name_once():
+    public = {
+        name for name, value in vars(hydrospline).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert len(hydrospline.__all__) == len(set(hydrospline.__all__))
+    assert set(hydrospline.__all__) == public | {"__version__"}

@@ -404,6 +404,16 @@ def test_non_utf8_file_is_data_error(capsys, tmp_path):
     assert err == f"error: {path}: not UTF-8 text (invalid continuation byte at byte 35)\n"
 
 
+def test_cell_over_the_csv_field_limit_is_data_error(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text("Data,OD\n1/2/2003," + "9" * 140_000 + "\n1/3/2003,5.0\n")
+    done = _fresh_cli("trend", "--input", str(path), "--param", "OD")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: row 2: field larger than field limit (131072)\n"
+    assert "Traceback" not in done.stderr
+
+
 def test_cli_import_leaves_network_modules_unloaded():
     # the CLI's start-up cost: none of these may ride in with an import
     script = (

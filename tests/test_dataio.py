@@ -3,24 +3,23 @@
 import csv
 import io
 import random
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
 
+from helpers import make_dataset
 from hydrospline import (
     Dataset,
-    build_series,
     dataset_series,
     gropeni_dataset,
     load_csv,
     parse_csv,
     serialize_csv,
 )
-from hydrospline.dataio import GROPENI_STATION, DatasetRow, _parse_columns, _parse_rows
+from hydrospline.dataio import GROPENI_STATION, _parse_columns, _parse_rows
 from hydrospline.errors import (
     DuplicateTimestamp,
-    EmptySeries,
     HeaderMismatch,
     HydrosplineError,
     InvalidDate,
@@ -111,14 +110,13 @@ def test_bad_dates_rejected():
 
 def test_duplicate_dates_rejected():
     text = "Data,temp\n1/2/2003,5.0\n1/2/2003,6.0\n"
-    with pytest.raises(DuplicateTimestamp):
+    with pytest.raises(DuplicateTimestamp, match=r"^two rows on 1/2/2003$"):
         parse_csv(text)
 
 
 def test_missing_markers_parse_to_none():
     dataset = parse_csv("Data,temp,pH\n1/2/2003,*,7.1\n2/2/2003,-,7.2\n")
-    assert dataset.column("temp") == [None, None]
-    assert dataset.column("pH") == [7.1, 7.2]
+    assert [row.values for row in dataset.rows] == [(None, 7.1), (None, 7.2)]
 
 
 def test_round_trip_is_identity(gropeni):
@@ -132,7 +130,7 @@ def test_round_trip_preserves_float_precision():
     text = "Data,OD\n1/2/2003,0.1\n1/3/2003,0.30000000000000004\n"
     dataset = parse_csv(text)
     assert serialize_csv(dataset).splitlines()[2] == "1/3/2003,0.30000000000000004"
-    assert dataset.column("OD") == [0.1, 0.1 + 0.2]
+    assert [row.values for row in dataset.rows] == [(0.1,), (0.1 + 0.2,)]
 
 
 def test_missing_serializes_as_star(gropeni):
@@ -156,13 +154,6 @@ def test_unknown_parameter_lists_available(gropeni):
     assert "temp" in str(info.value)
 
 
-def test_samples_feed_series_builder(gropeni):
-    samples = gropeni.samples("CBO5")
-    series = build_series(samples, GROPENI_STATION, "CBO5")
-    assert len(series.knots) == 11
-    assert series.parameter == "CBO5"
-
-
 def test_datasets_compare_by_value(gropeni):
     clone = Dataset(
         station=gropeni.station,
@@ -181,7 +172,8 @@ def test_non_utf8_file_names_the_file(tmp_path):
 
 
 def _seeded_table(rows=2000, seed=11):
-    """A daily table of six columns with 10% of cells missing, as CSV text."""
+    """A daily table of six columns with 10% of cells missing: the CSV text
+    and the generated values, NaN where a cell is missing."""
     rng = np.random.default_rng(seed)
     values = rng.uniform(-50.0, 50.0, (rows, 6))
     missing = rng.random((rows, 6)) < 0.1
@@ -191,59 +183,62 @@ def _seeded_table(rows=2000, seed=11):
         day = start + timedelta(days=i)
         cells = ["*" if gap else repr(v) for v, gap in zip(values[i].tolist(), missing[i])]
         lines.append(f"{day.month}/{day.day}/{day.year}," + ",".join(cells))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", np.where(missing, np.nan, values)
+
+
+def _fixture_knots(text):
+    """Each column's (epoch, knots) over its present cells, read with str.split
+    and strptime: a reference that shares no code with parse_csv."""
+    header, *lines = [line.split(",") for line in text.splitlines()]
+    days = [datetime.strptime(cells[0], "%m/%d/%Y").date() for cells in lines]
+    expected = {}
+    for j, code in enumerate(header[1:], start=1):
+        present = sorted((day, float(cells[j])) for day, cells in zip(days, lines)
+                         if cells[j] not in ("*", "-"))
+        epoch = present[0][0]
+        expected[code] = epoch, tuple((float((day - epoch).days), v) for day, v in present)
+    return expected
+
+
+def _generator_knots(values):
+    """Each column's (epoch, knots) of ``_seeded_table``: row i holds day i."""
+    expected = {}
+    for j, code in enumerate(("temp", "pH", "OD", "CBO5", "CCO-Mn", "CCO-Cr")):
+        present = np.flatnonzero(~np.isnan(values[:, j]))
+        t = (present - present[0]).astype(float)
+        epoch = date(2000, 1, 1) + timedelta(days=int(present[0]))
+        expected[code] = epoch, tuple(zip(t.tolist(), values[present, j].tolist()))
+    return expected
 
 
 @pytest.mark.parametrize("source", ["fixture", "seeded"])
-def test_dataset_series_equals_series_of_samples(gropeni, source):
-    ds = gropeni if source == "fixture" else parse_csv(_seeded_table(), station="seeded")
-    for p in ds.parameters:
-        assert dataset_series(ds, p) == build_series(ds.samples(p), ds.station, p)
-
-
-def _hand_built(*rows, parameters=("OD",)):
-    return Dataset(
-        station="s",
-        parameters=parameters,
-        rows=tuple(DatasetRow(date=d, values=v) for d, v in rows),
-        source="<hand>",
-    )
+def test_dataset_series_equals_series_of_samples(gropeni_text, source):
+    # knots are (days since the first present cell, value) over the sampled values
+    if source == "fixture":
+        ds, expected = gropeni_dataset(), _fixture_knots(gropeni_text)
+    else:
+        text, values = _seeded_table()
+        ds, expected = parse_csv(text, station="seeded"), _generator_knots(values)
+    assert set(expected) == set(ds.parameters)
+    for p, (epoch, knots) in expected.items():
+        series = dataset_series(ds, p)
+        assert (series.epoch, series.knots) == (epoch, knots)
 
 
 def test_dataset_series_of_unsorted_rows():
-    ds = _hand_built(
+    ds = make_dataset(
         (date(2004, 3, 1), (3.0,)), (date(2003, 9, 11), (1.0,)), (date(2004, 1, 5), (None,)),
         (date(2003, 12, 31), (2.0,)),
     )
+    assert [row.date for row in ds.rows] == sorted(row.date for row in ds.rows)
     series = dataset_series(ds, "OD")
-    assert series == build_series(ds.samples("OD"), "s", "OD")
     assert series.epoch == date(2003, 9, 11)
+    assert series.t == (0.0, 111.0, 172.0)
     assert series.y == (1.0, 2.0, 3.0)
 
 
-def _message(call):
-    with pytest.raises(Exception) as info:
-        call()
-    return type(info.value), str(info.value)
-
-
-def test_dataset_series_duplicate_dates_match_build_series():
-    ds = _hand_built((date(2003, 9, 11), (1.0,)), (date(2003, 9, 11), (2.0,)))
-    got = _message(lambda: dataset_series(ds, "OD"))
-    assert got == _message(lambda: build_series(ds.samples("OD"), "s", "OD"))
-    assert got == (DuplicateTimestamp, "two samples on 9/11/2003")
-
-
-def test_dataset_series_all_missing_matches_build_series():
-    ds = _hand_built((date(2003, 9, 11), (None, 1.0)), (date(2003, 9, 12), (None, 2.0)),
-                     parameters=("OD", "pH"))
-    got = _message(lambda: dataset_series(ds, "OD"))
-    assert got == _message(lambda: build_series(ds.samples("OD"), "s", "OD"))
-    assert got == (EmptySeries, "no values for 's'/'OD'")
-
-
 def test_dataset_series_rejects_infinite_values():
-    ds = _hand_built((date(2003, 9, 11), (1.0,)), (date(2003, 9, 12), (float("inf"),)))
+    ds = make_dataset((date(2003, 9, 11), (1.0,)), (date(2003, 9, 12), (float("inf"),)))
     with pytest.raises(ValueError):
         dataset_series(ds, "OD")
 
@@ -285,7 +280,8 @@ def test_first_bad_cell_in_row_order_is_reported(text, expected):
 
 
 def test_unicode_digits_parse_as_numbers():
-    assert parse_csv("Data,A\n1/1/2003,٣\n1/2/2003,١.٥e1\n").column("A") == [3.0, 15.0]
+    dataset = parse_csv("Data,A\n1/1/2003,٣\n1/2/2003,١.٥e1\n")
+    assert [row.values for row in dataset.rows] == [(3.0,), (15.0,)]
 
 
 def _messy_table(seed, rows=400):

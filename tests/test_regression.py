@@ -1,4 +1,4 @@
-"""Polynomial trend fitting, Pearson correlation, and curve comparison."""
+"""Polynomial trend fitting and Pearson correlation."""
 
 import math
 
@@ -12,12 +12,10 @@ from hydrospline import (
     matched_pairs,
     pearson,
     poly_curve,
-    rmse_between,
     trend_report,
 )
 from hydrospline.errors import (
     DegreeTooHigh,
-    GridMismatch,
     InsufficientData,
     InsufficientPairs,
     NumericOverflow,
@@ -237,30 +235,6 @@ def test_constant_input_has_no_correlation():
         pearson(a, b)
     with pytest.raises(ZeroVariance):
         pearson(b, a)
-
-
-# curve comparison
-
-
-def test_rmse_between_identical_curves(od_series):
-    from hydrospline import dense_grid, fit_natural_spline
-
-    grid = dense_grid(fit_natural_spline(od_series), 200)
-    assert rmse_between(grid, grid) == 0.0
-
-
-def test_rmse_between_known_offset():
-    a = poly_curve(fit_polynomial(make_series([0.0, 10.0], [1.0, 1.0]), 0), 0.0, 10.0, 50)
-    b = poly_curve(fit_polynomial(make_series([0.0, 10.0], [3.0, 3.0]), 0), 0.0, 10.0, 50)
-    assert rmse_between(a, b) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_rmse_between_requires_matching_grids(od_series):
-    from hydrospline import dense_grid, fit_natural_spline
-
-    model = fit_natural_spline(od_series)
-    with pytest.raises(GridMismatch):
-        rmse_between(dense_grid(model, 100), dense_grid(model, 101))
 
 
 @pytest.mark.parametrize("size", [1e300, 1e308, 1e-170], ids=["square", "sum", "tiny"])

@@ -1,4 +1,4 @@
-"""Sample/series construction and the M/D/YYYY date axis."""
+"""Series construction from a table's column and the M/D/YYYY date axis."""
 
 from datetime import date
 
@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hydrospline import Sample, TimeSeries, build_series, parameter_unit, parse_date
+from helpers import make_dataset
+from hydrospline import Dataset, TimeSeries, dataset_series, parameter_unit, parse_date
 from hydrospline.errors import (
     DuplicateTimestamp,
     EmptySeries,
@@ -47,16 +48,6 @@ def test_format_date_round_trips():
     assert format_date(d) == "2/5/2004"
 
 
-def test_sample_rejects_nan_values():
-    with pytest.raises(ValueError):
-        Sample(station="s", date=date(2003, 9, 11), parameter="OD", value=float("nan"))
-
-
-def test_sample_allows_missing_value():
-    s = Sample(station="s", date=date(2003, 9, 11), parameter="temp")
-    assert s.value is None
-
-
 def test_parameter_registry_is_case_sensitive():
     assert parameter_unit("OD") == "mg/l"
     assert parameter_unit("temp") == "°C"
@@ -70,39 +61,38 @@ def test_series_requires_increasing_knots():
 
 
 def test_build_series_drops_missing_and_counts_days(gropeni):
-    samples = gropeni.samples("OD")
-    series = build_series(samples, gropeni.station, "OD")
+    series = dataset_series(gropeni, "OD")
     assert len(series.knots) == 11
     assert series.epoch == date(2003, 9, 11)
     assert series.t == (0.0, 33.0, 61.0, 85.0, 141.0, 147.0, 196.0, 232.0, 263.0, 291.0, 308.0)
     assert series.y == (8.1, 7.5, 7.9, 7.3, 8.3, 8.5, 9.2, 9.8, 8.0, 9.0, 7.6)
+    ds = make_dataset((date(2003, 9, 11), (None,)), (date(2003, 9, 12), (1.0,)),
+                      (date(2003, 9, 14), (None,)), (date(2003, 9, 15), (2.0,)))
+    series = dataset_series(ds, "OD")
+    # the first present cell is the epoch; absent cells leave no knot
+    assert series.epoch == date(2003, 9, 12)
+    assert series.knots == ((0.0, 1.0), (3.0, 2.0))
 
 
 def test_build_series_temp_has_nine_knots(gropeni):
-    series = build_series(gropeni.samples("temp"), gropeni.station, "temp")
+    series = dataset_series(gropeni, "temp")
     assert len(series.knots) == 9
     assert series.epoch == date(2003, 9, 11)
 
 
 def test_build_series_knot_count_matches_present_values(gropeni):
-    for code in gropeni.parameters:
-        samples = gropeni.samples(code)
-        present = sum(s.value is not None for s in samples)
-        series = build_series(samples, gropeni.station, code)
-        assert len(series.knots) == present
+    for i, code in enumerate(gropeni.parameters):
+        present = sum(row.values[i] is not None for row in gropeni.rows)
+        assert len(dataset_series(gropeni, code).knots) == present
 
 
 def test_build_series_day_counts_match_calendar():
-    samples = [
-        Sample("s", date(2003, 12, 5), "OD", 1.0),
-        Sample("s", date(2004, 1, 30), "OD", 2.0),
-        Sample("s", date(2004, 3, 1), "OD", 3.0),
-    ]
-    series = build_series(samples, "s", "OD")
+    dates = [date(2003, 12, 5), date(2004, 1, 30), date(2004, 3, 1)]
+    series = dataset_series(make_dataset(*((d, (float(k),)) for k, d in enumerate(dates))), "OD")
     # 2004 is a leap year; the calendar, not a 30-day approximation, decides
     assert series.t == (0.0, 56.0, 87.0)
-    for (t, _), s in zip(series.knots, samples):
-        assert (s.date - series.epoch).days == t
+    for t, d in zip(series.t, dates):
+        assert (d - series.epoch).days == t
 
 
 @given(st.permutations(range(11)))
@@ -110,32 +100,25 @@ def test_build_series_is_permutation_invariant(order):
     from hydrospline.dataio import gropeni_dataset
 
     ds = gropeni_dataset()
-    samples = ds.samples("OD")
-    shuffled = [samples[i] for i in order]
-    a = build_series(samples, ds.station, "OD")
-    b = build_series(shuffled, ds.station, "OD")
-    assert a == b
+    shuffled = Dataset(ds.station, ds.parameters, tuple(ds.rows[i] for i in order), ds.source)
+    # the Dataset sorts its rows when it is built
+    assert shuffled == ds
+    assert dataset_series(shuffled, "OD") == dataset_series(ds, "OD")
 
 
 def test_build_series_rejects_duplicate_dates():
-    samples = [
-        Sample("s", date(2003, 9, 11), "OD", 1.0),
-        Sample("s", date(2003, 9, 11), "OD", 2.0),
-    ]
-    with pytest.raises(DuplicateTimestamp):
-        build_series(samples, "s", "OD")
+    with pytest.raises(DuplicateTimestamp) as info:
+        make_dataset((date(2003, 9, 11), (1.0,)), (date(2003, 10, 14), (None,)),
+                     (date(2003, 9, 11), (2.0,)))
+    assert str(info.value) == "two rows on 9/11/2003"
 
 
 def test_build_series_rejects_all_missing():
-    samples = [Sample("s", date(2003, 9, 11), "OD"), Sample("s", date(2003, 10, 14), "OD")]
-    with pytest.raises(EmptySeries):
-        build_series(samples, "s", "OD")
-
-
-def test_build_series_rejects_foreign_samples():
-    samples = [Sample("other", date(2003, 9, 11), "OD", 1.0)]
-    with pytest.raises(ValueError):
-        build_series(samples, "s", "OD")
+    ds = make_dataset((date(2003, 9, 11), (None, 1.0)), (date(2003, 10, 14), (None, 2.0)),
+                      parameters=("OD", "pH"))
+    with pytest.raises(EmptySeries) as info:
+        dataset_series(ds, "OD")
+    assert str(info.value) == "no values for 's'/'OD'"
 
 
 def test_series_axes_are_built_once(od_series):
