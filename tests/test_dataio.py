@@ -20,6 +20,7 @@ from hydrospline import (
 from hydrospline.dataio import GROPENI_STATION, _parse_columns, _parse_rows
 from hydrospline.errors import (
     DuplicateTimestamp,
+    EmptySeries,
     HeaderMismatch,
     HydrosplineError,
     InvalidDate,
@@ -235,6 +236,30 @@ def test_dataset_series_of_unsorted_rows():
     assert series.epoch == date(2003, 9, 11)
     assert series.t == (0.0, 111.0, 172.0)
     assert series.y == (1.0, 2.0, 3.0)
+
+
+def _message(action):
+    with pytest.raises(HydrosplineError) as info:
+        action()
+    return type(info.value), str(info.value)
+
+
+def test_dataset_series_duplicate_dates_match_build_series():
+    # a parsed table and a hand-built one fail alike, when the Dataset is built
+    got = _message(lambda: parse_csv("Data,OD\n9/11/2003,1\n9/11/2003,2\n", station="s"))
+    assert got == _message(
+        lambda: make_dataset((date(2003, 9, 11), (1.0,)), (date(2003, 9, 11), (2.0,)))
+    )
+    assert got == (DuplicateTimestamp, "two rows on 9/11/2003")
+
+
+def test_dataset_series_all_missing_matches_build_series():
+    parsed = parse_csv("Data,OD,pH\n9/11/2003,*,1\n9/12/2003,-,2\n", station="s")
+    got = _message(lambda: dataset_series(parsed, "OD"))
+    built = make_dataset((date(2003, 9, 11), (None, 1.0)), (date(2003, 9, 12), (None, 2.0)),
+                         parameters=("OD", "pH"))
+    assert got == _message(lambda: dataset_series(built, "OD"))
+    assert got == (EmptySeries, "no values for 's'/'OD'")
 
 
 def test_dataset_series_rejects_infinite_values():
