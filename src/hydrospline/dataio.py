@@ -19,6 +19,7 @@ from .errors import (
     DuplicateTimestamp,
     EmptySeries,
     HeaderMismatch,
+    HydrosplineError,
     InvalidDate,
     MalformedDate,
     MalformedNumber,
@@ -26,18 +27,17 @@ from .errors import (
     UndecodableFile,
     UnknownParameter,
 )
-from .series import TimeSeries, format_date, parse_date
+from .series import _DATE_RE, TimeSeries, format_date, parse_date
 
 GROPENI_STATION = "Dunare-Gropeni"
 
 _MISSING_MARKERS = {"*", "-"}
 
-_NUMBER = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+# a line of a "\n"-joined column that is neither a number nor a missing marker
+_NON_CELL_LINE_RE = re.compile(r"^(?!(?:[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?|[*-])$)",
+                               re.M)
 
-_NUMBER_RE = re.compile(rf"^{_NUMBER}$")
-
-# the first line of a "\n"-joined column that is neither a number nor a missing marker
-_BAD_LINE_RE = re.compile(rf"^(?!(?:{_NUMBER}|[*-])$)", re.M)
+_Bad = tuple[int, HydrosplineError]  # a column's first bad cell: its index and its error
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,8 @@ class DatasetRow:
 
 @dataclass(frozen=True)
 class Dataset:
-    """A monitoring table.  Its rows are sorted by date when it is built (a
-    stable sort), and two rows on one date raise DuplicateTimestamp."""
+    """A monitoring table, its rows sorted by date when built (a stable sort).  A row
+    of the wrong width raises MalformedRow, two rows on one date DuplicateTimestamp."""
 
     station: str
     parameters: tuple[str, ...]
@@ -60,64 +60,65 @@ class Dataset:
 
     def __post_init__(self) -> None:
         rows = tuple(sorted(self.rows, key=attrgetter("date")))
+        width = len(self.parameters)
+        for row in rows:
+            if len(row.values) != width:
+                when, got = format_date(row.date), len(row.values)
+                raise MalformedRow(f"row on {when}: expected {width} values, got {got}")
         for a, b in zip(rows, rows[1:]):
             if a.date == b.date:
                 raise DuplicateTimestamp(f"two rows on {format_date(a.date)}")
         object.__setattr__(self, "rows", rows)
 
 
-def _parse_cell(cell: str, row_number: int, code: str) -> float | None:
-    if cell in _MISSING_MARKERS:
-        return None
-    if not _NUMBER_RE.match(cell):
-        raise MalformedNumber(f"row {row_number}, column {code}: not a number: {cell!r}")
-    value = float(cell)
-    if not math.isfinite(value):
-        raise MalformedNumber(f"row {row_number}, column {code}: out of range: {cell!r}")
-    return value
-
-
-def _parse_rows(body: list[list[str]], parameters: tuple[str, ...]) -> list[DatasetRow]:
-    """The rows of ``body``, parsed a record at a time; the first bad cell in
-    row order raises (arity, then date, then values from left to right)."""
-    rows = []
-    for number, record in enumerate(body, start=2):
-        cells = [cell.strip() for cell in record]
-        if len(cells) != len(parameters) + 1:
-            raise MalformedRow(
-                f"row {number}: expected {len(parameters) + 1} cells, got {len(cells)}"
-            )
-        when = parse_date(cells[0])
-        values = tuple(
-            _parse_cell(cell, number, code) for cell, code in zip(cells[1:], parameters)
-        )
-        rows.append(DatasetRow(date=when, values=values))
-    return rows
-
-
-def _parse_columns(body: list[list[str]], parameters: tuple[str, ...]) -> list[DatasetRow] | None:
-    r"""The rows of ``body``, parsed a column at a time; None if any record is bad.
-
-    Each value column is stripped, joined with "\n" and checked by one
-    regex search, then converted with ``float``.  A cell holding "\n"
-    would pass as two lines, so it counts as bad.
-    """
-    if not parameters or set(map(len, body)) != {len(parameters) + 1}:
-        return None
+def _date_column(cells: list[str]) -> list[date] | _Bad:
+    """The dates of a column, or its first bad cell."""
     try:
-        dates = list(map(parse_date, map(str.strip, map(itemgetter(0), body))))
-    except (MalformedDate, InvalidDate):
-        return None
-    value_columns = []
-    for j in range(1, len(parameters) + 1):
-        joined = "\n".join(map(str.strip, map(itemgetter(j), body)))
-        if joined.count("\n") != len(body) - 1 or _BAD_LINE_RE.search(joined):
-            return None
-        values = [None if cell in _MISSING_MARKERS else float(cell) for cell in joined.split("\n")]
-        if math.inf in values or -math.inf in values:  # float() overflowed
-            return None
-        value_columns.append(values)
-    return list(map(DatasetRow, dates, zip(*value_columns)))
+        return [date(int(m[3]), int(m[1]), int(m[2])) for m in map(_DATE_RE.match, cells)]
+    except (TypeError, ValueError):  # no match or no such day: parse_date finds and words it
+        pass
+    for i, cell in enumerate(cells):
+        try:
+            parse_date(cell)
+        except (MalformedDate, InvalidDate) as exc:
+            return i, exc
+
+
+def _value_column(cells: list[str], code: str) -> list[float | None] | _Bad:
+    """The values of a column, or its first bad cell: one that is neither a
+    number nor a missing marker, or a number outside the float range."""
+    joined = "\n".join(cells)
+    bad = _NON_CELL_LINE_RE.search(joined)
+    end = len(cells) if bad is None else joined.count("\n", 0, bad.start())
+    # a quoted cell holding "\n" is bad, and the lines after it are not cells
+    if joined.count("\n") >= len(cells):
+        end = min(end, next((i for i, cell in enumerate(cells) if "\n" in cell), end))
+    values = [None if cell in _MISSING_MARKERS else float(cell) for cell in cells[:end]]
+    if math.inf in values or -math.inf in values:  # float() overflowed before row `end`
+        i = next(i for i, value in enumerate(values) if value in (math.inf, -math.inf))
+        return i, MalformedNumber(f"row {i + 2}, column {code}: out of range: {cells[i]!r}")
+    if end < len(cells):
+        return end, MalformedNumber(f"row {end + 2}, column {code}: not a number: {cells[end]!r}")
+    return values
+
+
+def _parse_body(body: list[list[str]], parameters: tuple[str, ...]) -> list[DatasetRow]:
+    """The rows of ``body``, parsed a column at a time.  Each column scan gives
+    its cells or its first bad cell, and the earliest row's error raises; in
+    one row, a wrong cell count comes first, then the date, then the values
+    from left to right."""
+    width = len(parameters) + 1
+    good = next((i for i, record in enumerate(body) if len(record) != width), len(body))
+    columns = [[cell.strip() for cell in map(itemgetter(j), body[:good])] for j in range(width)]
+    scans = [_date_column(columns[0])]
+    scans += [_value_column(cells, code) for cells, code in zip(columns[1:], parameters)]
+    failures = [scan for scan in scans if isinstance(scan, tuple)]
+    if good < len(body):  # no scan reached this row, so it ties with no scanned cell
+        got = len(body[good])
+        failures.append((good, MalformedRow(f"row {good + 2}: expected {width} cells, got {got}")))
+    if failures:
+        raise min(failures, key=itemgetter(0))[1]  # on one row, min keeps the leftmost
+    return [DatasetRow(row[0], row[1:]) for row in zip(*scans)]
 
 
 def parse_csv(text: str, station: str = "unknown", source: str = "<memory>") -> Dataset:
@@ -127,7 +128,7 @@ def parse_csv(text: str, station: str = "unknown", source: str = "<memory>") -> 
     parameter columns.  The :class:`Dataset` sorts the rows by date and
     rejects two rows on the same date.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         records = [row for row in reader if row]
     except csv.Error as exc:  # e.g. a cell over the field size limit
@@ -140,9 +141,7 @@ def parse_csv(text: str, station: str = "unknown", source: str = "<memory>") -> 
     parameters = tuple(header[1:])
     if len(set(parameters)) != len(parameters):
         raise HeaderMismatch("duplicate parameter codes in header")
-    rows = _parse_columns(records[1:], parameters)
-    if rows is None:  # a bad record: the row-major loop raises for the first one
-        rows = _parse_rows(records[1:], parameters)
+    rows = _parse_body(records[1:], parameters)
     return Dataset(station=station, parameters=parameters, rows=rows, source=source)
 
 

@@ -9,18 +9,22 @@ per-point and per-segment loops that the vectorised ones replaced, the
 two scalar solvers are the numpy-scalar loops that the list-based ones
 replaced, and the SVG marks are the per-point ``to_px`` and ``_fmt`` loop
 that one f-string per point replaced: same operations in the same order,
-so their results must match bit for bit.
+so their results must match bit for bit.  The CSV body is parsed a record
+and a cell at a time, as before the column scans, so the first bad cell
+in row order raises with the same error.
 """
 
 import math
+import re
 from bisect import bisect_right
 from datetime import date
 
 import numpy as np
 
 from hydrospline import Dataset, DatasetRow, TimeSeries, harmonic_reference
-from hydrospline.errors import ZeroPivot
+from hydrospline.errors import MalformedNumber, MalformedRow, ZeroPivot
 from hydrospline.linalg import ZERO_PIVOT_TOL
+from hydrospline.series import parse_date
 from hydrospline.splines import FLAT_CURVATURE_TOL, Extremum
 from hydrospline.svgplot import MARKER_RADIUS, _fmt, _padded
 
@@ -40,6 +44,39 @@ def make_dataset(*rows, parameters=("OD",)) -> Dataset:
         rows=tuple(DatasetRow(date=d, values=v) for d, v in rows),
         source="<hand>",
     )
+
+
+_NUMBER_RE = re.compile(r"^[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?$")
+
+
+def _scalar_cell(cell, row_number, code):
+    if cell in ("*", "-"):
+        return None
+    if not _NUMBER_RE.match(cell):
+        raise MalformedNumber(f"row {row_number}, column {code}: not a number: {cell!r}")
+    value = float(cell)
+    if not math.isfinite(value):
+        raise MalformedNumber(f"row {row_number}, column {code}: out of range: {cell!r}")
+    return value
+
+
+def scalar_parse_rows(body, parameters):
+    """The rows of a CSV body (the records after the header), parsed a record
+    at a time; the first bad cell in row order raises (arity, then date, then
+    values from left to right)."""
+    rows = []
+    for number, record in enumerate(body, start=2):
+        cells = [cell.strip() for cell in record]
+        if len(cells) != len(parameters) + 1:
+            raise MalformedRow(
+                f"row {number}: expected {len(parameters) + 1} cells, got {len(cells)}"
+            )
+        when = parse_date(cells[0])
+        values = tuple(
+            _scalar_cell(cell, number, code) for cell, code in zip(cells[1:], parameters)
+        )
+        rows.append(DatasetRow(date=when, values=values))
+    return rows
 
 
 def random_knots(rng, n, t_span=200.0, y_span=(0.0, 12.0), min_gap=0.5):

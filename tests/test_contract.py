@@ -11,16 +11,25 @@ from hypothesis import strategies as st
 
 from hydrospline.cli import main
 
-# cells: any finite float (huge and tiny included), markers, junk and non-UTF-8 bytes
+# cells: any finite float (huge and tiny included), markers, junk, a quoted cell holding
+# a newline and non-UTF-8 bytes
 CELLS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(lambda v: repr(v).encode()),
     st.integers(-10**6, 10**6).map(lambda v: str(v).encode()),
     st.sampled_from(
         [b"*", b"-", b"", b" 7.5 ", b"1e400", b"-1e-320", b"1.7976931348623157e308",
-         b"nan", b"abc", b"caf\xe9", b"\xff\xfe", "é".encode()]
+         b"nan", b"abc", b"caf\xe9", b"\xff\xfe", "é".encode(), b'"1\n2"']
     ),
 )
-ROWS = st.lists(st.tuples(st.integers(0, 800), CELLS, CELLS), max_size=12)
+# a record: a day after the epoch and two value cells, as the header asks; or, one time
+# in eight, a junk or impossible date or a valid one, and zero to three value cells
+RECORD = st.tuples(st.integers(0, 800), st.tuples(CELLS, CELLS))
+ODD_RECORD = st.tuples(
+    st.one_of(st.integers(0, 800), st.sampled_from([b"2/30/2003", b"13/1/2003", b"x", b""])),
+    st.lists(CELLS, max_size=3).map(tuple),
+)
+ROWS = st.lists(st.integers(0, 7).flatmap(lambda k: ODD_RECORD if k == 0 else RECORD),
+                max_size=12)
 EPOCHS = st.dates(min_value=date(1000, 1, 1), max_value=date(9000, 1, 1))
 PREFIXES = st.sampled_from([b"", b"\xef\xbb\xbf"])  # with and without a UTF-8 BOM
 
@@ -68,10 +77,14 @@ COMMANDS = st.one_of(
 
 
 def _table(epoch, rows):
+    """A table with header Data,A,B; each row's date is a day offset from the
+    epoch or the cell itself."""
     lines = [b"Data,A,B"]
-    for offset, a, b in rows:
-        day = epoch + timedelta(days=offset)
-        lines.append(f"{day.month}/{day.day}/{day.year},".encode() + a + b"," + b)
+    for when, values in rows:
+        if isinstance(when, int):
+            day = epoch + timedelta(days=when)
+            when = f"{day.month}/{day.day}/{day.year}".encode()
+        lines.append(b",".join([when, *values]))
     return b"\n".join(lines) + b"\n"
 
 
@@ -114,4 +127,4 @@ def test_any_table_exits_cleanly(prefix, epoch, rows, command):
     command=PLOT,
 )
 def test_constant_columns_of_large_magnitude_plot_cleanly(epoch, days, cell, command):
-    _exits_cleanly(_table(epoch, [(day, cell, cell) for day in days]), command)
+    _exits_cleanly(_table(epoch, [(day, (cell, cell)) for day in days]), command)

@@ -8,7 +8,7 @@ from datetime import date, datetime, timedelta
 import numpy as np
 import pytest
 
-from helpers import make_dataset
+from helpers import make_dataset, scalar_parse_rows
 from hydrospline import (
     Dataset,
     dataset_series,
@@ -17,7 +17,7 @@ from hydrospline import (
     parse_csv,
     serialize_csv,
 )
-from hydrospline.dataio import GROPENI_STATION, _parse_columns, _parse_rows
+from hydrospline.dataio import GROPENI_STATION
 from hydrospline.errors import (
     DuplicateTimestamp,
     EmptySeries,
@@ -262,13 +262,20 @@ def test_dataset_series_all_missing_matches_build_series():
     assert got == (EmptySeries, "no values for 's'/'OD'")
 
 
+def test_hand_built_row_of_wrong_width_rejected():
+    # a parsed table checks the cell count of each record, so only a hand-built one gets here
+    with pytest.raises(MalformedRow, match=r"^row on 9/11/2003: expected 2 values, got 1$"):
+        make_dataset((date(2003, 9, 11), (1.0,)), (date(2003, 9, 12), (2.0,)),
+                     parameters=("OD", "pH"))
+
+
 def test_dataset_series_rejects_infinite_values():
     ds = make_dataset((date(2003, 9, 11), (1.0,)), (date(2003, 9, 12), (float("inf"),)))
     with pytest.raises(ValueError):
         dataset_series(ds, "OD")
 
 
-# --- the column-at-a-time parse and its row-major fallback
+# --- the column scans against the row-major reference
 
 def _parse_failure(text):
     with pytest.raises(HydrosplineError) as info:
@@ -332,16 +339,19 @@ def _messy_table(seed, rows=400):
     return "\n".join(lines) + "\n"
 
 
+def _reference_parse(text):
+    """What parse_csv gives, with the body parsed by the row-major reference."""
+    records = [record for record in csv.reader(io.StringIO(text, newline="")) if record]
+    parameters = tuple(cell.strip() for cell in records[0][1:])
+    return Dataset("unknown", parameters, scalar_parse_rows(records[1:], parameters), "<memory>")
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_column_parse_equals_row_parse(seed):
     text = _messy_table(seed)
-    records = [record for record in csv.reader(io.StringIO(text)) if record]
-    parameters = tuple(cell.strip() for cell in records[0][1:])
-    by_columns = _parse_columns(records[1:], parameters)
-    assert by_columns is not None
-    # repr tells -0.0 from 0.0, which == does not
-    assert repr(by_columns) == repr(_parse_rows(records[1:], parameters))
     dataset = parse_csv(text)
+    # repr tells -0.0 from 0.0, which == does not
+    assert repr(dataset) == repr(_reference_parse(text))
     assert parse_csv(serialize_csv(dataset)) == dataset
     assert repr(parse_csv(serialize_csv(dataset))) == repr(dataset)
 
@@ -350,3 +360,64 @@ def test_table_without_parameters_round_trips():
     dataset = parse_csv("Data\n1/3/2003\n1/2/2003\n")
     assert [row.values for row in dataset.rows] == [(), ()]
     assert serialize_csv(dataset) == "Data\n1/2/2003\n1/3/2003\n"
+
+
+_GOOD_CELLS = ["1", "-2.5", "+.5", "3.", "1e3", " 7.25 ", "-0.0", "*", "-", " * "]
+_BAD_DATES = ["2/30/2003", "13/1/2003", "x"]
+_BAD_CELLS = ["abc", "", "1.2.3", "1e400", "-1e999", '"1\n2"', "٣", "١.٥e1"]
+
+
+def _corrupted_table(rng):
+    """Shuffled rows of 0-3 parameters; each row gets up to two corruptions: a
+    dropped or an extra cell, a bad date, or a junk, overflowing, quoted-newline
+    or Unicode-digit value cell."""
+    parameters = [f"P{j}" for j in range(rng.randint(0, 3))]
+    start = date(2003, 1, 1) + timedelta(days=rng.randint(0, 400))
+    lines = []
+    for i in range(rng.randint(0, 8)):
+        day = start + timedelta(days=i)
+        cells = [f"{day.month}/{day.day}/{day.year}"]
+        cells += [rng.choice(_GOOD_CELLS) for _ in parameters]
+        for _ in range(2):
+            kind = rng.choice(["drop", "extra", "date", "value", None, None, None, None])
+            if kind == "drop" and cells:
+                cells.pop(rng.randrange(len(cells)))
+            elif kind == "extra":
+                cells.insert(rng.randint(0, len(cells)), rng.choice(_GOOD_CELLS))
+            elif kind == "date" and cells:
+                cells[0] = rng.choice(_BAD_DATES)
+            elif kind == "value" and len(cells) > 1:
+                cells[rng.randrange(1, len(cells))] = rng.choice(_BAD_CELLS)
+        lines.append(",".join(cells))
+    rng.shuffle(lines)
+    return "\n".join([",".join(["Data", *parameters]), *lines]) + "\n"
+
+
+def _outcome(parse, text):
+    try:
+        return "parsed", repr(parse(text))
+    except HydrosplineError as exc:
+        return type(exc), str(exc)
+
+
+def test_first_error_equals_row_major_reference():
+    rng = random.Random(2003)
+    kinds = set()
+    for _ in range(3000):
+        text = _corrupted_table(rng)
+        got = _outcome(parse_csv, text)
+        assert got == _outcome(_reference_parse, text), text
+        kinds.add(got[0])
+    # the tables reach every outcome: parsed, and each error of the body
+    assert kinds == {"parsed", MalformedRow, MalformedDate, InvalidDate, MalformedNumber}
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r"])
+def test_line_endings_parse_alike(gropeni_text, ending):
+    assert "\r" not in gropeni_text
+    assert parse_csv(gropeni_text.replace("\n", ending)) == parse_csv(gropeni_text)
+
+
+def test_quoted_line_break_is_not_a_number():
+    assert _parse_failure('Data,A\r\n1/1/2003,"1\r\n2"\r\n') == (
+        MalformedNumber, "row 2, column A: not a number: '1\\r\\n2'")

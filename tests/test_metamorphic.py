@@ -1,10 +1,14 @@
-"""Metamorphic checks: scaling the values scales every fit the same way.
+"""Metamorphic checks: scaling the values or shifting the times moves every
+fit the same way.
 
 Doubling is exact in binary floating point, so each output that is linear
 in y must double bit for bit (compared by ``float.hex``), and each output
-that does not depend on the scale of y must keep its bits.
+that does not depend on the scale of y must keep its bits.  Shifting
+integer knot times by an integer is exact too, and the fits see only the
+gaps between knots, so their coefficients keep their bits.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -92,6 +96,25 @@ def test_doubling_one_side_keeps_pearson(gropeni):
                 r = pearson(series_a, series_b)
                 assert pearson(_doubled(series_a), series_b).hex() == r.hex()
                 assert pearson(series_a, _doubled(series_b)).hex() == r.hex()
+
+
+def _shifted(series, c):
+    return replace(series, knots=tuple((t + c, y) for t, y in series.knots))
+
+
+@pytest.mark.parametrize("c", [1, 1_000, 36_500])
+def test_shifting_t_keeps_fits(pair, c):
+    series, _ = pair
+    shifted = _shifted(series, c)
+    for fit in (fit_natural_spline, lambda s: fit_smoothing_spline(s, 50.0)):
+        assert _hex(_coefficients(fit(shifted))) == _hex(_coefficients(fit(series)))
+    base = spline_extrema(fit_natural_spline(series))
+    moved = spline_extrema(fit_natural_spline(shifted))
+    assert [(e.y.hex(), e.kind) for e in moved] == [(e.y.hex(), e.kind) for e in base]
+    # an extremum's t is its knot plus an offset that keeps its bits; adding c to the
+    # knot first rounds the sum differently by up to one ulp
+    assert all(abs(m.t - (e.t + c)) <= math.ulp(m.t) for m, e in zip(moved, base))
+    assert trend_report(shifted) == trend_report(series)
 
 
 def test_spline_reproduces_knots_near_ten_million_days():
