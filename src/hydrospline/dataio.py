@@ -27,7 +27,7 @@ from .errors import (
     UndecodableFile,
     UnknownParameter,
 )
-from .series import _DATE_RE, TimeSeries, format_date, parse_date
+from .series import TimeSeries, format_date, parse_date
 
 GROPENI_STATION = "Dunare-Gropeni"
 
@@ -73,15 +73,13 @@ class Dataset:
 
 def _date_column(cells: list[str]) -> list[date] | _Bad:
     """The dates of a column, or its first bad cell."""
-    try:
-        return [date(int(m[3]), int(m[1]), int(m[2])) for m in map(_DATE_RE.match, cells)]
-    except (TypeError, ValueError):  # no match or no such day: parse_date finds and words it
-        pass
+    dates = []
     for i, cell in enumerate(cells):
         try:
-            parse_date(cell)
+            dates.append(parse_date(cell))
         except (MalformedDate, InvalidDate) as exc:
             return i, exc
+    return dates
 
 
 def _value_column(cells: list[str], code: str) -> list[float | None] | _Bad:

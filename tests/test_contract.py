@@ -4,6 +4,7 @@ import contextlib
 import io
 import tempfile
 from datetime import date, timedelta
+from operator import itemgetter
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
@@ -11,11 +12,14 @@ from hypothesis import strategies as st
 
 from hydrospline.cli import main
 
-# cells: any finite float (huge and tiny included), markers, junk, a quoted cell holding
-# a newline and non-UTF-8 bytes
-CELLS = st.one_of(
+# numbers: any finite float (huge and tiny included) or integer
+NUMBERS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(lambda v: repr(v).encode()),
     st.integers(-10**6, 10**6).map(lambda v: str(v).encode()),
+)
+# cells: numbers, markers, junk, a quoted cell holding a newline and non-UTF-8 bytes
+CELLS = st.one_of(
+    NUMBERS,
     st.sampled_from(
         [b"*", b"-", b"", b" 7.5 ", b"1e400", b"-1e-320", b"1.7976931348623157e308",
          b"nan", b"abc", b"caf\xe9", b"\xff\xfe", "é".encode(), b'"1\n2"']
@@ -30,6 +34,10 @@ ODD_RECORD = st.tuples(
 )
 ROWS = st.lists(st.integers(0, 7).flatmap(lambda k: ODD_RECORD if k == 0 else RECORD),
                 max_size=12)
+# well-formed records only: distinct days after the epoch and two numbers each, so most
+# tables reach the fits
+WELL_FORMED_ROWS = st.lists(st.tuples(st.integers(0, 800), st.tuples(NUMBERS, NUMBERS)),
+                            max_size=12, unique_by=itemgetter(0))
 EPOCHS = st.dates(min_value=date(1000, 1, 1), max_value=date(9000, 1, 1))
 PREFIXES = st.sampled_from([b"", b"\xef\xbb\xbf"])  # with and without a UTF-8 BOM
 
@@ -112,6 +120,17 @@ def _exits_cleanly(table, command):
 @given(prefix=PREFIXES, epoch=EPOCHS, rows=ROWS, command=COMMANDS)
 def test_any_table_exits_cleanly(prefix, epoch, rows, command):
     _exits_cleanly(prefix + _table(epoch, rows), command)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(epoch=EPOCHS, rows=WELL_FORMED_ROWS, command=COMMANDS)
+def test_well_formed_table_exits_cleanly(epoch, rows, command):
+    _exits_cleanly(_table(epoch, rows), command)
 
 
 @settings(
