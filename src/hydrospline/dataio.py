@@ -51,7 +51,8 @@ class DatasetRow:
 @dataclass(frozen=True)
 class Dataset:
     """A monitoring table, its rows sorted by date when built (a stable sort).  A row
-    of the wrong width raises MalformedRow, two rows on one date DuplicateTimestamp."""
+    of the wrong width raises MalformedRow, a nan or infinite value MalformedNumber,
+    two rows on one date DuplicateTimestamp."""
 
     station: str
     parameters: tuple[str, ...]
@@ -65,6 +66,11 @@ class Dataset:
             if len(row.values) != width:
                 when, got = format_date(row.date), len(row.values)
                 raise MalformedRow(f"row on {when}: expected {width} values, got {got}")
+            for value in row.values:
+                if value is not None and not math.isfinite(value):
+                    # the first non-finite cell; index finds a nan by identity
+                    when, code = format_date(row.date), self.parameters[row.values.index(value)]
+                    raise MalformedNumber(f"row on {when}, column {code}: not finite: {value!r}")
         for a, b in zip(rows, rows[1:]):
             if a.date == b.date:
                 raise DuplicateTimestamp(f"two rows on {format_date(a.date)}")

@@ -7,7 +7,8 @@ period 48 index units.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -30,9 +31,6 @@ class HarmonicSpec:
     exponent: float = DEFAULT_EXPONENT
     amplitude: float = 1.0
     offset: float = 0.0
-    #: ``fit_amplitude_offset`` seeds this with the signed powers it computed
-    #: (see ``_BasisSeed``); ``replace`` does not carry it over
-    _basis: "_BasisSeed | None" = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.angular_coeff > 0:
@@ -78,23 +76,21 @@ def harmonic_reference(k: float, spec: HarmonicSpec) -> float:
     return spec.offset + spec.amplitude * signed_pow(base, spec.exponent)
 
 
-class _BasisSeed(NamedTuple):
-    """Signed powers s(sin(w k) + cos(w k)) ** p on one grid object, for reuse."""
-
-    grid: object
-    key: tuple  # (angular_coeff, exponent, index_map) the powers were computed with
-    powers: np.ndarray
-
-
-def _signed_powers(spec: HarmonicSpec, index_map: IndexMap, ts) -> np.ndarray:
+@lru_cache(maxsize=1)
+def _signed_powers(
+    angular_coeff: float, exponent: float, index_map: IndexMap, ts: tuple
+) -> np.ndarray:
     """copysign(|u| ** p, u), u = sin(w k) + cos(w k), at each day offset of ``ts``.
 
     The loop is ``signed_pow`` of ``harmonic_reference``'s base at
     ``index_map.index_at(t)``, inlined over bound locals: the same float
-    operations in the same order, so the same bits.  Raises NumericOverflow
-    when the signed power overflows or an angle is infinite.
+    operations in the same order, so the same bits.  The last result is
+    memoized by value, so fitting, comparing and sampling on one grid compute
+    the powers once; keys that compare equal (-0.0 and 0.0, an int and its
+    float) give the same bits.  Raises NumericOverflow when the signed power
+    overflows or an angle is infinite.
     """
-    w, p = spec.angular_coeff, spec.exponent
+    w, p = angular_coeff, exponent
     scale, shift = index_map.scale, index_map.offset
     sin, cos, copysign = math.sin, math.cos, math.copysign
     powers = []
@@ -108,44 +104,28 @@ def _signed_powers(spec: HarmonicSpec, index_map: IndexMap, ts) -> np.ndarray:
         raise NumericOverflow(
             "harmonic reference leaves the float range for these coefficients"
         ) from None
-    return np.array(powers)
-
-
-def _seeded_powers(spec: HarmonicSpec, index_map: IndexMap, grid) -> "np.ndarray | None":
-    """The fit's signed powers when they were computed for this grid tuple, map and spec."""
-    seed = spec._basis
-    if seed is not None and seed.grid is grid and type(grid) is tuple and seed.key == (
-        spec.angular_coeff, spec.exponent, index_map
-    ):
-        return seed.powers
-    return None
+    powers = np.array(powers)
+    powers.flags.writeable = False  # shared by every caller that hits the memo
+    return powers
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as Python floats do: inf or nan, no warning
-def _scaled(spec: HarmonicSpec, powers: np.ndarray) -> np.ndarray:
-    """offset + amplitude * power at each point: ``harmonic_reference``'s last two operations."""
-    return spec.offset + spec.amplitude * powers
-
-
 def _reference_values(spec: HarmonicSpec, index_map: IndexMap, ts) -> np.ndarray:
     """``harmonic_reference(index_map.index_at(t), spec)`` at each day offset of ``ts``.
 
-    Bit for bit the scalar formula; a fitted spec reuses its seeded powers.
+    Bit for bit the scalar formula.
     """
-    powers = _seeded_powers(spec, index_map, ts)
-    if powers is None:
-        powers = _signed_powers(spec, index_map, ts)
-    return _scaled(spec, powers)
+    powers = _signed_powers(spec.angular_coeff, spec.exponent, index_map, tuple(ts))
+    return spec.offset + spec.amplitude * powers
 
 
 def sample_harmonic(spec: HarmonicSpec, index_map: IndexMap, grid) -> CurveSamples:
     """Evaluate the harmonic on a day grid (uniform, as for other curves)."""
-    powers = _seeded_powers(spec, index_map, grid)
     # a tuple of floats is already the grid that the conversion below makes
-    if powers is None or set(map(type, grid)) != {float}:
+    if type(grid) is not tuple or set(map(type, grid)) != {float}:
         grid = tuple(np.asarray(grid, dtype=float).tolist())
-        powers = _signed_powers(spec, index_map, grid)
-    return CurveSamples(t=grid, y=tuple(_scaled(spec, powers).tolist()), source="harmonic")
+    values = _reference_values(spec, index_map, grid)
+    return CurveSamples(t=grid, y=tuple(values.tolist()), source="harmonic")
 
 
 def fit_amplitude_offset(
@@ -154,20 +134,15 @@ def fit_amplitude_offset(
     """Fit amplitude and offset to a curve by two-column least squares.
 
     The angular coefficient and exponent are kept; only the affine scaling
-    of the unit-amplitude, zero-offset reference is re-estimated.  The
-    result is seeded with the signed powers on ``curve.t``, so comparing or
-    sampling it on that same grid object does not compute them again.
+    of the unit-amplitude, zero-offset reference is re-estimated.
     """
-    powers = _signed_powers(spec, index_map, curve.t)
+    powers = _signed_powers(spec.angular_coeff, spec.exponent, index_map, tuple(curve.t))
     # the unit reference is 0.0 + 1.0 * power, which writes -0.0 as 0.0
     design = np.column_stack([0.0 + powers, np.ones(powers.size)])
     amplitude, offset = solve_least_squares(
         LeastSquaresProblem(design, np.asarray(curve.y, dtype=float))
     )
-    fitted = replace(spec, amplitude=float(amplitude), offset=float(offset))
-    seed = _BasisSeed(curve.t, (spec.angular_coeff, spec.exponent, index_map), powers)
-    object.__setattr__(fitted, "_basis", seed)
-    return fitted
+    return replace(spec, amplitude=float(amplitude), offset=float(offset))
 
 
 @np.errstate(over="ignore")  # an rmse that overflows raises NumericOverflow

@@ -47,6 +47,10 @@ class SplineModel:
     coefficients: tuple[tuple[float, float, float, float], ...]
     smoothing: float = 0.0
 
+    def __post_init__(self) -> None:
+        if len(self.coefficients) != len(self.knots) - 1:
+            raise ValueError("a spline needs one coefficient row per segment between knots")
+
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Knot times and the (n-1, 4) coefficient matrix.
@@ -63,9 +67,9 @@ class LagrangeModel:
     knots: tuple[tuple[float, float], ...]
     weights: tuple[float, ...]
 
-    @cached_property
-    def _ts(self) -> tuple[float, ...]:
-        return tuple(t for t, _ in self.knots)
+    def __post_init__(self) -> None:
+        if not self.knots or len(self.weights) != len(self.knots):
+            raise ValueError("a Lagrange model needs at least one knot and one weight per knot")
 
 
 @dataclass(frozen=True)
@@ -253,43 +257,51 @@ def eval_spline_derivative(model: SplineModel, t: float, order: int) -> float:
     return float(_evaluate(model, t, order))
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # raises WeightOverflow instead
 def fit_lagrange(series: TimeSeries) -> LagrangeModel:
     """Global interpolating polynomial with barycentric weights.
 
-    w_i = 1 / prod_{j != i} (t_i - t_j); a single knot gets weight 1.
-    Useful only for small knot counts: high degrees oscillate wildly
-    between equispaced knots.
+    w_i = 1 / prod_{j != i} (t_i - t_j); a single knot gets weight 1.  The
+    products run over j in knot order, one array operation per knot, with
+    an exact factor of 1.0 at j = i.  Useful only for small knot counts:
+    high degrees oscillate wildly between equispaced knots.
     """
-    ts = series.t
-    n = len(ts)
-    if len(set(ts)) != n:
+    if len(set(series.t)) != len(series.t):
         raise DuplicateKnots("knot times must be pairwise distinct")
-    weights = []
-    for i in range(n):
-        prod = 1.0
-        for j in range(n):
-            if j != i:
-                prod *= ts[i] - ts[j]
-        w = 1.0 / prod
-        if not math.isfinite(w) or w == 0.0:
-            raise WeightOverflow("barycentric weights overflow for this knot layout")
-        weights.append(w)
-    return LagrangeModel(knots=series.knots, weights=tuple(weights))
+    ts = np.array(series.t, dtype=float)
+    index = np.arange(ts.size)
+    prod = np.ones(ts.size)
+    for j in index:
+        prod *= np.where(index == j, 1.0, ts - ts[j])
+    weights = 1.0 / prod
+    if not (np.isfinite(weights) & (weights != 0.0)).all():
+        raise WeightOverflow("barycentric weights overflow for this knot layout")
+    return LagrangeModel(knots=series.knots, weights=tuple(weights.tolist()))
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # inf or nan, as Python floats
+def _barycentric(model: LagrangeModel, t: float | np.ndarray) -> np.ndarray:
+    """The barycentric second form at each of ``t``, summed in knot order.
+
+    A point within KNOT_SNAP_TOL of a knot takes the value of the first
+    such knot.
+    """
+    t = np.asarray(t, dtype=float)
+    num, den = np.zeros(t.shape), np.zeros(t.shape)
+    snapped = np.full(t.shape, -1)
+    for i, ((ti, yi), wi) in enumerate(zip(model.knots, model.weights)):
+        offset = t - ti
+        snapped[(snapped < 0) & (np.abs(offset) <= KNOT_SNAP_TOL)] = i
+        factor = wi / offset
+        num += factor * yi
+        den += factor
+    ys = np.array([y for _, y in model.knots], dtype=float)
+    return np.where(snapped < 0, num / den, ys[snapped])
 
 
 def eval_lagrange(model: LagrangeModel, t: float) -> float:
     """Evaluate the barycentric second form; exact at (snapped) knots."""
-    ts = model._ts
-    for i, ti in enumerate(ts):
-        if abs(t - ti) <= KNOT_SNAP_TOL:
-            return model.knots[i][1]
-    num = 0.0
-    den = 0.0
-    for (ti, yi), wi in zip(model.knots, model.weights):
-        factor = wi / (t - ti)
-        num += factor * yi
-        den += factor
-    return num / den
+    return float(_barycentric(model, t))
 
 
 SplineOrLagrange = Union[SplineModel, LagrangeModel]
@@ -309,11 +321,10 @@ def dense_grid(model: SplineOrLagrange, resolution: int) -> CurveSamples:
     grid = np.linspace(model.knots[0][0], model.knots[-1][0], resolution)
     if isinstance(model, SplineModel):
         source = "smoothing" if model.smoothing > 0 else "spline"
-        values = tuple(_evaluate(model, grid, 0).tolist())
+        values = _evaluate(model, grid, 0)
     else:
-        source = "lagrange"
-        values = tuple(eval_lagrange(model, t) for t in grid.tolist())
-    return CurveSamples(t=tuple(grid.tolist()), y=values, source=source)
+        source, values = "lagrange", _barycentric(model, grid)
+    return CurveSamples(t=tuple(grid.tolist()), y=tuple(values.tolist()), source=source)
 
 
 def spline_extrema(model: SplineModel) -> list[Extremum]:

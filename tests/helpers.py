@@ -5,8 +5,8 @@ dense Gaussian elimination with partial pivoting instead of the banded
 Thomas sweep, normal equations instead of orthogonalization, and the full
 per-segment constraint system instead of the moment form.  The scalar
 spline evaluator, extrema finder and harmonic residuals are the
-per-point and per-segment loops that the vectorised ones replaced, the
-two scalar solvers are the numpy-scalar loops that the list-based ones
+per-point and per-segment loops that the vectorised ones replaced, as are
+the Lagrange weight and barycentric loops, the two scalar solvers are the numpy-scalar loops that the list-based ones
 replaced, and the SVG marks are the per-point ``to_px`` and ``_fmt`` loop
 that one f-string per point replaced: same operations in the same order,
 so their results must match bit for bit.  The CSV body is parsed a record
@@ -22,10 +22,10 @@ from datetime import date
 import numpy as np
 
 from hydrospline import Dataset, DatasetRow, TimeSeries, harmonic_reference
-from hydrospline.errors import MalformedNumber, MalformedRow, ZeroPivot
+from hydrospline.errors import MalformedNumber, MalformedRow, WeightOverflow, ZeroPivot
 from hydrospline.linalg import ZERO_PIVOT_TOL
 from hydrospline.series import parse_date
-from hydrospline.splines import FLAT_CURVATURE_TOL, Extremum
+from hydrospline.splines import FLAT_CURVATURE_TOL, KNOT_SNAP_TOL, Extremum
 from hydrospline.svgplot import MARKER_RADIUS, _fmt, _padded
 
 EPOCH = date(2000, 1, 1)
@@ -236,6 +236,38 @@ def scalar_extrema(model):
             continue
         deduped.append(e)
     return deduped
+
+
+def scalar_lagrange_weights(series):
+    """Barycentric weights of a series with distinct knots, one product at a time."""
+    ts = series.t
+    n = len(ts)
+    weights = []
+    for i in range(n):
+        prod = 1.0
+        for j in range(n):
+            if j != i:
+                prod *= ts[i] - ts[j]
+        w = 1.0 / prod
+        if not math.isfinite(w) or w == 0.0:
+            raise WeightOverflow("barycentric weights overflow for this knot layout")
+        weights.append(w)
+    return tuple(weights)
+
+
+def scalar_lagrange(model, t):
+    """The barycentric second form of a LagrangeModel at one point; exact at (snapped) knots."""
+    ts = tuple(t for t, _ in model.knots)
+    for i, ti in enumerate(ts):
+        if abs(t - ti) <= KNOT_SNAP_TOL:
+            return model.knots[i][1]
+    num = 0.0
+    den = 0.0
+    for (ti, yi), wi in zip(model.knots, model.weights):
+        factor = wi / (t - ti)
+        num += factor * yi
+        den += factor
+    return num / den
 
 
 def scalar_residuals(curve, spec, index_map):

@@ -270,9 +270,18 @@ def test_hand_built_row_of_wrong_width_rejected():
 
 
 def test_dataset_series_rejects_infinite_values():
-    ds = make_dataset((date(2003, 9, 11), (1.0,)), (date(2003, 9, 12), (float("inf"),)))
-    with pytest.raises(ValueError):
-        dataset_series(ds, "OD")
+    # the table rejects the value when it is built, before any series is taken from it
+    with pytest.raises(MalformedNumber, match=r"^row on 9/12/2003, column OD: not finite: inf$"):
+        make_dataset((date(2003, 9, 11), (1.0,)), (date(2003, 9, 12), (float("inf"),)))
+
+
+def test_hand_built_nan_value_rejected():
+    # a parsed table rejects "nan" as not a number, so only a hand-built one gets here; it
+    # used to build, serialize as "9/12/2003,nan" and fail in dataset_series with a bare
+    # ValueError
+    with pytest.raises(MalformedNumber, match=r"^row on 9/12/2003, column pH: not finite: nan$"):
+        make_dataset((date(2003, 9, 11), (1.0, 7.0)), (date(2003, 9, 12), (2.0, float("nan"))),
+                     parameters=("OD", "pH"))
 
 
 # --- the column scans against the row-major reference

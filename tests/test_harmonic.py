@@ -196,102 +196,102 @@ def _harmonic_outputs(curve, spec, imap):
 
 @pytest.fixture()
 def seeded_fit(od_series):
+    """A fit on the fixture's 997-point curve, run with an empty memo."""
     curve = dense_grid(fit_natural_spline(od_series), 997)
     imap = IndexMap.spanning(od_series.t[0], od_series.t[-1])
+    harmonic._signed_powers.cache_clear()
     return curve, imap, fit_amplitude_offset(curve, HarmonicSpec(), imap)
 
 
-@pytest.fixture()
-def powers_calls(monkeypatch):
-    """Grids on which the signed powers are computed, not taken from a fit's seed."""
-    calls = []
-    compute = harmonic._signed_powers
-
-    def counted(spec, index_map, ts):
-        calls.append(ts)
-        return compute(spec, index_map, ts)
-
-    monkeypatch.setattr(harmonic, "_signed_powers", counted)
-    return calls
+def _power_loops():
+    """How many times the signed-power loop has run since the memo was last cleared."""
+    return harmonic._signed_powers.cache_info().misses
 
 
-def test_fitted_spec_hides_its_seed(seeded_fit):
+def test_fitted_spec_is_a_plain_value(seeded_fit):
     _, _, fitted = seeded_fit
-    unseeded = replace(fitted)
-    assert fitted._basis is not None and unseeded._basis is None
-    assert fitted == unseeded and hash(fitted) == hash(unseeded)
-    assert repr(fitted) == repr(unseeded) == (
+    assert vars(fitted).keys() == {"angular_coeff", "exponent", "amplitude", "offset"}
+    assert fitted == replace(fitted) and hash(fitted) == hash(replace(fitted))
+    assert repr(fitted) == (
         f"HarmonicSpec(angular_coeff={fitted.angular_coeff!r}, exponent={fitted.exponent!r}, "
         f"amplitude={fitted.amplitude!r}, offset={fitted.offset!r})"
     )
 
 
-def test_seeded_reference_matches_unseeded_bit_for_bit(seeded_fit, powers_calls):
+def test_seeded_reference_matches_unseeded_bit_for_bit(seeded_fit):
     curve, imap, fitted = seeded_fit
-    expected = _harmonic_outputs(curve, replace(fitted), imap)
-    assert len(powers_calls) == 2
-    assert _harmonic_outputs(curve, fitted, imap) == expected
-    # an equal index map is a hit too; neither call computed the powers again
-    assert _harmonic_outputs(curve, fitted, IndexMap(imap.scale, imap.offset)) == expected
-    assert len(powers_calls) == 2
+    memoized = _harmonic_outputs(curve, fitted, imap)
+    # keys equal by value hit too: a copy of the grid, an equal map, a hand-built spec
+    copy = CurveSamples(t=tuple(list(curve.t)), y=curve.y, source=curve.source)
+    hand_built = HarmonicSpec(amplitude=fitted.amplitude, offset=fitted.offset)
+    assert _harmonic_outputs(copy, hand_built, IndexMap(imap.scale, imap.offset)) == memoized
+    assert _power_loops() == 1  # fit, compare and sample on one grid: the fit's loop only
+    powers = harmonic._signed_powers(fitted.angular_coeff, fitted.exponent, imap, curve.t)
+    with pytest.raises(ValueError):
+        powers[0] = 0.0  # the memo's array is shared, so it is read-only
+    harmonic._signed_powers.cache_clear()
+    assert _harmonic_outputs(curve, fitted, imap) == memoized
+    assert _power_loops() == 1
     rmse, max_abs_dev, argmax_t = scalar_residuals(curve, fitted, imap)
-    assert expected[0] == [rmse.hex(), max_abs_dev.hex(), argmax_t.hex()]
+    assert memoized[0] == [rmse.hex(), max_abs_dev.hex(), argmax_t.hex()]
 
 
-def _stale_seed(fitted, **changes):
-    """``replace`` with the fit's seed carried over, which ``replace`` itself never does."""
-    spec = replace(fitted, **changes)
-    object.__setattr__(spec, "_basis", fitted._basis)
-    return spec
-
-
-@pytest.mark.parametrize(
-    "miss",
-    ["distinct-grid", "other-map", "hand-built", "exponent", "angular-coeff", "stale-exponent",
-     "stale-angular-coeff"],
-)
-def test_seed_misses_compute_the_reference(seeded_fit, powers_calls, miss):
+@pytest.mark.parametrize("miss", ["distinct-grid", "other-map", "exponent", "angular-coeff"])
+def test_seed_misses_compute_the_reference(seeded_fit, miss):
     curve, imap, fitted = seeded_fit
     spec = fitted
     if miss == "distinct-grid":
-        curve = CurveSamples(t=tuple(list(curve.t)), y=curve.y, source=curve.source)
+        curve = CurveSamples(t=tuple(t + 0.5 for t in curve.t), y=curve.y, source=curve.source)
     elif miss == "other-map":
         imap = IndexMap(imap.scale, imap.offset + 1.0)
-    elif miss == "hand-built":
-        spec = HarmonicSpec(amplitude=fitted.amplitude, offset=fitted.offset)
     elif miss == "exponent":
         spec = replace(fitted, exponent=2.5)
-    elif miss == "angular-coeff":
-        spec = replace(fitted, angular_coeff=0.3)
-    elif miss == "stale-exponent":
-        spec = _stale_seed(fitted, exponent=2.5)
     else:
-        spec = _stale_seed(fitted, angular_coeff=0.3)
+        spec = replace(fitted, angular_coeff=0.3)
     result = _harmonic_outputs(curve, spec, imap)
-    assert len(powers_calls) == 2
-    assert result == _harmonic_outputs(curve, replace(spec), imap)
+    assert _power_loops() == 2  # the fit's loop, then one for compare and sample together
     reference = [harmonic_reference(imap.index_at(t), spec) for t in curve.t]
     assert result[2] == [v.hex() for v in reference]
 
 
-def test_seeded_sample_keeps_a_grid_of_other_types(seeded_fit, powers_calls):
-    # integer days are written as floats, as the unseeded conversion writes them
+def test_seeded_sample_keeps_a_grid_of_other_types(seeded_fit):
+    # integer days are written as floats; they key the memo as the equal floats do
     _, imap, _ = seeded_fit
     days = tuple(range(0, 300, 3))
     curve = CurveSamples(t=days, y=tuple(float(d % 7) for d in days), source="spline")
     fitted = fit_amplitude_offset(curve, HarmonicSpec(), imap)
-    seeded, unseeded = sample_harmonic(fitted, imap, days), sample_harmonic(replace(fitted), imap, days)
-    assert repr(seeded) == repr(unseeded)
-    assert all(type(t) is float for t in seeded.t)
+    sampled = sample_harmonic(fitted, imap, days)
+    assert _power_loops() == 2
+    assert all(type(t) is float for t in sampled.t)
+    harmonic._signed_powers.cache_clear()
+    assert repr(sampled) == repr(sample_harmonic(fitted, imap, [float(d) for d in days]))
+
+
+def test_signed_zeros_share_a_memo_entry():
+    # -0.0 == 0.0 as a key, and sin(+-0) + cos(+-0) is 1.0 either way
+    spec = HarmonicSpec(angular_coeff=0.3, exponent=2.5)
+    negative = (-0.0,) + tuple(float(i) for i in range(1, 50))
+    positive = (0.0,) + negative[1:]
+    harmonic._signed_powers.cache_clear()
+    first = sample_harmonic(spec, IndexMap(0.5, -0.0), negative)
+    second = sample_harmonic(spec, IndexMap(0.5, 0.0), positive)
+    assert _power_loops() == 1
+    assert repr(first.t[0]) == "-0.0" and repr(second.t[0]) == "0.0"
+    for grid, offset, samples in ((negative, -0.0, first), (positive, 0.0, second)):
+        reference = [harmonic_reference(IndexMap(0.5, offset).index_at(t), spec) for t in grid]
+        assert [v.hex() for v in samples.y] == [v.hex() for v in reference]
 
 
 @pytest.mark.parametrize("amplitude", [1.7e308, -1.7e308])
-def test_seeded_overflow_is_typed_like_unseeded(seeded_fit, powers_calls, amplitude):
+def test_seeded_overflow_is_typed_like_unseeded(seeded_fit, amplitude):
     # amplitude * power leaves the float range where |power| > 1.06; the least-squares
-    # solver never returns such an amplitude, so the seed is moved by hand
+    # solver never returns such an amplitude, so the spec is moved by hand
     curve, imap, fitted = seeded_fit
+    spec = replace(fitted, amplitude=amplitude)
     outcomes = []
-    for spec in (_stale_seed(fitted, amplitude=amplitude), replace(fitted, amplitude=amplitude)):
+    for clear in (False, True):
+        if clear:
+            harmonic._signed_powers.cache_clear()
         for call in (
             lambda: compare_to_harmonic(curve, spec, imap),
             lambda: sample_harmonic(spec, imap, curve.t),
@@ -301,7 +301,7 @@ def test_seeded_overflow_is_typed_like_unseeded(seeded_fit, powers_calls, amplit
                 with pytest.raises(NumericOverflow) as caught:
                     call()
             outcomes.append(str(caught.value))
-    assert len(powers_calls) == 2  # only the unseeded spec computed the powers
+    assert _power_loops() == 1  # the memo hit before the clear, one loop after it
     assert outcomes[:2] == outcomes[2:]
     assert outcomes[:2] == [
         "harmonic residuals overflow the float range for these values",

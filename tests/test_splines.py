@@ -11,10 +11,13 @@ from helpers import (
     make_series,
     random_knots,
     scalar_extrema,
+    scalar_lagrange,
+    scalar_lagrange_weights,
     scalar_spline,
 )
 from hydrospline import (
     CurveSamples,
+    LagrangeModel,
     SplineModel,
     dense_grid,
     eval_lagrange,
@@ -35,6 +38,7 @@ from hydrospline.errors import (
     WeightOverflow,
 )
 from hydrospline.regression import eval_poly, fit_polynomial, poly_curve
+from hydrospline.splines import _barycentric
 
 
 def junction_mismatch(model):
@@ -297,6 +301,86 @@ def test_equispaced_high_degree_oscillates():
     probe = 0.96
     true_value = 1.0 / (1.0 + 25.0 * probe**2)
     assert abs(eval_lagrange(model, probe) - true_value) > 1.0
+
+
+def _hex(values):
+    return [v.hex() for v in values]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lagrange_matches_scalar_reference(seed):
+    # 2-300 knots, offsets up to +-1e6 and scales 1e-3 to 1e3; probes on the dense grid,
+    # at the knots, 1e-13 either side of them and outside the span; nan matches nan
+    rng = np.random.default_rng(seed)
+    fitted = overflowed = 0
+    for _ in range(15):
+        n = int(rng.integers(2, 301))
+        scale, offset = 10.0 ** rng.uniform(-3.0, 3.0), rng.uniform(-1e6, 1e6)
+        t = offset + scale * np.cumsum(rng.uniform(0.2, 1.0, n))
+        series = make_series(t, rng.uniform(-10.0, 10.0, n))
+        try:
+            expected = scalar_lagrange_weights(series)
+        except (WeightOverflow, ZeroDivisionError):  # the loop divides by a product of 0.0
+            with pytest.raises(WeightOverflow):
+                fit_lagrange(series)
+            overflowed += 1
+            continue
+        model = fit_lagrange(series)
+        assert _hex(model.weights) == _hex(expected)
+        fitted += 1
+        ts, span = list(series.t), series.t[-1] - series.t[0]
+        grid = np.linspace(ts[0], ts[-1], 200).tolist()
+        outside = [ts[0] - span * f for f in (0.01, 0.5, 3.0)]
+        outside += [ts[-1] + span * f for f in (0.01, 0.5, 3.0)]
+        probes = grid + ts + [v + 1e-13 for v in ts] + [v - 1e-13 for v in ts] + outside
+        values = _barycentric(model, np.array(probes)).tolist()
+        assert _hex(values) == _hex(scalar_lagrange(model, p) for p in probes)
+        assert _hex(eval_lagrange(model, p) for p in probes[::37]) == _hex(values[::37])
+        if all(map(math.isfinite, values[:200])):
+            assert _hex(dense_grid(model, 200).y) == _hex(values[:200])
+    assert fitted and overflowed
+
+
+def test_lagrange_snaps_to_the_first_close_knot():
+    series = make_series([0.0, 1e-12, 1.0], [1.0, 2.0, 3.0])
+    model = fit_lagrange(series)
+    for probe in (5e-13, 1e-12, 1.5e-12, 0.5):
+        assert eval_lagrange(model, probe).hex() == scalar_lagrange(model, probe).hex()
+    assert eval_lagrange(model, 5e-13) == 1.0
+
+
+def test_lagrange_weight_underflow_is_typed():
+    # every product for the first knot underflows to 0.0, where the scalar loop divided by zero
+    series = make_series([0.0, 1e-200, 2e-200], [1.0, 2.0, 3.0])
+    with pytest.raises(ZeroDivisionError):
+        scalar_lagrange_weights(series)
+    with pytest.raises(WeightOverflow):
+        fit_lagrange(series)
+
+
+def test_lagrange_far_outside_the_span_is_not_finite():
+    # the factors cancel to a denominator of exactly 0.0: the value is inf, with no warning,
+    # where the scalar loop divided by zero
+    model = fit_lagrange(make_series([0.0, 1.0, 2.0], [0.0, 1.0, 4.0]))
+    with pytest.raises(ZeroDivisionError):
+        scalar_lagrange(model, 1e20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert eval_lagrange(model, 1e20) == math.inf
+
+
+def test_lagrange_model_needs_one_weight_per_knot():
+    # three knots with two weights evaluated a truncated sum
+    with pytest.raises(ValueError, match="one weight per knot"):
+        LagrangeModel(knots=((0.0, 1.0), (1.0, 2.0), (2.0, 0.0)), weights=(0.5, -1.0))
+    with pytest.raises(ValueError, match="at least one knot"):
+        LagrangeModel(knots=(), weights=())
+
+
+def test_spline_model_needs_one_row_per_segment():
+    # three knots with one row made evaluation raise a bare IndexError
+    with pytest.raises(ValueError, match="one coefficient row per segment"):
+        SplineModel(knots=((0.0, 0.0), (1.0, 1.0), (2.0, 0.0)), coefficients=((0.0, 1.0, 0.0, 0.0),))
 
 
 # dense_grid
