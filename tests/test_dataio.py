@@ -276,9 +276,7 @@ def test_dataset_series_rejects_infinite_values():
 
 
 def test_hand_built_nan_value_rejected():
-    # a parsed table rejects "nan" as not a number, so only a hand-built one gets here; it
-    # used to build, serialize as "9/12/2003,nan" and fail in dataset_series with a bare
-    # ValueError
+    # a parsed table rejects "nan" as not a number, so only a hand-built one gets here
     with pytest.raises(MalformedNumber, match=r"^row on 9/12/2003, column pH: not finite: nan$"):
         make_dataset((date(2003, 9, 11), (1.0, 7.0)), (date(2003, 9, 12), (2.0, float("nan"))),
                      parameters=("OD", "pH"))

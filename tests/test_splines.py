@@ -370,7 +370,7 @@ def test_lagrange_far_outside_the_span_is_not_finite():
 
 
 def test_lagrange_model_needs_one_weight_per_knot():
-    # three knots with two weights evaluated a truncated sum
+    # two weights for three knots would evaluate a truncated sum
     with pytest.raises(ValueError, match="one weight per knot"):
         LagrangeModel(knots=((0.0, 1.0), (1.0, 2.0), (2.0, 0.0)), weights=(0.5, -1.0))
     with pytest.raises(ValueError, match="at least one knot"):
@@ -378,7 +378,7 @@ def test_lagrange_model_needs_one_weight_per_knot():
 
 
 def test_spline_model_needs_one_row_per_segment():
-    # three knots with one row made evaluation raise a bare IndexError
+    # one row for three knots would fail in evaluation with a bare IndexError
     with pytest.raises(ValueError, match="one coefficient row per segment"):
         SplineModel(knots=((0.0, 0.0), (1.0, 1.0), (2.0, 0.0)), coefficients=((0.0, 1.0, 0.0, 0.0),))
 
