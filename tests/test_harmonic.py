@@ -236,20 +236,29 @@ def test_seeded_reference_matches_unseeded_bit_for_bit(seeded_fit):
     assert memoized[0] == [rmse.hex(), max_abs_dev.hex(), argmax_t.hex()]
 
 
-@pytest.mark.parametrize("miss", ["distinct-grid", "other-map", "exponent", "angular-coeff"])
+@pytest.mark.parametrize(
+    "miss", ["distinct-grid", "other-map", "hand-built", "exponent", "angular-coeff"]
+)
 def test_seed_misses_compute_the_reference(seeded_fit, miss):
     curve, imap, fitted = seeded_fit
     spec = fitted
+    # the fit's loop, then one for compare and sample together
+    loops = 2
     if miss == "distinct-grid":
         curve = CurveSamples(t=tuple(t + 0.5 for t in curve.t), y=curve.y, source=curve.source)
     elif miss == "other-map":
         imap = IndexMap(imap.scale, imap.offset + 1.0)
+    elif miss == "hand-built":
+        # the memo is keyed by value, so a spec built by hand with the fit's
+        # coefficients reuses the fit's loop instead of missing
+        spec = HarmonicSpec(amplitude=fitted.amplitude, offset=fitted.offset)
+        loops = 1
     elif miss == "exponent":
         spec = replace(fitted, exponent=2.5)
     else:
         spec = replace(fitted, angular_coeff=0.3)
     result = _harmonic_outputs(curve, spec, imap)
-    assert _power_loops() == 2  # the fit's loop, then one for compare and sample together
+    assert _power_loops() == loops
     reference = [harmonic_reference(imap.index_at(t), spec) for t in curve.t]
     assert result[2] == [v.hex() for v in reference]
 
