@@ -281,13 +281,16 @@ def fit_lagrange(series: TimeSeries) -> LagrangeModel:
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # inf or nan, as Python floats
 def _barycentric(model: LagrangeModel, t: float | np.ndarray) -> np.ndarray:
-    """The barycentric second form at each of ``t``, summed in knot order.
+    """The barycentric form at each of ``t``, summed in knot order.
 
-    A point within KNOT_SNAP_TOL of a knot takes the value of the first
-    such knot.
+    Inside the knot span this is the second form ``num / den``.  Outside it,
+    where ``den`` cancels towards 1 / l(t), it is the first form
+    ``l(t) * num`` with ``l(t) = prod (t - t_i)`` (Berrut & Trefethen, SIAM
+    Review 2004).  A point within KNOT_SNAP_TOL of a knot takes the value of
+    the first such knot.
     """
     t = np.asarray(t, dtype=float)
-    num, den = np.zeros(t.shape), np.zeros(t.shape)
+    num, den, ell = np.zeros(t.shape), np.zeros(t.shape), np.ones(t.shape)
     snapped = np.full(t.shape, -1)
     for i, ((ti, yi), wi) in enumerate(zip(model.knots, model.weights)):
         offset = t - ti
@@ -295,12 +298,14 @@ def _barycentric(model: LagrangeModel, t: float | np.ndarray) -> np.ndarray:
         factor = wi / offset
         num += factor * yi
         den += factor
+        ell *= offset
     ys = np.array([y for _, y in model.knots], dtype=float)
-    return np.where(snapped < 0, num / den, ys[snapped])
+    outside = (t < model.knots[0][0]) | (t > model.knots[-1][0])
+    return np.where(snapped < 0, np.where(outside, ell * num, num / den), ys[snapped])
 
 
 def eval_lagrange(model: LagrangeModel, t: float) -> float:
-    """Evaluate the barycentric second form; exact at (snapped) knots."""
+    """Evaluate the barycentric form; exact at (snapped) knots."""
     return float(_barycentric(model, t))
 
 

@@ -2,14 +2,20 @@
 
 The renderer draws one polyline per curve layer and one circle per knot
 marker, mapping data bounds (padded by 5% per side) linearly onto the
-pixel viewport.  All numbers are written with four decimals and elements
-appear in a fixed order, so identical input always yields identical bytes.
+pixel viewport of at most 1e9 by 1e9 pixels.  Every number is written as
+``'%.4f' % v`` writes it, except that a value rounding to zero carries no
+sign; one array writer produces that text from float64 columns, so the
+coordinates never become Python floats.  Elements appear in a fixed order,
+so identical input always yields identical bytes.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from html import escape
+from itertools import accumulate
 from operator import itemgetter
+from typing import Sequence
 
 import numpy as np
 
@@ -18,8 +24,34 @@ from .splines import CurveSamples
 
 MARKER_RADIUS = 3.0
 
-#: points written by one ``%`` call; bounds the tuple of floats it formats
-_CHUNK = 1024
+#: largest plot width or height; it keeps every coordinate times 1e4 below 2**50
+MAX_DIMENSION = 1_000_000_000
+
+#: rows written per block; bounds the writer's temporary arrays
+_BLOCK = 4096
+
+
+def _slots(places) -> np.ndarray:
+    """Four arrays over the digits of 0..9999, from the thousands to the units
+    place, as one uint32 slot of four bytes per number."""
+    table = np.stack(np.broadcast_arrays(*places), axis=-1).reshape(10_000, 4)
+    return table.view(np.uint32).ravel()
+
+
+@cache  # built on the first render, so importing the package does not pay for it
+def _tables() -> tuple[np.ndarray, np.ndarray]:
+    """The slots of each of 0..9999: its four ASCII digits, zero-padded, and
+    its keep-mask as a leading group, which keeps its digits from the first
+    non-zero one."""
+    places = np.ix_(*[np.arange(10, dtype=np.uint8)] * 4)
+    digits = _slots([place + ord("0") for place in places])
+    leading = _slots(list(accumulate((place > 0 for place in places), np.logical_or)))
+    digits.flags.writeable = leading.flags.writeable = False  # shared by every render
+    return digits, leading
+
+
+#: keep-mask slot that keeps only its last byte
+_LAST = np.array([0, 0, 0, 1], bool).view(np.uint32)[0]
 
 
 @dataclass(frozen=True)
@@ -58,13 +90,79 @@ class PlotSpec:
     y_label: str = ""
 
     def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("plot dimensions must be positive")
+        if not (0 < self.width <= MAX_DIMENSION and 0 < self.height <= MAX_DIMENSION):
+            raise ValueError(f"plot dimensions must be positive and at most {MAX_DIMENSION}")
+
+
+def _round4(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(negative, whole, decimals) of each value correctly rounded to four decimals.
+
+    |values| * 1e4 must be below 2**50, where float64 holds every half-integer.
+    Rounding is monotonic, so ``scaled = values * 1e4`` lies on the same side
+    of each half-integer as the exact product unless it equals one, and
+    ``rint(scaled)`` is then the correctly rounded result.  The few values
+    whose ``scaled`` is a half-integer are rounded by ``'%.4f'`` itself.
+    """
+    scaled = values * 1e4
+    rounded = np.rint(scaled)
+    for i in np.flatnonzero(np.abs(scaled - rounded) == 0.5):
+        rounded[i] = int(("%.4f" % values[i]).replace(".", ""))
+    magnitude = np.abs(rounded)
+    whole = np.floor(magnitude / 1e4)
+    return rounded < 0, whole.astype(np.intp), (magnitude - whole * 1e4).astype(np.intp)
+
+
+def _write(columns: Sequence[np.ndarray], glue: Sequence[str]) -> list[str]:
+    """The rows ``c0[i] glue[0] c1[i] glue[1] ...`` over float64 ``columns``, as text
+    blocks whose concatenation leaves out the last row's final glue.
+
+    Each value is written as ``'%.4f' % v`` writes it, except that a value
+    rounding to zero has no sign.  A block is a uint8 matrix of one row per
+    output row, filled through its uint32 view in 4-byte slots: per value
+    ``[_ _ _ -]``, groups of four integer digits, ``[_ _ _ .]`` and the four
+    decimals, then the value's glue padded to whole slots.  A keep-mask,
+    computed from the sign and the digit counts, drops the pad bytes ``_``,
+    the sign of values that are not negative and the leading zeros of the
+    integer part.
+    """
+    digits, leading_digits = _tables()
+    glue = [g.encode() for g in glue]
+    # a column's integer digit groups; the + 1 covers a value that rounds up
+    groups = [(len(str(int(max(c.max(), -c.min())) + 1)) + 3) // 4 for c in columns]
+    chars = keep = b""
+    for g, count in zip(glue, groups):
+        pad = b"\0" * (-len(g) % 4)
+        chars += b"\0\0\0-" + b"0000" * count + b"\0\0\0." + b"0000" + g + pad
+        keep += b"\0\0\0\0" * (count + 1) + b"\0\0\0\1\1\1\1\1" + b"\1" * len(g) + pad
+    n = len(columns[0])
+    text = np.tile(np.frombuffer(chars, np.uint8), (min(n, _BLOCK), 1))
+    mask = np.tile(np.frombuffer(keep, bool), (min(n, _BLOCK), 1))
+    blocks = []
+    for start in range(0, n, _BLOCK):
+        rows = min(n - start, _BLOCK)
+        text32, mask32 = text[:rows].view(np.uint32), mask[:rows].view(np.uint32)
+        slot = 0
+        for column, g, count in zip(columns, glue, groups):
+            negative, part, decimals = _round4(column[start:start + rows])
+            mask32[:, slot] = np.where(negative, _LAST, 0)
+            for group in range(slot + count, slot, -1):  # from the units digit's group up
+                top = group == slot + 1
+                text32[:, group] = digits.take(part if top else part % 10_000)
+                leading = leading_digits.take(part, mode="clip")
+                mask32[:, group] = leading | _LAST if group == slot + count else leading
+                if not top:
+                    part //= 10_000
+            text32[:, slot + count + 2] = digits.take(decimals)
+            slot += count + 3 + (len(g) + 3) // 4
+        data = text[:rows][mask[:rows]]
+        if start + rows == n:
+            data = data[:data.size - len(glue[-1])]
+        blocks.append(data.tobytes().decode())
+    return blocks
 
 
 def _fmt(value: float) -> str:
-    text = f"{value:.4f}"
-    return "0.0000" if text == "-0.0000" else text
+    return _write([np.array([value], float)], [""])[0]
 
 
 def _padded(lo: float, hi: float) -> tuple[float, float]:
@@ -97,20 +195,6 @@ def _bounds(columns) -> tuple[float, float]:
     return lo, hi
 
 
-def _format_pairs(px: np.ndarray, py: np.ndarray, mark: str, sep: str) -> str:
-    """Each (px, py) written into ``mark``, a template with two ``%.4f``, joined by ``sep``.
-
-    ``'%.4f' % v`` is the same text as ``f'{v:.4f}'``; one ``%`` call
-    formats a chunk of up to ``_CHUNK`` points.
-    """
-    pairs = np.column_stack((px, py))
-    chunks = []
-    for start in range(0, len(pairs), _CHUNK):
-        values = tuple(pairs[start:start + _CHUNK].ravel().tolist())
-        chunks.append(sep.join([mark] * (len(values) // 2)) % values)
-    return sep.join(chunks)
-
-
 def render_svg(spec: PlotSpec) -> str:
     """Render a plot spec to SVG 1.1 text.
 
@@ -132,51 +216,54 @@ def render_svg(spec: PlotSpec) -> str:
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{spec.width}" height="{spec.height}" '
-        f'viewBox="0 0 {spec.width} {spec.height}">',
+        f'viewBox="0 0 {spec.width} {spec.height}">\n',
         f'<rect x="0" y="0" width="{spec.width}" height="{spec.height}" '
-        f'fill="white" stroke="black" stroke-width="1"/>',
+        f'fill="white" stroke="black" stroke-width="1"/>\n',
     ]
     if spec.title:
         parts.append(
             f'<text x="{_fmt(w / 2)}" y="16" text-anchor="middle" '
-            f'font-size="14">{escape(spec.title, quote=False)}</text>'
+            f'font-size="14">{escape(spec.title, quote=False)}</text>\n'
         )
     if spec.x_label:
         parts.append(
             f'<text x="{_fmt(w / 2)}" y="{_fmt(h - 4)}" text-anchor="middle" '
-            f'font-size="11">{escape(spec.x_label, quote=False)}</text>'
+            f'font-size="11">{escape(spec.x_label, quote=False)}</text>\n'
         )
     if spec.y_label:
         parts.append(
             f'<text x="12" y="{_fmt(h / 2)}" text-anchor="middle" font-size="11" '
-            f'transform="rotate(-90 12 {_fmt(h / 2)})">{escape(spec.y_label, quote=False)}</text>'
+            f'transform="rotate(-90 12 {_fmt(h / 2)})">{escape(spec.y_label, quote=False)}</text>\n'
         )
-    # x maps to (x - x_lo) / x_span * w and y to h - (y - y_lo) / y_span * h,
-    # the same float operations as on Python floats; a coordinate that rounds
-    # to "-0.0000" is then written "0.0000", as _fmt does
-    for layer, (x, y) in zip(drawable, columns):
-        px = (x - x_lo) / x_span * w
-        py = h - (y - y_lo) / y_span * h
+    # in place, the float operations of (x - x_lo) / x_span * w and
+    # h - (y - y_lo) / y_span * h, so no second copy of the columns is held
+    for layer, (px, py) in zip(drawable, columns):
+        px -= x_lo
+        px /= x_span
+        px *= w
+        py -= y_lo
+        py /= y_span
+        py *= h
+        np.subtract(h, py, out=py)
+        color = escape(layer.color)
         if layer.kind == "curve":
-            coords = _format_pairs(px, py, "%.4f,%.4f", " ")
             parts.append(
-                f'<polyline fill="none" stroke="{layer.color}" stroke-width="1.5" '
-                f'points="{coords.replace("-0.0000", "0.0000")}"/>'
+                f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="'
             )
+            parts += _write((px, py), (",", " "))
+            parts.append('"/>\n')
         else:
-            fill = layer.color.replace("%", "%%")
-            mark = f'<circle cx="%.4f" cy="%.4f" r="{_fmt(MARKER_RADIUS)}" fill="{fill}"/>'
-            circles = _format_pairs(px, py, mark, "\n")
-            parts.append(
-                circles.replace('x="-0.0000"', 'x="0.0000"').replace('y="-0.0000"', 'y="0.0000"')
-            )
+            tail = f'" r="{_fmt(MARKER_RADIUS)}" fill="{color}"/>\n'
+            parts.append('<circle cx="')
+            parts += _write((px, py), ('" cy="', tail + '<circle cx="'))
+            parts.append(tail)
     legend_y = 30
     for layer in spec.layers:
         if layer.label:
             parts.append(
                 f'<text x="8" y="{legend_y}" font-size="11" '
-                f'fill="{layer.color}">{escape(layer.label, quote=False)}</text>'
+                f'fill="{escape(layer.color)}">{escape(layer.label, quote=False)}</text>\n'
             )
             legend_y += 14
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")
+    return "".join(parts)

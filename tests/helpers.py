@@ -7,9 +7,9 @@ per-segment constraint system instead of the moment form.  The scalar
 spline evaluator, extrema finder and harmonic residuals are the
 per-point and per-segment loops that the vectorised ones replaced, as are
 the Lagrange weight and barycentric loops, the two scalar solvers are the numpy-scalar loops that the list-based ones
-replaced, and the SVG marks are the per-point ``to_px`` and ``_fmt`` loop
-that one f-string per point replaced: same operations in the same order,
-so their results must match bit for bit.  The CSV body is parsed a record
+replaced, and the SVG marks are the per-point ``to_px`` loop with Python's
+own ``f"{v:.4f}"``, which the array writer replaced: same operations in
+the same order, so their results must match bit for bit.  The CSV body is parsed a record
 and a cell at a time, as before the column scans, so the first bad cell
 in row order raises with the same error.
 """
@@ -18,6 +18,7 @@ import math
 import re
 from bisect import bisect_right
 from datetime import date
+from html import escape
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from hydrospline.errors import MalformedNumber, MalformedRow, WeightOverflow, Ze
 from hydrospline.linalg import ZERO_PIVOT_TOL
 from hydrospline.series import parse_date
 from hydrospline.splines import FLAT_CURVATURE_TOL, KNOT_SNAP_TOL, Extremum
-from hydrospline.svgplot import MARKER_RADIUS, _fmt, _padded
+from hydrospline.svgplot import MARKER_RADIUS, _padded
 
 EPOCH = date(2000, 1, 1)
 
@@ -270,6 +271,17 @@ def scalar_lagrange(model, t):
     return num / den
 
 
+def scalar_lagrange_first_form(model, t):
+    """The barycentric first form l(t) * sum w_i y_i / (t - t_i) of a LagrangeModel at a
+    point that no knot snaps to, with l(t) the product of the (t - t_i) in knot order."""
+    ell = 1.0
+    num = 0.0
+    for (ti, yi), wi in zip(model.knots, model.weights):
+        ell *= t - ti
+        num += wi / (t - ti) * yi
+    return ell * num
+
+
 def scalar_residuals(curve, spec, index_map):
     """(rmse, max |residual|, earliest t of that maximum) of a curve against the reference."""
     residuals = [
@@ -283,8 +295,14 @@ def scalar_residuals(curve, spec, index_map):
     return rmse, abs(residuals[worst]), curve.t[worst]
 
 
+def scalar_fmt(value):
+    """``value`` with four decimals, as Python writes it, with no sign on a zero."""
+    text = f"{value:.4f}"
+    return "0.0000" if text == "-0.0000" else text
+
+
 def scalar_svg_marks(spec):
-    """The polyline and circle lines of render_svg, mapping one point at a time."""
+    """The polyline and circle lines of render_svg, mapping and formatting one point at a time."""
     drawable = [layer for layer in spec.layers if layer.points]
     xs = [p[0] for layer in drawable for p in layer.points]
     ys = [p[1] for layer in drawable for p in layer.points]
@@ -295,22 +313,22 @@ def scalar_svg_marks(spec):
     def to_px(point):
         px = (point[0] - x_lo) / (x_hi - x_lo) * w
         py = h - (point[1] - y_lo) / (y_hi - y_lo) * h
-        return px, py
+        return scalar_fmt(px), scalar_fmt(py)
 
     lines = []
     for layer in drawable:
+        color = escape(layer.color)
         if layer.kind == "curve":
-            coords = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in map(to_px, layer.points))
+            coords = " ".join(f"{px},{py}" for px, py in map(to_px, layer.points))
             lines.append(
-                f'<polyline fill="none" stroke="{layer.color}" stroke-width="1.5" '
+                f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                 f'points="{coords}"/>'
             )
         else:
-            for point in layer.points:
-                px, py = to_px(point)
+            for px, py in map(to_px, layer.points):
                 lines.append(
-                    f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="{_fmt(MARKER_RADIUS)}" '
-                    f'fill="{layer.color}"/>'
+                    f'<circle cx="{px}" cy="{py}" r="{scalar_fmt(MARKER_RADIUS)}" '
+                    f'fill="{color}"/>'
                 )
     return lines
 

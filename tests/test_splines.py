@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from helpers import (
     random_knots,
     scalar_extrema,
     scalar_lagrange,
+    scalar_lagrange_first_form,
     scalar_lagrange_weights,
     scalar_spline,
 )
@@ -310,7 +312,8 @@ def _hex(values):
 @pytest.mark.parametrize("seed", range(4))
 def test_lagrange_matches_scalar_reference(seed):
     # 2-300 knots, offsets up to +-1e6 and scales 1e-3 to 1e3; probes on the dense grid,
-    # at the knots, 1e-13 either side of them and outside the span; nan matches nan
+    # at the knots and 1e-13 either side of them take the second form, probes outside the
+    # span the first; nan matches nan
     rng = np.random.default_rng(seed)
     fitted = overflowed = 0
     for _ in range(15):
@@ -334,7 +337,9 @@ def test_lagrange_matches_scalar_reference(seed):
         outside += [ts[-1] + span * f for f in (0.01, 0.5, 3.0)]
         probes = grid + ts + [v + 1e-13 for v in ts] + [v - 1e-13 for v in ts] + outside
         values = _barycentric(model, np.array(probes)).tolist()
-        assert _hex(values) == _hex(scalar_lagrange(model, p) for p in probes)
+        inside = len(probes) - len(outside)
+        assert _hex(values[:inside]) == _hex(scalar_lagrange(model, p) for p in probes[:inside])
+        assert _hex(values[inside:]) == _hex(scalar_lagrange_first_form(model, p) for p in outside)
         assert _hex(eval_lagrange(model, p) for p in probes[::37]) == _hex(values[::37])
         if all(map(math.isfinite, values[:200])):
             assert _hex(dense_grid(model, 200).y) == _hex(values[:200])
@@ -358,15 +363,45 @@ def test_lagrange_weight_underflow_is_typed():
         fit_lagrange(series)
 
 
-def test_lagrange_far_outside_the_span_is_not_finite():
-    # the factors cancel to a denominator of exactly 0.0: the value is inf, with no warning,
-    # where the scalar loop divided by zero
+def test_lagrange_far_outside_the_span_is_accurate():
+    # the second form's denominator cancels to exactly 0.0 at 1e20 (inf) and to noise at
+    # 1e10 (1.547e16 where t**2 is 1e20); the first form is within a few ulps of t**2
     model = fit_lagrange(make_series([0.0, 1.0, 2.0], [0.0, 1.0, 4.0]))
-    with pytest.raises(ZeroDivisionError):
-        scalar_lagrange(model, 1e20)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert eval_lagrange(model, 1e20) == math.inf
+    for t in (1e10, 1e20, -1e10, -1e20):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = eval_lagrange(model, t)
+        exact = Fraction(t) ** 2
+        assert abs(Fraction(value) - exact) <= 4 * 2.0**-52 * exact
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lagrange_outside_the_span_matches_exact_polynomial(seed):
+    # 3-11 knots, probes 1e3 to 1e6 spans outside: within 1e-13 of the exact interpolant
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        n = int(rng.integers(3, 12))
+        t = np.cumsum(rng.uniform(0.2, 1.0, n))
+        model = fit_lagrange(make_series(t, rng.uniform(-10.0, 10.0, n)))
+        span = model.knots[-1][0] - model.knots[0][0]
+        for f in (1e3, 1e4, 1e5, 1e6):
+            for probe in (model.knots[0][0] - f * span, model.knots[-1][0] + f * span):
+                exact = _exact_lagrange(model.knots, probe)
+                error = abs(Fraction(eval_lagrange(model, probe)) - exact)
+                assert error <= 1e-13 * abs(exact)
+
+
+def _exact_lagrange(knots, t):
+    """The interpolating polynomial at ``t`` in exact rational arithmetic."""
+    t = Fraction(t)
+    total = Fraction(0)
+    for i, (ti, yi) in enumerate(knots):
+        term = Fraction(yi)
+        for j, (tj, _) in enumerate(knots):
+            if j != i:
+                term *= (t - Fraction(tj)) / (Fraction(ti) - Fraction(tj))
+        total += term
+    return total
 
 
 def test_lagrange_model_needs_one_weight_per_knot():

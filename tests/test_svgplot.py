@@ -1,11 +1,15 @@
 """SVG rendering: structure, determinism, and formatting."""
 
 import re
+import tracemalloc
+from xml.dom import minidom
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import make_series, random_knots, scalar_svg_marks
+from helpers import make_series, random_knots, scalar_fmt, scalar_svg_marks
 from hydrospline import (
     CurveSamples,
     HarmonicSpec,
@@ -21,7 +25,7 @@ from hydrospline import (
     sample_harmonic,
 )
 from hydrospline.errors import EmptyPlot, NumericOverflow
-from hydrospline.svgplot import PlotLayer, _bounds, _fmt
+from hydrospline.svgplot import _BLOCK, MAX_DIMENSION, PlotLayer, _bounds, _fmt, _write
 
 
 @pytest.fixture()
@@ -117,6 +121,33 @@ def test_dimensions_validated():
         PlotSpec(width=0, height=100, layers=())
     with pytest.raises(ValueError):
         PlotSpec(width=100, height=-5, layers=())
+    # the bound keeps every coordinate times 1e4 below 2**50, where the writer is exact
+    for width, height in ((MAX_DIMENSION + 1, 100), (100, MAX_DIMENSION + 1), (float("nan"), 1)):
+        with pytest.raises(ValueError, match="at most 1000000000"):
+            PlotSpec(width=width, height=height, layers=())
+    PlotSpec(width=MAX_DIMENSION, height=MAX_DIMENSION, layers=())
+
+
+@pytest.mark.parametrize(
+    "color",
+    ["a&b", 'red" onload="alert(1)', "<x>'y'</x>", "50%"],
+    ids=["amp", "quote", "tags", "percent"],
+)
+def test_layer_colors_are_escaped_as_attributes(color):
+    flat = CurveSamples(t=(0.0, 1.0), y=(0.0, 1.0), source="spline")
+    spec = PlotSpec(width=100, height=100, layers=(
+        curve_layer(flat, color, label="curve"),
+        marker_layer([(0.0, 1.0), (1.0, 0.0)], color, label="knots"),
+    ))
+    document = minidom.parseString(render_svg(spec))
+    polyline, = document.getElementsByTagName("polyline")
+    circles = document.getElementsByTagName("circle")
+    legend = [e for e in document.getElementsByTagName("text") if e.hasAttribute("fill")]
+    assert polyline.getAttribute("stroke") == color
+    assert [c.getAttribute("fill") for c in circles] == [color, color]
+    assert [e.getAttribute("fill") for e in legend] == [color, color]
+    for element in [polyline, *circles, *legend]:
+        assert not element.hasAttribute("onload")
 
 
 def test_text_is_escaped():
@@ -233,9 +264,10 @@ def _constant_and_extreme_specs():
 
 
 def _chunk_boundary_specs(rng):
-    """Layers around the 1,024-point formatting chunk, and -0.0 pixels on its edges."""
+    """Layers around the writer's block of rows, -0.0 pixels on its edges, and a
+    column with one to three integer digit groups."""
     specs = []
-    for n in (1, 1023, 1024, 1025, 2049):
+    for n in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1):
         points = tuple(zip(np.sort(rng.uniform(-50.0, 50.0, n)).tolist(),
                            rng.uniform(-3.0, 9.0, n).tolist()))
         specs.append(PlotSpec(width=640, height=480, layers=(
@@ -243,12 +275,20 @@ def _chunk_boundary_specs(rng):
             PlotLayer(kind="markers", points=points[::-1], color="%s%%d", label="50%"),
         )))
     # x = -0.0 against a lower bound of 0.0 maps to pixel -0.0, written as 0.0000;
-    # it falls on the last point of a chunk, the first of the next and the last of the layer
-    xs = [0.0, 5e-324] * 1024 + [0.0]
-    for i in (1023, 1024, 2048):
+    # it falls on the last point of a block, the first of the next and the last of the layer
+    xs = [0.0, 5e-324] * _BLOCK + [0.0]
+    for i in (_BLOCK - 1, _BLOCK, 2 * _BLOCK):
         xs[i] = -0.0
     points = tuple(zip(xs, rng.uniform(0.0, 1.0, len(xs)).tolist()))
     specs.append(PlotSpec(width=10, height=10, layers=tuple(
+        PlotLayer(kind=kind, points=points, color="red") for kind in ("curve", "markers")
+    )))
+    # on a 1e9-wide canvas the sorted x pixels have eight integer digits in the first block,
+    # whose leading digit group is all zeros, and nine in the last, shorter one
+    xs = np.concatenate([rng.uniform(0.0, 1e-6, _BLOCK), rng.uniform(1e-5, 1e-2, _BLOCK),
+                         rng.uniform(0.5, 1.0, 7)])
+    points = tuple(zip(np.sort(xs).tolist(), rng.uniform(-1.0, 1.0, xs.size).tolist()))
+    specs.append(PlotSpec(width=MAX_DIMENSION, height=9_999, layers=tuple(
         PlotLayer(kind=kind, points=points, color="red") for kind in ("curve", "markers")
     )))
     return specs
@@ -324,3 +364,64 @@ def test_bounds_resolve_signed_zero_ties_as_min_and_max(columns):
     flat = [v for column in columns for v in column]
     lo, hi = _bounds([np.array(column) for column in columns])
     assert (lo.hex(), hi.hex()) == (min(flat).hex(), max(flat).hex())
+
+
+def _exact_ties(rng, size):
+    """Values m / 2**k, whose product with 1e4 is an exact half-integer for odd m and
+    k = 5, and the floats one ulp either side of them."""
+    k = rng.integers(1, 40, size)
+    ties = rng.integers(-2**45, 2**45, size) / 2.0**k
+    ties = ties[np.abs(ties) < 1e10]
+    return np.concatenate([ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf)])
+
+
+def test_writer_matches_percent_format():
+    rng = np.random.default_rng(12)
+    magnitudes = 10.0 ** rng.uniform(-8.0, 11.0, 300_000) * rng.choice([-1.0, 1.0], 300_000)
+    bound = np.array([MAX_DIMENSION, MAX_DIMENSION * (1 + 1e-9), 1.1e11, -1.1e11])
+    values = np.concatenate([
+        rng.uniform(-5.0, 805.0, 300_000),  # pixels of an 800-wide canvas
+        magnitudes,
+        _exact_ties(rng, 150_000),
+        rng.integers(-2**20, 2**20, 100_000) / 32.0,  # ties at k = 5, all of them
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 0.00005, -0.00005],
+        np.concatenate([np.nextafter(bound, np.inf), bound, np.nextafter(bound, -np.inf)]),
+    ])
+    assert values.size >= 1_000_000
+    text = "".join(_write([values], [" "]))
+    assert text.split(" ") == [scalar_fmt(v) for v in values.tolist()]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(min_value=-MAX_DIMENSION, max_value=MAX_DIMENSION * (1 + 1e-9)),
+            st.floats(min_value=-MAX_DIMENSION, max_value=MAX_DIMENSION * (1 + 1e-9)),
+        ),
+        min_size=1,
+        max_size=50,
+    )
+)
+def test_writer_matches_percent_format_on_coordinates(pairs):
+    x, y = (np.array(column, float) for column in zip(*pairs))
+    text = "".join(_write((x, y), ('" cy="', '"/><circle cx="')))
+    assert text == '"/><circle cx="'.join(
+        f'{scalar_fmt(a)}" cy="{scalar_fmt(b)}' for a, b in pairs
+    )
+
+
+def test_render_memory_is_bounded_by_its_text():
+    # one curve of a million points: the writer's blocks, not the whole layer, are
+    # held as temporaries, so the peak stays within four times the text it returns
+    t = np.linspace(0.0, 3650.0, 1_000_000)
+    y = np.sin(t / 58.0)
+    samples = CurveSamples(t=tuple(t.tolist()), y=tuple(y.tolist()), source="spline")
+    spec = PlotSpec(width=800, height=500, layers=(curve_layer(samples, "blue"),))
+    tracemalloc.start()
+    try:
+        svg = render_svg(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert svg.count(",") == 1_000_000
+    assert peak <= 4 * len(svg)
