@@ -121,11 +121,7 @@ def _reference_values(spec: HarmonicSpec, index_map: IndexMap, ts) -> np.ndarray
 
 def sample_harmonic(spec: HarmonicSpec, index_map: IndexMap, grid) -> CurveSamples:
     """Evaluate the harmonic on a day grid (uniform, as for other curves)."""
-    # a tuple of floats is already the grid that the conversion below makes
-    if type(grid) is not tuple or set(map(type, grid)) != {float}:
-        grid = tuple(np.asarray(grid, dtype=float).tolist())
-    values = _reference_values(spec, index_map, grid)
-    return CurveSamples(t=grid, y=tuple(values.tolist()), source="harmonic")
+    return CurveSamples(t=grid, y=_reference_values(spec, index_map, grid), source="harmonic")
 
 
 def fit_amplitude_offset(
@@ -136,12 +132,10 @@ def fit_amplitude_offset(
     The angular coefficient and exponent are kept; only the affine scaling
     of the unit-amplitude, zero-offset reference is re-estimated.
     """
-    powers = _signed_powers(spec.angular_coeff, spec.exponent, index_map, tuple(curve.t))
+    powers = _signed_powers(spec.angular_coeff, spec.exponent, index_map, curve.t)
     # the unit reference is 0.0 + 1.0 * power, which writes -0.0 as 0.0
     design = np.column_stack([0.0 + powers, np.ones(powers.size)])
-    amplitude, offset = solve_least_squares(
-        LeastSquaresProblem(design, np.asarray(curve.y, dtype=float))
-    )
+    amplitude, offset = solve_least_squares(LeastSquaresProblem(design, curve.values))
     return replace(spec, amplitude=float(amplitude), offset=float(offset))
 
 
@@ -155,7 +149,7 @@ def compare_to_harmonic(
     where that maximum occurs (the earliest grid point on ties).  Raises
     NumericOverflow when the rmse leaves the float range.
     """
-    residuals = np.subtract(curve.y, _reference_values(spec, index_map, curve.t))
+    residuals = curve.values - _reference_values(spec, index_map, curve.t)
     try:
         rmse = math.sqrt(math.fsum((residuals * residuals).tolist()) / residuals.size)
     except OverflowError:  # the sum of squares overflows

@@ -101,8 +101,7 @@ def poly_curve(model: PolyModel, t_start: float, t_end: float, resolution: int) 
     if resolution < 2:
         raise ResolutionTooSmall(f"need at least 2 grid points, got {resolution}")
     grid = np.linspace(t_start, t_end, resolution)
-    values = tuple(eval_poly(model, grid).tolist())
-    return CurveSamples(t=tuple(grid.tolist()), y=values, source="regression")
+    return CurveSamples(t=grid, y=eval_poly(model, grid), source="regression")
 
 
 def trend_report(series: TimeSeries, flat_threshold: float = FLAT_THRESHOLD) -> TrendReport:

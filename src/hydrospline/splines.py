@@ -40,7 +40,8 @@ class SplineModel:
 
     ``knots`` keeps the data the model was fitted to; for a smoothing fit
     the curve passes through fitted values, not through ``knots``.  Outside
-    the knot span the model extends linearly with the boundary slope.
+    the knot span the model extends linearly with the boundary slope.  Any
+    (n-1, 4) ``coefficients`` table is kept as float tuples and read-only arrays.
     """
 
     knots: tuple[tuple[float, float], ...]
@@ -48,16 +49,13 @@ class SplineModel:
     smoothing: float = 0.0
 
     def __post_init__(self) -> None:
-        if len(self.coefficients) != len(self.knots) - 1:
+        times = np.array([t for t, _ in self.knots], dtype=float)
+        table = np.array(self.coefficients, dtype=float)
+        if table.shape != (len(self.knots) - 1, 4):
             raise ValueError("a spline needs one coefficient row per segment between knots")
-
-    @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Knot times and the (n-1, 4) coefficient matrix.
-
-        The fits seed this cache; a hand-built model builds it on first use.
-        """
-        return np.array([t for t, _ in self.knots]), np.array(self.coefficients, dtype=float)
+        times.flags.writeable = table.flags.writeable = False
+        object.__setattr__(self, "coefficients", tuple(map(tuple, table.tolist())))
+        vars(self).update(_times=times, _table=table)
 
 
 @dataclass(frozen=True)
@@ -72,25 +70,51 @@ class LagrangeModel:
             raise ValueError("a Lagrange model needs at least one knot and one weight per knot")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class CurveSamples:
-    """A curve evaluated on a uniform grid, tagged with its source."""
+    """A curve evaluated on a uniform grid, tagged with its source.
 
-    t: tuple[float, ...]
-    y: tuple[float, ...]
+    ``grid`` and ``values`` are read-only float64 arrays, the one stored copy
+    of the curve; ``t`` and ``y`` are tuple views of them, built on first
+    use.  Equality, hashing and ``repr`` go by ``t``, ``y`` and ``source``.
+    """
+
+    grid: np.ndarray
+    values: np.ndarray
     source: str
 
-    def __post_init__(self) -> None:
-        if not self.t or len(self.t) != len(self.y):
+    def __init__(self, t, y, source: str) -> None:
+        grid, values = np.array(t, dtype=float), np.array(y, dtype=float)
+        if grid.ndim != 1 or not grid.size or grid.shape != values.shape:
             raise ValueError("grid and values must be non-empty and equal length")
-        t = np.asarray(self.t, dtype=float)
-        if not (np.isfinite(t).all() and np.isfinite(self.y).all()):
+        if not (np.isfinite(grid).all() and np.isfinite(values).all()):
             raise NumericOverflow("curve values are not finite (float overflow)")
-        steps = np.diff(t)
+        steps = np.diff(grid)
         if steps.size and (
             steps[0] <= 0 or np.abs(steps - steps[0]).max() > 1e-9 * max(1.0, abs(steps[0]))
         ):
             raise ValueError("grid must be strictly increasing with uniform step")
+        grid.flags.writeable = values.flags.writeable = False
+        vars(self).update(grid=grid, values=values, source=source)
+
+    @cached_property
+    def t(self) -> tuple[float, ...]:
+        return tuple(self.grid.tolist())
+
+    @cached_property
+    def y(self) -> tuple[float, ...]:
+        return tuple(self.values.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, CurveSamples):
+            return NotImplemented
+        return (self.t, self.y, self.source) == (other.t, other.y, other.source)
+
+    def __hash__(self) -> int:
+        return hash((self.t, self.y, self.source))
+
+    def __repr__(self) -> str:
+        return f"CurveSamples(t={self.t!r}, y={self.y!r}, source={self.source!r})"
 
 
 class Extremum(NamedTuple):
@@ -124,11 +148,7 @@ def _natural_moments(t: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _model_from_moments(
     series: TimeSeries, t: np.ndarray, values: np.ndarray, moments: np.ndarray, lam: float
 ) -> SplineModel:
-    """The spline through ``values`` at ``t`` with these moments.
-
-    The model's ``_arrays`` cache is seeded with ``t`` and the coefficient
-    matrix its tuples are made from, so evaluation does not rebuild them.
-    """
+    """The spline through ``values`` at ``t`` with these moments."""
     h = np.diff(t)
     a = values[:-1]
     b = (values[1:] - values[:-1]) / h - h * (2.0 * moments[:-1] + moments[1:]) / 6.0
@@ -137,13 +157,7 @@ def _model_from_moments(
     coefficients = np.column_stack((a, b, c, d))
     if not np.isfinite(coefficients).all():
         raise NumericOverflow("spline coefficients overflow the float range for these values")
-    model = SplineModel(
-        knots=series.knots,
-        coefficients=tuple(map(tuple, coefficients.tolist())),
-        smoothing=float(lam),
-    )
-    model.__dict__["_arrays"] = (t, coefficients)
-    return model
+    return SplineModel(knots=series.knots, coefficients=coefficients, smoothing=float(lam))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite fit raises NumericOverflow
@@ -228,7 +242,7 @@ def _evaluate(model: SplineModel, t: float | np.ndarray, order: int) -> np.ndarr
     linearly with the boundary slope, the slope stays constant and the
     curvature is zero.
     """
-    ts, coefficients = model._arrays
+    ts, coefficients = model._times, model._table
     t = np.asarray(t, dtype=float)
     clipped = np.clip(t, ts[0], ts[-1])
     i = np.clip(np.searchsorted(ts, clipped, side="right") - 1, 0, ts.size - 2)
@@ -329,7 +343,7 @@ def dense_grid(model: SplineOrLagrange, resolution: int) -> CurveSamples:
         values = _evaluate(model, grid, 0)
     else:
         source, values = "lagrange", _barycentric(model, grid)
-    return CurveSamples(t=tuple(grid.tolist()), y=tuple(values.tolist()), source=source)
+    return CurveSamples(t=grid, y=values, source=source)
 
 
 def spline_extrema(model: SplineModel) -> list[Extremum]:
@@ -340,7 +354,7 @@ def spline_extrema(model: SplineModel) -> list[Extremum]:
     are counted once.  Points with |f''| <= FLAT_CURVATURE_TOL are treated
     as inflection-flat and dropped; the span endpoints are never reported.
     """
-    ts, coefficients = model._arrays
+    ts, coefficients = model._times, model._table
     # two slots per segment for the ascending real roots of f'(s) = qc + qb s + qa s^2
     segment = np.repeat(np.arange(ts.size - 1), 2)
     upper = np.arange(segment.size) % 2 == 1

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cache
 from html import escape
 from itertools import accumulate
-from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -54,27 +53,32 @@ def _tables() -> tuple[np.ndarray, np.ndarray]:
 _LAST = np.array([0, 0, 0, 1], bool).view(np.uint32)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # an array has no truth value, so layers compare by identity
 class PlotLayer:
-    """Either a connected curve or a set of point markers."""
+    """Either a connected curve or a set of point markers, as a read-only (n, 2) array."""
 
     kind: str  # "curve" | "markers"
-    points: tuple[tuple[float, float], ...]
+    points: np.ndarray
     color: str
     label: str = ""
 
     def __post_init__(self) -> None:
         if self.kind not in ("curve", "markers"):
             raise ValueError(f"layer kind must be curve or markers, got {self.kind!r}")
+        points = np.array(self.points, dtype=float)
+        if points.shape != (0,) and points.shape[1:] != (2,):
+            raise ValueError(f"layer points must be (x, y) pairs, got shape {points.shape}")
+        points = points.reshape(-1, 2)  # only the empty table changes shape
+        points.flags.writeable = False
+        object.__setattr__(self, "points", points)
 
 
 def curve_layer(samples: CurveSamples, color: str, label: str = "") -> PlotLayer:
-    points = tuple(zip(samples.t, samples.y))
+    points = np.column_stack((samples.grid, samples.values))
     return PlotLayer(kind="curve", points=points, color=color, label=label)
 
 
 def marker_layer(points, color: str, label: str = "") -> PlotLayer:
-    points = tuple((float(t), float(y)) for t, y in points)
     return PlotLayer(kind="markers", points=points, color=color, label=label)
 
 
@@ -174,14 +178,11 @@ def _padded(lo: float, hi: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _columns(points) -> tuple[np.ndarray, np.ndarray]:
-    """The x and y columns of a layer's points; NumericOverflow if any is not finite."""
-    n = len(points)
-    x = np.fromiter(map(itemgetter(0), points), float, n)
-    y = np.fromiter(map(itemgetter(1), points), float, n)
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+def _columns(points: np.ndarray) -> np.ndarray:
+    """Writable x and y rows copied from a layer's points; NumericOverflow if any is not finite."""
+    if not np.isfinite(points).all():
         raise NumericOverflow("plot points are not finite")
-    return x, y
+    return np.array(points.T)
 
 
 def _bounds(columns) -> tuple[float, float]:
@@ -202,7 +203,7 @@ def render_svg(spec: PlotSpec) -> str:
     when a point is not finite or a padded data span leaves the float
     range.  Output is byte-identical for identical input.
     """
-    drawable = [layer for layer in spec.layers if layer.points]
+    drawable = [layer for layer in spec.layers if len(layer.points)]
     if not drawable:
         raise EmptyPlot("nothing to draw")
     columns = [_columns(layer.points) for layer in drawable]

@@ -303,7 +303,7 @@ def scalar_fmt(value):
 
 def scalar_svg_marks(spec):
     """The polyline and circle lines of render_svg, mapping and formatting one point at a time."""
-    drawable = [layer for layer in spec.layers if layer.points]
+    drawable = [layer for layer in spec.layers if len(layer.points)]
     xs = [p[0] for layer in drawable for p in layer.points]
     ys = [p[1] for layer in drawable for p in layer.points]
     x_lo, x_hi = _padded(min(xs), max(xs))

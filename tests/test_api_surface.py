@@ -49,6 +49,36 @@ def test_traced_functions_exist():
         assert callable(getattr(module, attr, None)), f"hydrospline.{module_name}.{attr}"
 
 
+def test_traced_run_records_every_target_with_its_counts():
+    # the counters read curve.t and layer.points, so a change to either shows here
+    tracer_module, workloads = _load("tracer"), _load("workloads")
+    station = workloads.StationTable(1, BENCH.parent)
+    dense = workloads.DenseCurve(1, BENCH.parent)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        outputs = [(w, w.op(tracer)) for w in (station, dense)]
+    finally:
+        tracer.uninstall()
+    for workload, output in outputs:
+        assert workload.check(output) == []
+    spans = {}
+    for span in tracer.spans:
+        assert not span.error, span.name
+        spans.setdefault(span.name, []).append(span)
+    assert len(tracer_module.TARGETS) == 19
+    assert sorted(spans) == sorted(name for _, _, name, _ in tracer_module.TARGETS)
+    for _, _, name, counter in tracer_module.TARGETS:
+        for span in spans[name]:
+            if counter is None:
+                assert span.counts == {}, name
+            else:
+                assert span.counts and all(v > 0 for v in span.counts.values()), name
+    grid, knots = workloads.DENSE_GRID, len(dense.series[0].knots)
+    assert {s.counts["points"] for s in spans["splines.dense_grid"]} == {grid}
+    assert spans["svgplot.render_svg"][0].counts["points"] == 2 * grid + knots
+
+
 def test_all_lists_every_public_name_once():
     public = {
         name for name, value in vars(hydrospline).items()

@@ -418,6 +418,29 @@ def test_spline_model_needs_one_row_per_segment():
         SplineModel(knots=((0.0, 0.0), (1.0, 1.0), (2.0, 0.0)), coefficients=((0.0, 1.0, 0.0, 0.0),))
 
 
+@pytest.mark.parametrize(
+    "coefficients",
+    [((0.0, 1.0),), ((0.0, 1.0, 0.0, 0.0, 0.0),), (0.0, 1.0, 0.0, 0.0), ((0.0, 1.0, 0.0), (0.0,))],
+    ids=["two-columns", "five-columns", "flat", "ragged"],
+)
+def test_spline_model_needs_four_coefficients_per_row(coefficients):
+    # a two-column row built, and eval_spline then failed with a bare unpacking error
+    with pytest.raises(ValueError):
+        SplineModel(knots=((0.0, 0.0), (1.0, 1.0)), coefficients=coefficients)
+
+
+def test_spline_model_stores_any_table_as_floats():
+    knots = ((0.0, 0.0), (1.0, 1.0), (2.0, 0.0))
+    rows = [[0, 2, -1, 0], [1, 0, -1, 0]]
+    tables = (np.array(rows), rows, tuple(map(tuple, rows)))
+    models = [SplineModel(knots, table) for table in tables]
+    for model in models:
+        assert model == models[0] and hash(model) == hash(models[0])
+        assert model.coefficients == ((0.0, 2.0, -1.0, 0.0), (1.0, 0.0, -1.0, 0.0))
+        assert {type(v) for row in model.coefficients for v in row} == {float}
+        assert eval_spline(model, 1.5) == 0.75
+
+
 # dense_grid
 
 
@@ -454,6 +477,28 @@ def test_fixture_overshoot_above_9_8(od_series):
 def test_curve_samples_validate_uniformity():
     with pytest.raises(ValueError):
         CurveSamples(t=(0.0, 1.0, 3.0), y=(0.0, 0.0, 0.0), source="spline")
+
+
+def test_curve_samples_hold_read_only_float_arrays():
+    # an int grid and -0.0 values; arrays, lists and tuples give the same curve
+    t, y = [2, 4, 6, 8], [1, -0.0, 2.5, 0]
+    given = np.array(t)
+    curves = [CurveSamples(t=given, y=np.array(y), source="spline")] + [
+        CurveSamples(t=kind(t), y=kind(y), source="spline") for kind in (list, tuple)
+    ]
+    for curve in curves:
+        assert curve == curves[0] and hash(curve) == hash(curves[0])
+        assert repr(curve) == repr(curves[0])
+        assert curve.t == (2.0, 4.0, 6.0, 8.0) and curve.y == (1.0, -0.0, 2.5, 0.0)
+        assert {type(v) for v in curve.t + curve.y} == {float}
+        for array, view in ((curve.grid, curve.t), (curve.values, curve.y)):
+            assert array.dtype == np.float64 and not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 5.0
+            assert [float(v).hex() for v in array] == [v.hex() for v in view]
+    assert curves[0] != CurveSamples(t=t, y=y, source="regression")
+    given[0] = 0  # the curve keeps its own copy
+    assert curves[0].t[0] == 2.0 and given.flags.writeable
 
 
 # extrema
@@ -652,10 +697,9 @@ def test_fitted_arrays_equal_arrays_built_from_the_tuples(od_series):
     for series in (od_series, make_series(*random_knots(rng, 1800, t_span=3600.0))):
         for lam in (0.0, 50.0):
             model = fit_smoothing_spline(series, lam)
-            assert "_arrays" in vars(model)  # seeded by the fit, not rebuilt on first use
             hand_built = SplineModel(model.knots, model.coefficients, model.smoothing)
-            assert "_arrays" not in vars(hand_built)
-            for seeded, built in zip(model._arrays, hand_built._arrays):
+            for seeded, built in zip((model._times, model._table),
+                                     (hand_built._times, hand_built._table)):
                 assert (seeded.dtype, seeded.shape) == (built.dtype, built.shape)
                 assert seeded.tobytes() == built.tobytes()
             assert model == hand_built

@@ -116,6 +116,32 @@ def test_empty_plot_rejected():
         render_svg(spec)
 
 
+@pytest.mark.parametrize(
+    "points",
+    [((1.0, 2.0, 3.0), (4.0, 5.0, 6.0)), ((1.0,),), (1.0, 2.0), ((1.0, 2.0), (3.0,)), ((),)],
+    ids=["2x3", "1x1", "flat", "ragged", "no-coordinates"],
+)
+def test_layer_points_must_be_pairs(points):
+    # the 2x3 table drew two circles from the first two numbers of each point
+    for kind in ("curve", "markers"):
+        with pytest.raises(ValueError):
+            PlotLayer(kind=kind, points=points, color="red")
+
+
+def test_layer_points_are_a_read_only_array():
+    given = np.array([[0, 1], [2, 3]])
+    for layer in (marker_layer(given, "red"), marker_layer([(0, 1), (2, 3)], "red"),
+                  PlotLayer(kind="curve", points=((0.0, 1.0), (2.0, 3.0)), color="red")):
+        assert layer.points.dtype == np.float64 and layer.points.shape == (2, 2)
+        assert layer.points.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+        with pytest.raises(ValueError):
+            layer.points[0, 0] = 5.0
+        assert layer == layer and layer != marker_layer(given, "red")  # compared by identity
+    assert given.flags.writeable
+    for empty in ((), []):
+        assert marker_layer(empty, "grey").points.shape == (0, 2)
+
+
 def test_dimensions_validated():
     with pytest.raises(ValueError):
         PlotSpec(width=0, height=100, layers=())
@@ -316,7 +342,7 @@ def test_marks_match_scalar_reference(od_series, case):
         assert len(marks) == sum(
             1 if layer.kind == "curve" else len(layer.points)
             for layer in spec.layers
-            if layer.points
+            if len(layer.points)
         )
 
 
