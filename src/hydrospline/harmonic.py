@@ -56,7 +56,10 @@ class IndexMap:
         if span <= 0:
             raise ValueError("index map needs a positive span")
         scale = units / span
-        return cls(scale=scale, offset=-scale * t_start)
+        offset = -scale * t_start
+        if not (math.isfinite(scale) and math.isfinite(offset)):
+            raise NumericOverflow("index map scale or offset leaves the float range")
+        return cls(scale=scale, offset=offset)
 
 
 class HarmonicResiduals(NamedTuple):

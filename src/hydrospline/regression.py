@@ -66,8 +66,7 @@ def fit_polynomial(series: TimeSeries, degree: int) -> PolyModel:
     n = len(series.knots)
     if n < degree + 1:
         raise InsufficientData(f"degree {degree} needs {degree + 1} knots, have {n}")
-    t = np.asarray(series.t, dtype=float)
-    y = np.asarray(series.y, dtype=float)
+    t, y = series.times, series.values
     t_mid = (t[0] + t[-1]) / 2.0
     half_span = (t[-1] - t[0]) / 2.0
     t_scale = half_span if half_span > 0 else 1.0
@@ -130,20 +129,14 @@ def trend_report(series: TimeSeries, flat_threshold: float = FLAT_THRESHOLD) -> 
 def matched_pairs(a: TimeSeries, b: TimeSeries) -> list[tuple[float, float, float]]:
     """Value pairs whose knots fall on the same calendar day.
 
-    Keys are day ordinals (epoch ordinal plus day offset), so two series
-    with different epochs still match on the actual date.  Returns
-    (ordinal, y_a, y_b) triples in date order, which is the order of
-    ``b.knots``: their times are strictly increasing.
+    Days are day ordinals (epoch ordinal plus day offset), so series with
+    different epochs match on the date.  Returns (ordinal, y_a, y_b) in
+    ``b.knots`` order; a's knots that round to one ordinal pair by the last.
     """
-    base_a = float(a.epoch.toordinal())
-    base_b = float(b.epoch.toordinal())
-    by_day = {base_a + t: y for t, y in a.knots}
-    pairs = []
-    for t, y in b.knots:
-        day = base_b + t
-        if day in by_day:
-            pairs.append((day, by_day[day], y))
-    return pairs
+    days_a, days_b = a.epoch.toordinal() + a.times, b.epoch.toordinal() + b.times
+    ia = np.searchsorted(days_a, days_b, side="right") - 1  # a's last day at or before b's
+    hit = days_a[ia] == days_b  # an index of -1 reads a's latest day, which is after b's
+    return list(zip(days_b[hit].tolist(), a.values[ia[hit]].tolist(), b.values[hit].tolist()))
 
 
 def pearson(a: TimeSeries, b: TimeSeries) -> float:

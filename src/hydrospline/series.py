@@ -6,11 +6,12 @@ from a table's column.
 """
 
 import math
-import operator
 import re
 from dataclasses import dataclass
 from datetime import date, timedelta
 from functools import cached_property
+
+import numpy as np
 
 from .errors import InvalidDate, MalformedDate
 
@@ -61,7 +62,8 @@ class TimeSeries:
     """Strictly increasing (t, y) knots for one station and parameter.
 
     ``t`` counts days since ``epoch`` (the calendar date mapped to t = 0).
-    Values are immutable after construction and safe to share.
+    Values are immutable after construction and safe to share.  ``times`` and
+    ``values`` are the knots as read-only float64 arrays; ``t`` and ``y`` are tuples of them.
     """
 
     station: str
@@ -72,19 +74,22 @@ class TimeSeries:
     def __post_init__(self) -> None:
         if not self.knots:
             raise ValueError("a series needs at least one knot")
-        ts, ys = self.t, self.y  # computed here once, for the checks and for every reader
-        if not (all(map(math.isfinite, ts)) and all(map(math.isfinite, ys))):
+        times = np.array([t for t, _ in self.knots], dtype=float)
+        values = np.array([y for _, y in self.knots], dtype=float)
+        if not (np.isfinite(times).all() and np.isfinite(values).all()):
             raise ValueError("knots must be finite")
-        if any(map(operator.le, ts[1:], ts)):
+        if (times[1:] <= times[:-1]).any():
             raise ValueError("knot times must be strictly increasing")
+        times.flags.writeable = values.flags.writeable = False
+        vars(self).update(times=times, values=values)
 
     @cached_property
     def t(self) -> tuple[float, ...]:
-        return tuple(t for t, _ in self.knots)
+        return tuple(self.times.tolist())
 
     @cached_property
     def y(self) -> tuple[float, ...]:
-        return tuple(y for _, y in self.knots)
+        return tuple(self.values.tolist())
 
     @property
     def span_days(self) -> float:

@@ -146,10 +146,10 @@ def _natural_moments(t: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _model_from_moments(
-    series: TimeSeries, t: np.ndarray, values: np.ndarray, moments: np.ndarray, lam: float
+    series: TimeSeries, values: np.ndarray, moments: np.ndarray, lam: float
 ) -> SplineModel:
-    """The spline through ``values`` at ``t`` with these moments."""
-    h = np.diff(t)
+    """The spline through ``values`` at the series' times with these moments."""
+    h = np.diff(series.times)
     a = values[:-1]
     b = (values[1:] - values[:-1]) / h - h * (2.0 * moments[:-1] + moments[1:]) / 6.0
     c = moments[:-1] / 2.0
@@ -170,9 +170,8 @@ def fit_natural_spline(series: TimeSeries) -> SplineModel:
     """
     if len(series.knots) < 2:
         raise TooFewKnots("an interpolating spline needs at least 2 knots")
-    t = np.asarray(series.t, dtype=float)
-    y = np.asarray(series.y, dtype=float)
-    return _model_from_moments(series, t, y, _natural_moments(t, y), 0.0)
+    t, y = series.times, series.values
+    return _model_from_moments(series, y, _natural_moments(t, y), 0.0)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -189,15 +188,14 @@ def fit_smoothing_spline(series: TimeSeries, lam: float) -> SplineModel:
     values y - lam Q gamma, where R is the moment matrix above and Q^T the
     divided second-difference operator.
     """
-    if lam < 0:
+    if not lam >= 0:
         raise NegativeLambda(f"smoothing weight must be >= 0, got {lam}")
     n = len(series.knots)
     if lam == 0:
         return fit_natural_spline(series)
     if n < 3:
         raise TooFewKnots("a smoothing spline with lam > 0 needs at least 3 knots")
-    t = np.asarray(series.t, dtype=float)
-    y = np.asarray(series.y, dtype=float)
+    t, y = series.times, series.values
     h = np.diff(t)
     ih = 1.0 / h
     m = n - 2
@@ -222,7 +220,7 @@ def fit_smoothing_spline(series: TimeSeries, lam: float) -> SplineModel:
     fitted = y - lam * q_gamma
     moments = np.zeros(n)
     moments[1:-1] = gamma
-    return _model_from_moments(series, t, fitted, moments, lam)
+    return _model_from_moments(series, fitted, moments, lam)
 
 
 def _cubic(rows: np.ndarray, s: np.ndarray, order: int) -> np.ndarray:

@@ -7,8 +7,9 @@ per-segment constraint system instead of the moment form.  The scalar
 spline evaluator, extrema finder and harmonic residuals are the
 per-point and per-segment loops that the vectorised ones replaced, as are
 the Lagrange weight and barycentric loops, the two scalar solvers are the numpy-scalar loops that the list-based ones
-replaced, and the SVG marks are the per-point ``to_px`` loop with Python's
-own ``f"{v:.4f}"``, which the array writer replaced: same operations in
+replaced, the date pairing is the day-dictionary loop that the sorted
+search replaced, and the SVG marks are the per-point ``to_px`` loop
+with Python's own ``f"{v:.4f}"``, which the array writer replaced: same operations in
 the same order, so their results must match bit for bit.  The CSV body is parsed a record
 and a cell at a time, as before the column scans, so the first bad cell
 in row order raises with the same error.
@@ -35,6 +36,19 @@ EPOCH = date(2000, 1, 1)
 def make_series(t, y, station="site-a", parameter="y") -> TimeSeries:
     knots = tuple((float(a), float(b)) for a, b in zip(t, y))
     return TimeSeries(station=station, parameter=parameter, knots=knots, epoch=EPOCH)
+
+
+def scalar_matched_pairs(a, b):
+    """(day ordinal, y_a, y_b) triples on the days two series share, via a dict of a's days."""
+    base_a = float(a.epoch.toordinal())
+    base_b = float(b.epoch.toordinal())
+    by_day = {base_a + t: y for t, y in a.knots}
+    pairs = []
+    for t, y in b.knots:
+        day = base_b + t
+        if day in by_day:
+            pairs.append((day, by_day[day], y))
+    return pairs
 
 
 def make_dataset(*rows, parameters=("OD",)) -> Dataset:

@@ -95,6 +95,10 @@ def test_index_map_spanning():
     assert imap.index_at(154.0) == pytest.approx(96.0, abs=1e-12)
     with pytest.raises(ValueError):
         IndexMap.spanning(5.0, 5.0)
+    # 192 / 1e-320 overflows to inf; an infinite start leaves a nan offset
+    for t_start, t_end in ((0.0, 1e-320), (-math.inf, 0.0)):
+        with pytest.raises(NumericOverflow):
+            IndexMap.spanning(t_start, t_end)
 
 
 def test_self_comparison_has_zero_residual(spec):

@@ -1,12 +1,14 @@
 """Polynomial trend fitting and Pearson correlation."""
 
 import math
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
-from helpers import make_series, normal_equations_solve, random_knots
+from helpers import make_series, normal_equations_solve, random_knots, scalar_matched_pairs
 from hydrospline import (
+    TimeSeries,
     eval_poly,
     fit_polynomial,
     matched_pairs,
@@ -170,6 +172,54 @@ def test_pairs_use_calendar_dates_not_offsets():
     assert len(pairs) == 2
     assert pairs[0][1:] == (1.0, 9.0)
     assert pairs[1][1:] == (2.0, 7.0)
+
+
+def _day_series(rng, days, epoch, step=1.0):
+    """A series with knots on the given day offsets (times ``step`` each) and random values."""
+    knots = tuple((d * step, float(v)) for d, v in zip(days, rng.normal(5.0, 3.0, len(days))))
+    return TimeSeries(station="s", parameter="p", knots=knots, epoch=epoch)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_matched_pairs_match_scalar_loop(seed):
+    rng = np.random.default_rng(seed)
+    epoch = date(2003, 9, 11)
+
+    def sampled(lo, hi, n):
+        return sorted(rng.choice(np.arange(lo, hi), size=n, replace=False).tolist())
+
+    shift = int(rng.integers(-40, 40))
+    later = epoch + timedelta(days=shift)
+    cases = [
+        # different epochs, partial overlap
+        (_day_series(rng, sampled(0, 300, 120), epoch),
+         _day_series(rng, sampled(100, 400, 150), later)),
+        # tenth-of-a-day steps, so matching rests on rounded sums
+        (_day_series(rng, sampled(0, 600, 200), epoch, 0.1),
+         _day_series(rng, sampled(0, 600, 200), later, 0.1)),
+        # no overlap: the empty result
+        (_day_series(rng, sampled(0, 100, 30), epoch),
+         _day_series(rng, sampled(0, 100, 30), epoch + timedelta(days=500))),
+    ]
+    a = cases[0][0]
+    cases += [
+        (a, _day_series(rng, [a.t[7]], epoch)),  # one knot, on a date a has
+        (_day_series(rng, [1000], epoch), a),  # one knot, on no date a has
+        # 0.1 and 0.1 + 1e-11 round to one day ordinal
+        (_day_series(rng, [0.1, 0.1 + 1e-11, 3.0], epoch), _day_series(rng, [0.1, 3.0], epoch)),
+    ]
+    for a, b in cases:
+        for x, y in ((a, b), (b, a)):
+            pairs = matched_pairs(x, y)
+            assert all(type(v) is float for pair in pairs for v in pair)
+            hexed = [tuple(map(float.hex, pair)) for pair in pairs]
+            assert hexed == [tuple(map(float.hex, pair)) for pair in scalar_matched_pairs(x, y)]
+    assert matched_pairs(*cases[2]) == []
+    assert len(matched_pairs(*cases[3])) == 1
+    assert matched_pairs(*cases[4]) == []
+    close, b = cases[5]  # the later of close's two knots on one day is paired, as by a dict
+    assert [p[1:] for p in matched_pairs(close, b)] == [(close.y[1], b.y[0]), (close.y[2], b.y[1])]
+    assert len(matched_pairs(b, close)) == 3
 
 
 def test_perfect_and_inverse_correlation():

@@ -1,7 +1,9 @@
 """Series construction from a table's column and the M/D/YYYY date axis."""
 
+import dataclasses
 from datetime import date
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -126,6 +128,37 @@ def test_series_axes_are_built_once(od_series):
     assert od_series.y is od_series.y
     assert od_series.t == tuple(t for t, _ in od_series.knots)
     assert od_series.y == tuple(y for _, y in od_series.knots)
+
+
+def test_series_arrays_are_read_only_float64_knots(od_series):
+    hand_built = TimeSeries(station="s", parameter="y", knots=((0, 4), (3, -2), (10, 7)),
+                            epoch=date(2000, 1, 1))
+    replaced = dataclasses.replace(od_series, knots=((1.5, 2.0), (4.0, -1.25)))
+    for series in (od_series, hand_built, replaced):
+        for array, axis, column in ((series.times, series.t, 0), (series.values, series.y, 1)):
+            assert array.dtype == np.float64 and array.ndim == 1
+            assert not array.flags.writeable
+            assert array.tobytes() == np.array(axis).tobytes()
+            assert array.tobytes() == np.array([k[column] for k in series.knots], float).tobytes()
+    assert replaced.t == (1.5, 4.0) and replaced.y == (2.0, -1.25)
+    with pytest.raises(ValueError):
+        od_series.times[0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "knots,message",
+    [
+        ((), "a series needs at least one knot"),
+        (((0.0, 1.0), (1.0, float("nan"))), "knots must be finite"),
+        (((float("-inf"), 1.0),), "knots must be finite"),
+        (((0.0, 1.0), (2.0, 2.0), (2.0, 3.0)), "knot times must be strictly increasing"),
+        (((3.0, 1.0), (1.0, 2.0)), "knot times must be strictly increasing"),
+    ],
+)
+def test_series_constructor_messages(knots, message):
+    with pytest.raises(ValueError) as info:
+        TimeSeries(station="s", parameter="y", knots=knots, epoch=date(2000, 1, 1))
+    assert str(info.value) == message
 
 
 def test_calendar_date_truncates_fractions(od_series):

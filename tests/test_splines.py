@@ -161,6 +161,8 @@ def test_lambda_zero_equals_interpolating_fit(od_series):
 def test_negative_lambda_rejected(od_series):
     with pytest.raises(NegativeLambda):
         fit_smoothing_spline(od_series, -0.5)
+    with pytest.raises(NegativeLambda, match="got nan"):
+        fit_smoothing_spline(od_series, math.nan)
 
 
 def test_smoothing_needs_three_knots():
