@@ -151,13 +151,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--angular-coeff",
         type=_positive,
         default=DEFAULT_ANGULAR_COEFF,
-        help="radians per index unit (default 0.1308996939)",
+        help=f"radians per index unit (default {DEFAULT_ANGULAR_COEFF:.10f})",
     )
     harmonic.add_argument(
         "--exponent",
         type=_positive,
         default=DEFAULT_EXPONENT,
-        help="signed-power exponent (default 1.3333333333)",
+        help=f"signed-power exponent (default {DEFAULT_EXPONENT:.10f})",
     )
     harmonic.set_defaults(run=_cmd_harmonic)
 
@@ -272,10 +272,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.run(args, _load(args))
-    except HydrosplineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (HydrosplineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -53,10 +53,6 @@ class UnsupportedOrder(HydrosplineError):
     """Derivative order outside the supported set {1, 2}."""
 
 
-class DuplicateKnots(HydrosplineError):
-    """Two knots share the same abscissa."""
-
-
 class WeightOverflow(HydrosplineError):
     """Barycentric weights overflow or underflow for this knot layout."""
 

@@ -17,8 +17,11 @@ from .errors import NumericOverflow
 from .linalg import LeastSquaresProblem, solve_least_squares
 from .splines import CurveSamples
 
+#: IndexMap.spanning maps a series' span onto [0, INDEX_UNITS]
+INDEX_UNITS = 192.0
+
 #: default angular coefficient: one cycle every 48 index units
-DEFAULT_ANGULAR_COEFF = 8.0 * math.pi / 192.0
+DEFAULT_ANGULAR_COEFF = 8.0 * math.pi / INDEX_UNITS
 
 DEFAULT_EXPONENT = 4.0 / 3.0
 
@@ -50,14 +53,14 @@ class IndexMap:
         return self.scale * t + self.offset
 
     @classmethod
-    def spanning(cls, t_start: float, t_end: float, units: float = 192.0) -> "IndexMap":
-        """Map [t_start, t_end] onto [0, units] (default 192 index units)."""
+    def spanning(cls, t_start: float, t_end: float) -> "IndexMap":
+        """Map [t_start, t_end] onto [0, INDEX_UNITS]."""
         span = t_end - t_start
         if span <= 0:
             raise ValueError("index map needs a positive span")
-        scale = units / span
+        scale = INDEX_UNITS / span
         offset = -scale * t_start
-        if not (math.isfinite(scale) and math.isfinite(offset)):
+        if not (0.0 < scale < math.inf and math.isfinite(offset)):
             raise NumericOverflow("index map scale or offset leaves the float range")
         return cls(scale=scale, offset=offset)
 

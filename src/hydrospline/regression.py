@@ -35,12 +35,10 @@ FLAT_THRESHOLD = 0.01
 class PolyModel:
     """Polynomial sum c_j u^j over the normalized axis u = (t - t_mid) / t_scale."""
 
-    degree: int
     coefficients: tuple[float, ...]
     t_mid: float
     t_scale: float
     rmse: float
-    n_obs: int
 
 
 @dataclass(frozen=True)
@@ -76,14 +74,7 @@ def fit_polynomial(series: TimeSeries, degree: int) -> PolyModel:
     with np.errstate(over="ignore", invalid="ignore"):
         residuals = y - design @ coeffs
         rmse = math.sqrt(float(residuals @ residuals) / n)
-    return PolyModel(
-        degree=degree,
-        coefficients=tuple(float(c) for c in coeffs),
-        t_mid=float(t_mid),
-        t_scale=float(t_scale),
-        rmse=rmse,
-        n_obs=n,
-    )
+    return PolyModel(tuple(coeffs.tolist()), t_mid=float(t_mid), t_scale=float(t_scale), rmse=rmse)
 
 
 def eval_poly(model: PolyModel, t: float) -> float:
@@ -103,10 +94,10 @@ def poly_curve(model: PolyModel, t_start: float, t_end: float, resolution: int) 
     return CurveSamples(t=grid, y=eval_poly(model, grid), source="regression")
 
 
-def trend_report(series: TimeSeries, flat_threshold: float = FLAT_THRESHOLD) -> TrendReport:
+def trend_report(series: TimeSeries) -> TrendReport:
     """Degree-1 fit summarized as slope, total change over the span, direction.
 
-    ``direction`` is "flat" when |total_change| < flat_threshold, otherwise
+    ``direction`` is "flat" when |total_change| < FLAT_THRESHOLD, otherwise
     "down" or "up" by the sign of the slope.
     """
     if len(series.knots) < 2:
@@ -115,7 +106,7 @@ def trend_report(series: TimeSeries, flat_threshold: float = FLAT_THRESHOLD) -> 
     slope = model.coefficients[1] / model.t_scale
     span_days = series.span_days
     total_change = slope * span_days
-    if abs(total_change) < flat_threshold:
+    if abs(total_change) < FLAT_THRESHOLD:
         direction = "flat"
     elif slope < 0:
         direction = "down"

@@ -16,7 +16,6 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .errors import (
-    DuplicateKnots,
     NegativeLambda,
     NumericOverflow,
     ResolutionTooSmall,
@@ -53,6 +52,8 @@ class SplineModel:
         table = np.array(self.coefficients, dtype=float)
         if table.shape != (len(self.knots) - 1, 4):
             raise ValueError("a spline needs one coefficient row per segment between knots")
+        if not np.isfinite(times).all() or (times[1:] <= times[:-1]).any():
+            raise ValueError("knot times must be finite and strictly increasing")
         times.flags.writeable = table.flags.writeable = False
         object.__setattr__(self, "coefficients", tuple(map(tuple, table.tolist())))
         vars(self).update(_times=times, _table=table)
@@ -68,6 +69,9 @@ class LagrangeModel:
     def __post_init__(self) -> None:
         if not self.knots or len(self.weights) != len(self.knots):
             raise ValueError("a Lagrange model needs at least one knot and one weight per knot")
+        times = np.array([t for t, _ in self.knots], dtype=float)
+        if not np.isfinite(times).all() or (times[1:] <= times[:-1]).any():
+            raise ValueError("knot times must be finite and strictly increasing")
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
@@ -278,9 +282,7 @@ def fit_lagrange(series: TimeSeries) -> LagrangeModel:
     an exact factor of 1.0 at j = i.  Useful only for small knot counts:
     high degrees oscillate wildly between equispaced knots.
     """
-    if len(set(series.t)) != len(series.t):
-        raise DuplicateKnots("knot times must be pairwise distinct")
-    ts = np.array(series.t, dtype=float)
+    ts = series.times
     index = np.arange(ts.size)
     prod = np.ones(ts.size)
     for j in index:

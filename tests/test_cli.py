@@ -243,6 +243,19 @@ def test_non_finite_flag_is_usage_error(capsys, argv, value):
     assert err.endswith(f"{argv[-1]}: not a finite number: {value!r}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["interp", "--out", "x.csv", "--lambda", "abc"], "--lambda: not a number: 'abc'"),
+     (["harmonic", "--angular-coeff", "0"], "--angular-coeff: must be positive")],
+    ids=["not-a-number", "not-positive"],
+)
+def test_unreadable_flag_number_is_usage_error(capsys, argv, message):
+    command, *flags = argv
+    code, out, err = run(capsys, command, "--fixture", "gropeni", "--param", "OD", *flags)
+    assert (code, out) == (1, "")
+    assert err.endswith(f"argument {message}\n") and "Traceback" not in err
+
+
 def test_negative_lambda_is_usage_error(capsys):
     code, _, _ = run(
         capsys, "interp", "--fixture", "gropeni", "--param", "OD",

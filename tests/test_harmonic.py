@@ -95,8 +95,9 @@ def test_index_map_spanning():
     assert imap.index_at(154.0) == pytest.approx(96.0, abs=1e-12)
     with pytest.raises(ValueError):
         IndexMap.spanning(5.0, 5.0)
-    # 192 / 1e-320 overflows to inf; an infinite start leaves a nan offset
-    for t_start, t_end in ((0.0, 1e-320), (-math.inf, 0.0)):
+    # 192 / 1e-320 overflows to inf; an infinite start leaves a nan offset; a span
+    # that overflows to inf gives scale 0, which mapped every day to index 0
+    for t_start, t_end in ((0.0, 1e-320), (-math.inf, 0.0), (-1e308, 1e308)):
         with pytest.raises(NumericOverflow):
             IndexMap.spanning(t_start, t_end)
 
@@ -151,9 +152,10 @@ def test_residual_argmax_reports_earliest_tie(spec):
     assert result.argmax_t == 0.0
 
 
-@pytest.mark.parametrize("big", [1e200, 1.5e154], ids=["squares", "sum"])
+@pytest.mark.parametrize("big", [1e200, 1.5e154, 1e154], ids=["squares", "sum", "fsum"])
 def test_overflowing_residuals_are_typed(spec, big):
-    # 1e200 overflows each square; 1.5e154 squares stay finite but their sum does not
+    # squares of 1e200 and of 1.5e154 (2.25e308) overflow one by one; squares of
+    # 1e154 stay finite, but their fsum raises OverflowError
     grid = tuple(float(i) for i in range(1000))
     curve = CurveSamples(t=grid, y=tuple(big * (-1) ** i for i in range(1000)), source="spline")
     with pytest.raises(NumericOverflow):

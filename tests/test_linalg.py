@@ -90,6 +90,19 @@ def test_dimension_validation():
         TridiagonalSystem(lower=[1.0], diag=[1.0], upper=[], rhs=[1.0])
     with pytest.raises(ValueError):
         LeastSquaresProblem(design=np.ones((2, 3)), targets=[1.0, 2.0])
+    one, two = [1.0], [1.0, 1.0]
+    for build, message in (
+        (lambda: TridiagonalSystem(lower=[one], diag=two, upper=one, rhs=two), "lower must be"),
+        (lambda: TridiagonalSystem(lower=[], diag=[], upper=[], rhs=[]), "at least one unknown"),
+        (lambda: TridiagonalSystem(lower=one, diag=two, upper=one, rhs=one), "rhs must have"),
+        (lambda: LeastSquaresProblem(design=two, targets=two), "design must be two-"),
+        (lambda: LeastSquaresProblem(design=np.ones((3, 2)), targets=two), "targets length"),
+        (lambda: LeastSquaresProblem(design=[[1.0, np.nan], two], targets=two), "be finite"),
+        (lambda: solve_banded_spd(np.ones(3), [1.0] * 3), "bands must be two-"),
+        (lambda: solve_banded_spd(np.ones((2, 3)), two), "rhs length must match band columns"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 def test_least_squares_exact_fit():

@@ -31,7 +31,6 @@ from hydrospline import (
     spline_extrema,
 )
 from hydrospline.errors import (
-    DuplicateKnots,
     NegativeLambda,
     NumericOverflow,
     ResolutionTooSmall,
@@ -260,15 +259,6 @@ def test_lagrange_knot_short_circuit():
         assert eval_lagrange(model, t + 1e-13) == y
 
 
-def test_lagrange_duplicate_knots_rejected():
-    class Degenerate:
-        t = (0.0, 0.0, 1.0)
-        knots = ((0.0, 1.0), (0.0, 2.0), (1.0, 3.0))
-
-    with pytest.raises(DuplicateKnots):
-        fit_lagrange(Degenerate())
-
-
 def test_lagrange_weight_overflow_is_typed():
     # 400 daily knots: prod_{j != i} (t_i - t_j) overflows to inf
     days = [float(d) for d in range(400)]
@@ -406,18 +396,30 @@ def _exact_lagrange(knots, t):
     return total
 
 
+#: knot times a hand-built model must reject: unsorted, repeated, not finite
+UNORDERED_TIMES = ((2.0, 1.0, 3.0), (0.0, 0.0, 1.0), (0.0, math.nan, 2.0), (0.0, 1.0, math.inf))
+
+
 def test_lagrange_model_needs_one_weight_per_knot():
     # two weights for three knots would evaluate a truncated sum
     with pytest.raises(ValueError, match="one weight per knot"):
         LagrangeModel(knots=((0.0, 1.0), (1.0, 2.0), (2.0, 0.0)), weights=(0.5, -1.0))
     with pytest.raises(ValueError, match="at least one knot"):
         LagrangeModel(knots=(), weights=())
+    for times in UNORDERED_TIMES:
+        with pytest.raises(ValueError, match="knot times must be finite and strictly increasing"):
+            LagrangeModel(knots=tuple(zip(times, (0.0, 1.0, 0.0))), weights=(0.5, -1.0, 0.5))
 
 
 def test_spline_model_needs_one_row_per_segment():
     # one row for three knots would fail in evaluation with a bare IndexError
     with pytest.raises(ValueError, match="one coefficient row per segment"):
         SplineModel(knots=((0.0, 0.0), (1.0, 1.0), (2.0, 0.0)), coefficients=((0.0, 1.0, 0.0, 0.0),))
+    # unsorted knots evaluated 0.5 at t = 1.5 and gridded from 2.0 to 3.0 only
+    for times in UNORDERED_TIMES:
+        with pytest.raises(ValueError, match="knot times must be finite and strictly increasing"):
+            SplineModel(knots=tuple(zip(times, (0.0, 1.0, 0.0))),
+                        coefficients=((0.0, 1.0, 0.0, 0.0), (1.0, -1.0, 0.0, 0.0)))
 
 
 @pytest.mark.parametrize(
@@ -463,6 +465,8 @@ def test_dense_grid_resolution_too_small(od_series):
     model = fit_natural_spline(od_series)
     with pytest.raises(ResolutionTooSmall):
         dense_grid(model, 1)
+    with pytest.raises(ResolutionTooSmall):
+        poly_curve(fit_polynomial(od_series, 1), od_series.t[0], od_series.t[-1], 1)
 
 
 def test_dense_grid_sources(od_series):
@@ -479,6 +483,8 @@ def test_fixture_overshoot_above_9_8(od_series):
 def test_curve_samples_validate_uniformity():
     with pytest.raises(ValueError):
         CurveSamples(t=(0.0, 1.0, 3.0), y=(0.0, 0.0, 0.0), source="spline")
+    with pytest.raises(ValueError, match="equal length"):
+        CurveSamples(t=(0.0, 1.0, 2.0), y=(0.0, 0.0), source="spline")
 
 
 def test_curve_samples_hold_read_only_float_arrays():

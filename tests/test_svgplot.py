@@ -126,6 +126,8 @@ def test_layer_points_must_be_pairs(points):
     for kind in ("curve", "markers"):
         with pytest.raises(ValueError):
             PlotLayer(kind=kind, points=points, color="red")
+    with pytest.raises(ValueError, match="layer kind must be curve or markers"):
+        PlotLayer(kind="bars", points=((1.0, 2.0),), color="red")
 
 
 def test_layer_points_are_a_read_only_array():
