@@ -49,9 +49,6 @@ class IndexMap:
     scale: float
     offset: float = 0.0
 
-    def index_at(self, t: float) -> float:
-        return self.scale * t + self.offset
-
     @classmethod
     def spanning(cls, t_start: float, t_end: float) -> "IndexMap":
         """Map [t_start, t_end] onto [0, INDEX_UNITS]."""
@@ -71,26 +68,15 @@ class HarmonicResiduals(NamedTuple):
     argmax_t: float
 
 
-def signed_pow(u: float, p: float) -> float:
-    """sign(u) * |u| ** p: odd in u, real for negative bases, exact zero at zero."""
-    return math.copysign(abs(u) ** p, u)
-
-
-def harmonic_reference(k: float, spec: HarmonicSpec) -> float:
-    """Reference value at sample index k."""
-    base = math.sin(spec.angular_coeff * k) + math.cos(spec.angular_coeff * k)
-    return spec.offset + spec.amplitude * signed_pow(base, spec.exponent)
-
-
 @lru_cache(maxsize=1)
 def _signed_powers(
     angular_coeff: float, exponent: float, index_map: IndexMap, ts: tuple
 ) -> np.ndarray:
-    """copysign(|u| ** p, u), u = sin(w k) + cos(w k), at each day offset of ``ts``.
+    """copysign(|u| ** p, u), u = sin(w k) + cos(w k), k = scale * t + offset, at each day
+    offset of ``ts``.
 
-    The loop is ``signed_pow`` of ``harmonic_reference``'s base at
-    ``index_map.index_at(t)``, inlined over bound locals: the same float
-    operations in the same order, so the same bits.  The last result is
+    One loop over bound locals with ``math`` per point, as numpy's vectorised
+    sin, cos and ``**`` round differently from libm.  The last result is
     memoized by value, so fitting, comparing and sampling on one grid compute
     the powers once; keys that compare equal (-0.0 and 0.0, an int and its
     float) give the same bits.  Raises NumericOverflow when the signed power
@@ -117,10 +103,8 @@ def _signed_powers(
 
 @np.errstate(over="ignore", invalid="ignore")  # as Python floats do: inf or nan, no warning
 def _reference_values(spec: HarmonicSpec, index_map: IndexMap, ts) -> np.ndarray:
-    """``harmonic_reference(index_map.index_at(t), spec)`` at each day offset of ``ts``.
-
-    Bit for bit the scalar formula.
-    """
+    """offset + amplitude * copysign(|u| ** p, u) at each day offset of ``ts``, with the
+    signed powers of :func:`_signed_powers`."""
     powers = _signed_powers(spec.angular_coeff, spec.exponent, index_map, tuple(ts))
     return spec.offset + spec.amplitude * powers
 

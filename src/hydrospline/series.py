@@ -57,8 +57,31 @@ def format_date(d: date) -> str:
     return f"{d.month}/{d.day}/{d.year}"
 
 
+class _Value:
+    """Equality, hashing and ``repr`` by the constructor arguments named in ``_fields``,
+    whose values copies and pickles pass back to the constructor."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(map("{}={!r}".format, self._fields, self._values()))
+        return f"{type(self).__qualname__}({args})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
 @dataclass(frozen=True)
-class TimeSeries:
+class TimeSeries(_Value):
     """Strictly increasing (t, y) knots for one station and parameter.
 
     ``t`` counts days since ``epoch`` (the calendar date mapped to t = 0).
@@ -70,6 +93,7 @@ class TimeSeries:
     parameter: str
     knots: tuple[tuple[float, float], ...]
     epoch: date
+    _fields = ("station", "parameter", "knots", "epoch")
 
     def __post_init__(self) -> None:
         if not self.knots:

@@ -24,7 +24,7 @@ from .errors import (
     WeightOverflow,
 )
 from .linalg import TridiagonalSystem, solve_banded_spd, solve_tridiagonal
-from .series import TimeSeries
+from .series import TimeSeries, _Value
 
 #: stationary points with |f''| at or below this are treated as flat and dropped
 FLAT_CURVATURE_TOL = 1e-10
@@ -33,30 +33,36 @@ FLAT_CURVATURE_TOL = 1e-10
 KNOT_SNAP_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SplineModel:
+@dataclass(frozen=True, init=False, eq=False, repr=False)
+class SplineModel(_Value):
     """Piecewise cubic f(t) = a + b s + c s^2 + d s^3, s = t - t_i per segment.
 
     ``knots`` keeps the data the model was fitted to; for a smoothing fit
     the curve passes through fitted values, not through ``knots``.  Outside
     the knot span the model extends linearly with the boundary slope.  Any
-    (n-1, 4) ``coefficients`` table is kept as float tuples and read-only arrays.
+    finite (n-1, 4) coefficient table is stored once, as a read-only float64
+    array; ``coefficients`` is a tuple view of it, built on first use.
     """
 
     knots: tuple[tuple[float, float], ...]
-    coefficients: tuple[tuple[float, float, float, float], ...]
-    smoothing: float = 0.0
+    smoothing: float
+    _fields = ("knots", "coefficients", "smoothing")
 
-    def __post_init__(self) -> None:
-        times = np.array([t for t, _ in self.knots], dtype=float)
-        table = np.array(self.coefficients, dtype=float)
-        if table.shape != (len(self.knots) - 1, 4):
+    def __init__(self, knots, coefficients, smoothing: float = 0.0) -> None:
+        times = np.array([t for t, _ in knots], dtype=float)
+        table = np.array(coefficients, dtype=float)
+        if table.shape != (len(knots) - 1, 4):
             raise ValueError("a spline needs one coefficient row per segment between knots")
         if not np.isfinite(times).all() or (times[1:] <= times[:-1]).any():
             raise ValueError("knot times must be finite and strictly increasing")
+        if not np.isfinite(table).all():
+            raise NumericOverflow("spline coefficients overflow the float range for these values")
         times.flags.writeable = table.flags.writeable = False
-        object.__setattr__(self, "coefficients", tuple(map(tuple, table.tolist())))
-        vars(self).update(_times=times, _table=table)
+        vars(self).update(knots=knots, smoothing=smoothing, _times=times, _table=table)
+
+    @cached_property
+    def coefficients(self) -> tuple[tuple[float, float, float, float], ...]:
+        return tuple(map(tuple, self._table.tolist()))
 
 
 @dataclass(frozen=True)
@@ -72,10 +78,15 @@ class LagrangeModel:
         times = np.array([t for t, _ in self.knots], dtype=float)
         if not np.isfinite(times).all() or (times[1:] <= times[:-1]).any():
             raise ValueError("knot times must be finite and strictly increasing")
+        if not np.isfinite([y for _, y in self.knots]).all():
+            raise ValueError("knot values must be finite")
+        weights = np.array(self.weights, dtype=float)
+        if not (np.isfinite(weights) & (weights != 0.0)).all():
+            raise WeightOverflow("barycentric weights overflow for this knot layout")
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
-class CurveSamples:
+class CurveSamples(_Value):
     """A curve evaluated on a uniform grid, tagged with its source.
 
     ``grid`` and ``values`` are read-only float64 arrays, the one stored copy
@@ -86,6 +97,7 @@ class CurveSamples:
     grid: np.ndarray
     values: np.ndarray
     source: str
+    _fields = ("t", "y", "source")
 
     def __init__(self, t, y, source: str) -> None:
         grid, values = np.array(t, dtype=float), np.array(y, dtype=float)
@@ -108,17 +120,6 @@ class CurveSamples:
     @cached_property
     def y(self) -> tuple[float, ...]:
         return tuple(self.values.tolist())
-
-    def __eq__(self, other):
-        if not isinstance(other, CurveSamples):
-            return NotImplemented
-        return (self.t, self.y, self.source) == (other.t, other.y, other.source)
-
-    def __hash__(self) -> int:
-        return hash((self.t, self.y, self.source))
-
-    def __repr__(self) -> str:
-        return f"CurveSamples(t={self.t!r}, y={self.y!r}, source={self.source!r})"
 
 
 class Extremum(NamedTuple):
@@ -158,10 +159,7 @@ def _model_from_moments(
     b = (values[1:] - values[:-1]) / h - h * (2.0 * moments[:-1] + moments[1:]) / 6.0
     c = moments[:-1] / 2.0
     d = (moments[1:] - moments[:-1]) / (6.0 * h)
-    coefficients = np.column_stack((a, b, c, d))
-    if not np.isfinite(coefficients).all():
-        raise NumericOverflow("spline coefficients overflow the float range for these values")
-    return SplineModel(knots=series.knots, coefficients=coefficients, smoothing=float(lam))
+    return SplineModel(series.knots, np.column_stack((a, b, c, d)), float(lam))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite fit raises NumericOverflow
@@ -287,10 +285,7 @@ def fit_lagrange(series: TimeSeries) -> LagrangeModel:
     prod = np.ones(ts.size)
     for j in index:
         prod *= np.where(index == j, 1.0, ts - ts[j])
-    weights = 1.0 / prod
-    if not (np.isfinite(weights) & (weights != 0.0)).all():
-        raise WeightOverflow("barycentric weights overflow for this knot layout")
-    return LagrangeModel(knots=series.knots, weights=tuple(weights.tolist()))
+    return LagrangeModel(knots=series.knots, weights=tuple((1.0 / prod).tolist()))
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # inf or nan, as Python floats

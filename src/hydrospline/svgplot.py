@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyPlot, NumericOverflow
+from .series import _Value
 from .splines import CurveSamples
 
 MARKER_RADIUS = 3.0
@@ -53,14 +54,16 @@ def _tables() -> tuple[np.ndarray, np.ndarray]:
 _LAST = np.array([0, 0, 0, 1], bool).view(np.uint32)[0]
 
 
-@dataclass(frozen=True, eq=False)  # an array has no truth value, so layers compare by identity
-class PlotLayer:
+@dataclass(frozen=True, eq=False)
+class PlotLayer(_Value):
     """Either a connected curve or a set of point markers, as a read-only (n, 2) array."""
 
     kind: str  # "curve" | "markers"
     points: np.ndarray
     color: str
     label: str = ""
+    _fields = ("kind", "points", "color", "label")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # arrays have no truth value: by identity
 
     def __post_init__(self) -> None:
         if self.kind not in ("curve", "markers"):

@@ -6,13 +6,16 @@ Thomas sweep, normal equations instead of orthogonalization, and the full
 per-segment constraint system instead of the moment form.  The scalar
 spline evaluator, extrema finder and harmonic residuals are the
 per-point and per-segment loops that the vectorised ones replaced, as are
-the Lagrange weight and barycentric loops, the two scalar solvers are the numpy-scalar loops that the list-based ones
-replaced, the date pairing is the day-dictionary loop that the sorted
-search replaced, and the SVG marks are the per-point ``to_px`` loop
-with Python's own ``f"{v:.4f}"``, which the array writer replaced: same operations in
-the same order, so their results must match bit for bit.  The CSV body is parsed a record
-and a cell at a time, as before the column scans, so the first bad cell
-in row order raises with the same error.
+the Lagrange weight and barycentric loops; the scalar harmonic reference
+is the per-point formula that the signed-power loop inlines; the two
+scalar solvers are the numpy-scalar loops that the list-based ones
+replaced; the date pairing is the day-dictionary loop that the sorted
+search replaced; and the SVG marks are the per-point ``to_px`` loop with
+Python's own ``f"{v:.4f}"``, which the array writer replaced: same
+operations in the same order, so their results must match bit for bit.
+The CSV body is parsed a record and a cell at a time, as before the
+column scans, so the first bad cell in row order raises with the same
+error.
 """
 
 import math
@@ -23,7 +26,7 @@ from html import escape
 
 import numpy as np
 
-from hydrospline import Dataset, DatasetRow, TimeSeries, harmonic_reference
+from hydrospline import Dataset, DatasetRow, TimeSeries
 from hydrospline.errors import MalformedNumber, MalformedRow, WeightOverflow, ZeroPivot
 from hydrospline.linalg import ZERO_PIVOT_TOL
 from hydrospline.series import parse_date
@@ -296,10 +299,26 @@ def scalar_lagrange_first_form(model, t):
     return ell * num
 
 
+def signed_pow(u, p):
+    """sign(u) * |u| ** p: odd in u, real for negative bases, exact zero at zero."""
+    return math.copysign(abs(u) ** p, u)
+
+
+def harmonic_reference(k, spec):
+    """The harmonic reference of ``spec`` at sample index k."""
+    base = math.sin(spec.angular_coeff * k) + math.cos(spec.angular_coeff * k)
+    return spec.offset + spec.amplitude * signed_pow(base, spec.exponent)
+
+
+def index_at(index_map, t):
+    """The sample index k = scale * t + offset of an IndexMap at day offset t."""
+    return index_map.scale * t + index_map.offset
+
+
 def scalar_residuals(curve, spec, index_map):
     """(rmse, max |residual|, earliest t of that maximum) of a curve against the reference."""
     residuals = [
-        y - harmonic_reference(index_map.index_at(t), spec) for t, y in zip(curve.t, curve.y)
+        y - harmonic_reference(index_at(index_map, t), spec) for t, y in zip(curve.t, curve.y)
     ]
     rmse = math.sqrt(math.fsum(r * r for r in residuals) / len(residuals))
     worst = 0

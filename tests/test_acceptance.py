@@ -14,6 +14,7 @@ import numpy as np
 from helpers import (
     dense_spline_coefficients,
     gauss_solve,
+    harmonic_reference,
     make_series,
     normal_equations_solve,
     random_knots,
@@ -33,7 +34,6 @@ from hydrospline import (
     fit_polynomial,
     fit_smoothing_spline,
     gropeni_dataset,
-    harmonic_reference,
     matched_pairs,
     parse_csv,
     pearson,

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import make_series, random_knots, scalar_residuals
+from helpers import (
+    harmonic_reference,
+    index_at,
+    make_series,
+    random_knots,
+    scalar_residuals,
+    signed_pow,
+)
 from hydrospline import (
     CurveSamples,
     HarmonicSpec,
@@ -18,9 +25,7 @@ from hydrospline import (
     dense_grid,
     fit_amplitude_offset,
     fit_natural_spline,
-    harmonic_reference,
     sample_harmonic,
-    signed_pow,
 )
 from hydrospline import harmonic
 from hydrospline.errors import NumericOverflow
@@ -90,9 +95,9 @@ def test_spec_rejects_nonpositive_parameters():
 
 def test_index_map_spanning():
     imap = IndexMap.spanning(0.0, 308.0)
-    assert imap.index_at(0.0) == 0.0
-    assert imap.index_at(308.0) == pytest.approx(192.0, abs=1e-12)
-    assert imap.index_at(154.0) == pytest.approx(96.0, abs=1e-12)
+    assert index_at(imap, 0.0) == 0.0
+    assert index_at(imap, 308.0) == pytest.approx(192.0, abs=1e-12)
+    assert index_at(imap, 154.0) == pytest.approx(96.0, abs=1e-12)
     with pytest.raises(ValueError):
         IndexMap.spanning(5.0, 5.0)
     # 192 / 1e-320 overflows to inf; an infinite start leaves a nan offset; a span
@@ -187,7 +192,7 @@ def test_reference_values_match_scalar_reference_bit_for_bit(
         index_map = IndexMap.spanning(t_first, t_last)
         # the grid, the span's ends and points past them
         ts = np.linspace(t_first, t_last, 10_007).tolist() + [t_first - 90.5, t_last + 1e3]
-        expected = [harmonic_reference(index_map.index_at(t), spec) for t in ts]
+        expected = [harmonic_reference(index_at(index_map, t), spec) for t in ts]
         assert [v.hex() for v in _reference_values(spec, index_map, ts)] == [
             v.hex() for v in expected
         ]
@@ -265,7 +270,7 @@ def test_seed_misses_compute_the_reference(seeded_fit, miss):
         spec = replace(fitted, angular_coeff=0.3)
     result = _harmonic_outputs(curve, spec, imap)
     assert _power_loops() == loops
-    reference = [harmonic_reference(imap.index_at(t), spec) for t in curve.t]
+    reference = [harmonic_reference(index_at(imap, t), spec) for t in curve.t]
     assert result[2] == [v.hex() for v in reference]
 
 
@@ -293,7 +298,7 @@ def test_signed_zeros_share_a_memo_entry():
     assert _power_loops() == 1
     assert repr(first.t[0]) == "-0.0" and repr(second.t[0]) == "0.0"
     for grid, offset, samples in ((negative, -0.0, first), (positive, 0.0, second)):
-        reference = [harmonic_reference(IndexMap(0.5, offset).index_at(t), spec) for t in grid]
+        reference = [harmonic_reference(index_at(IndexMap(0.5, offset), t), spec) for t in grid]
         assert [v.hex() for v in samples.y] == [v.hex() for v in reference]
 
 

@@ -1,6 +1,8 @@
 """Spline and Lagrange model behavior against independent oracles."""
 
+import copy
 import math
+import pickle
 import warnings
 from fractions import Fraction
 
@@ -21,6 +23,7 @@ from hydrospline import (
     CurveSamples,
     LagrangeModel,
     SplineModel,
+    curve_layer,
     dense_grid,
     eval_lagrange,
     eval_spline,
@@ -409,6 +412,12 @@ def test_lagrange_model_needs_one_weight_per_knot():
     for times in UNORDERED_TIMES:
         with pytest.raises(ValueError, match="knot times must be finite and strictly increasing"):
             LagrangeModel(knots=tuple(zip(times, (0.0, 1.0, 0.0))), weights=(0.5, -1.0, 0.5))
+    # a nan value or an inf weight evaluated nan; a zero weight dropped its knot from the sums
+    with pytest.raises(ValueError, match="knot values must be finite"):
+        LagrangeModel(knots=((0.0, 1.0), (1.0, math.nan), (2.0, 0.0)), weights=(0.5, -1.0, 0.5))
+    for weights in ((0.5, math.inf, 0.5), (0.5, 0.0, 0.5)):
+        with pytest.raises(WeightOverflow, match="barycentric weights overflow for this knot layout"):
+            LagrangeModel(knots=((0.0, 1.0), (1.0, 2.0), (2.0, 0.0)), weights=weights)
 
 
 def test_spline_model_needs_one_row_per_segment():
@@ -674,14 +683,21 @@ def test_coefficients_are_tuples_of_python_floats(od_series):
 
 
 @pytest.mark.parametrize(
-    "big, lam", [(1e308, 0.0), (1e300, 1e308), (1e308, 50.0)], ids=["natural", "lam", "smooth"]
+    "big, lam, row",
+    [(1e308, 0.0, None), (1e300, 1e308, None), (1e308, 50.0, None),
+     (1.0, 0.0, (math.nan, 1.0, 0.0, 0.0)), (1.0, 0.0, (0.0, 1.0, math.inf, 0.0))],
+    ids=["natural", "lam", "smooth", "nan-row", "inf-row"],
 )
-def test_non_finite_fit_is_typed_and_silent(big, lam):
+def test_non_finite_fit_is_typed_and_silent(big, lam, row):
+    # a hand-built nan or inf row evaluated nan and found no extrema
     series = make_series([0.0, 1.0, 2.0, 3.0], [big, -big, big, -big])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericOverflow):
-            fit_smoothing_spline(series, lam)
+            if row is None:
+                fit_smoothing_spline(series, lam)
+            else:
+                SplineModel(series.knots, (row,) * 3)
 
 
 def test_overflowing_curve_is_typed():
@@ -712,3 +728,39 @@ def test_fitted_arrays_equal_arrays_built_from_the_tuples(od_series):
                 assert seeded.tobytes() == built.tobytes()
             assert model == hand_built
             assert repr(model) == repr(hand_built)
+            # the table is the one stored copy; the tuples are built when first read
+            model = fit_smoothing_spline(series, lam)
+            assert "coefficients" not in vars(model)
+            assert hash(model) == hash((model.knots, model.coefficients, model.smoothing))
+            assert repr(model) == (f"SplineModel(knots={model.knots!r}, "
+                                   f"coefficients={model.coefficients!r}, "
+                                   f"smoothing={model.smoothing!r})")
+
+
+def _value_types(od_series):
+    model = fit_natural_spline(od_series)
+    curve = dense_grid(model, 50)
+    return {"series": od_series, "model": model, "curve": curve,
+            "layer": curve_layer(curve, "red", "spline")}
+
+
+def _arrays(value):
+    return [a for a in vars(value).values() if isinstance(a, np.ndarray)]
+
+
+@pytest.mark.parametrize("kind", ["series", "model", "curve", "layer"])
+@pytest.mark.parametrize(
+    "duplicate",
+    [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copies_are_equal_with_read_only_arrays(od_series, kind, duplicate):
+    # a deep copy or a pickle round trip gave writeable arrays
+    value = _value_types(od_series)[kind]
+    duplicated = duplicate(value)
+    if kind == "layer":
+        assert (duplicated.kind, duplicated.color, duplicated.label) == ("curve", "red", "spline")
+        assert duplicated.points.tobytes() == value.points.tobytes()
+    else:
+        assert duplicated == value
+    assert _arrays(duplicated) and not any(a.flags.writeable for a in _arrays(duplicated))
