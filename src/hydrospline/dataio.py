@@ -12,8 +12,12 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import date
-from operator import attrgetter, itemgetter
+from functools import cached_property
+from itertools import compress, repeat
+from operator import itemgetter
 from pathlib import Path
+
+import numpy as np
 
 from .errors import (
     DuplicateTimestamp,
@@ -27,15 +31,22 @@ from .errors import (
     UndecodableFile,
     UnknownParameter,
 )
-from .series import TimeSeries, format_date, parse_date
+from .series import _DATE_RE, TimeSeries, _Value, format_date, parse_date
 
 GROPENI_STATION = "Dunare-Gropeni"
 
 _MISSING_MARKERS = {"*", "-"}
 
+# a character that no number or missing marker in ASCII holds; over the others,
+# float() takes exactly the numbers that _NON_CELL_LINE_RE lets through
+_NON_CELL_CHAR_RE = re.compile(r"[^0-9.eE+\-*\n]")
+
 # a line of a "\n"-joined column that is neither a number nor a missing marker
 _NON_CELL_LINE_RE = re.compile(r"^(?!(?:[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?|[*-])$)",
                                re.M)
+
+# the M/D/YYYY fields of each line of a "\n"-joined date column
+_DATE_LINE_RE = re.compile(_DATE_RE.pattern, re.M)
 
 _Bad = tuple[int, HydrosplineError]  # a column's first bad cell: its index and its error
 
@@ -49,55 +60,93 @@ class DatasetRow:
 
 
 @dataclass(frozen=True)
-class Dataset:
-    """A monitoring table, its rows sorted by date when built (a stable sort).  A row
-    of the wrong width raises MalformedRow, a nan or infinite value MalformedNumber,
-    two rows on one date DuplicateTimestamp."""
+class Dataset(_Value):
+    """A monitoring table held as columns: ``dates``, and in ``columns`` one tuple
+    of values (a float, or None where the cell is absent) per parameter.  It is
+    sorted by date when built (a stable sort); ``ordinals`` holds the sorted
+    dates' day ordinals as a read-only int64 array.  A column count or length
+    that does not match raises MalformedRow, a nan or infinite value
+    MalformedNumber, two rows on one date DuplicateTimestamp.  ``rows`` is the
+    table a row at a time, built on first use."""
 
     station: str
     parameters: tuple[str, ...]
-    rows: tuple[DatasetRow, ...]
+    dates: tuple[date, ...]
+    columns: tuple[tuple[float | None, ...], ...]
     source: str
+    _fields = ("station", "parameters", "dates", "columns", "source")
 
     def __post_init__(self) -> None:
-        rows = tuple(sorted(self.rows, key=attrgetter("date")))
-        width = len(self.parameters)
-        for row in rows:
-            if len(row.values) != width:
-                when, got = format_date(row.date), len(row.values)
-                raise MalformedRow(f"row on {when}: expected {width} values, got {got}")
-            for value in row.values:
-                if value is not None and not math.isfinite(value):
-                    # the first non-finite cell; index finds a nan by identity
-                    when, code = format_date(row.date), self.parameters[row.values.index(value)]
-                    raise MalformedNumber(f"row on {when}, column {code}: not finite: {value!r}")
-        for a, b in zip(rows, rows[1:]):
-            if a.date == b.date:
-                raise DuplicateTimestamp(f"two rows on {format_date(a.date)}")
-        object.__setattr__(self, "rows", rows)
+        dates, columns, n = self.dates, tuple(self.columns), len(self.dates)
+        if len(columns) != len(self.parameters):
+            raise MalformedRow(f"expected {len(self.parameters)} columns, got {len(columns)}")
+        for code, column in zip(self.parameters, columns):
+            if len(column) != n:
+                raise MalformedRow(f"column {code}: expected {n} values, got {len(column)}")
+        ordinals = np.fromiter(map(date.toordinal, dates), dtype=np.int64, count=n)
+        order = np.argsort(ordinals, kind="stable")
+        ordinals, take = ordinals[order], order.tolist()
+        dates = tuple(map(dates.__getitem__, take))
+        columns = tuple(tuple(map(column.__getitem__, take)) for column in columns)
+        bad = []  # (row, column) of each nan or infinite value
+        for j, column in enumerate(columns):
+            # a None reads as nan, so it is a suspect too
+            suspects = np.flatnonzero(~np.isfinite(np.array(column, dtype=float))).tolist()
+            bad += [(i, j) for i in suspects if column[i] is not None]
+        if bad:
+            i, j = min(bad)
+            when, code = format_date(dates[i]), self.parameters[j]
+            raise MalformedNumber(f"row on {when}, column {code}: not finite: {columns[j][i]!r}")
+        same = np.flatnonzero(ordinals[1:] == ordinals[:-1])
+        if same.size:
+            raise DuplicateTimestamp(f"two rows on {format_date(dates[same[0]])}")
+        ordinals.flags.writeable = False
+        vars(self).update(dates=dates, columns=columns, ordinals=ordinals)
+
+    @cached_property
+    def rows(self) -> tuple[DatasetRow, ...]:
+        values = zip(*self.columns) if self.columns else repeat((), len(self.dates))
+        return tuple(map(DatasetRow, self.dates, values))
 
 
 def _date_column(cells: list[str]) -> list[date] | _Bad:
     """The dates of a column, or its first bad cell."""
-    dates = []
+    joined = "\n".join(cells)
+    fields = _DATE_LINE_RE.findall(joined)
+    if len(fields) == len(cells) == joined.count("\n") + 1:  # one M/D/YYYY line per cell
+        try:
+            return [date(int(year), int(month), int(day)) for month, day, year in fields]
+        except ValueError:  # no such calendar day
+            pass
     for i, cell in enumerate(cells):
         try:
-            dates.append(parse_date(cell))
+            parse_date(cell)
         except (MalformedDate, InvalidDate) as exc:
             return i, exc
-    return dates
+    return []  # an empty column
+
+
+def _first_non_cell(cells: list[str], joined: str) -> int:
+    """The index of the first cell that is neither a number nor a missing marker,
+    or ``len(cells)``."""
+    bad = _NON_CELL_LINE_RE.search(joined)
+    end = len(cells) if bad is None else joined.count("\n", 0, bad.start())
+    # a quoted cell holding "\n" is bad, and the lines after it are not cells
+    if joined.count("\n") >= len(cells):
+        end = min(end, next((i for i, cell in enumerate(cells) if "\n" in cell), end))
+    return end
 
 
 def _value_column(cells: list[str], code: str) -> list[float | None] | _Bad:
     """The values of a column, or its first bad cell: one that is neither a
     number nor a missing marker, or a number outside the float range."""
     joined = "\n".join(cells)
-    bad = _NON_CELL_LINE_RE.search(joined)
-    end = len(cells) if bad is None else joined.count("\n", 0, bad.start())
-    # a quoted cell holding "\n" is bad, and the lines after it are not cells
-    if joined.count("\n") >= len(cells):
-        end = min(end, next((i for i, cell in enumerate(cells) if "\n" in cell), end))
-    values = [None if cell in _MISSING_MARKERS else float(cell) for cell in cells[:end]]
+    end = len(cells) if _NON_CELL_CHAR_RE.search(joined) is None else _first_non_cell(cells, joined)
+    try:
+        values = [None if cell in _MISSING_MARKERS else float(cell) for cell in cells[:end]]
+    except ValueError:  # a cell of the character class that is no number, such as "1e" or "--"
+        end = _first_non_cell(cells, joined)
+        values = [None if cell in _MISSING_MARKERS else float(cell) for cell in cells[:end]]
     if math.inf in values or -math.inf in values:  # float() overflowed before row `end`
         i = next(i for i, value in enumerate(values) if value in (math.inf, -math.inf))
         return i, MalformedNumber(f"row {i + 2}, column {code}: out of range: {cells[i]!r}")
@@ -106,10 +155,10 @@ def _value_column(cells: list[str], code: str) -> list[float | None] | _Bad:
     return values
 
 
-def _parse_body(body: list[list[str]], parameters: tuple[str, ...]) -> list[DatasetRow]:
-    """The rows of ``body``, parsed a column at a time.  Each column scan gives
-    its cells or its first bad cell, and the earliest row's error raises; in
-    one row, a wrong cell count comes first, then the date, then the values
+def _parse_body(body: list[list[str]], parameters: tuple[str, ...]) -> list[list]:
+    """The columns of ``body``, dates first, each parsed by one scan.  Each scan
+    gives its cells or its first bad cell, and the earliest row's error raises;
+    in one row, a wrong cell count comes first, then the date, then the values
     from left to right."""
     width = len(parameters) + 1
     good = next((i for i, record in enumerate(body) if len(record) != width), len(body))
@@ -122,7 +171,7 @@ def _parse_body(body: list[list[str]], parameters: tuple[str, ...]) -> list[Data
         failures.append((good, MalformedRow(f"row {good + 2}: expected {width} cells, got {got}")))
     if failures:
         raise min(failures, key=itemgetter(0))[1]  # on one row, min keeps the leftmost
-    return [DatasetRow(row[0], row[1:]) for row in zip(*scans)]
+    return scans
 
 
 def parse_csv(text: str, station: str = "unknown", source: str = "<memory>") -> Dataset:
@@ -145,22 +194,19 @@ def parse_csv(text: str, station: str = "unknown", source: str = "<memory>") -> 
     parameters = tuple(header[1:])
     if len(set(parameters)) != len(parameters):
         raise HeaderMismatch("duplicate parameter codes in header")
-    rows = _parse_body(records[1:], parameters)
-    return Dataset(station=station, parameters=parameters, rows=rows, source=source)
+    dates, *columns = _parse_body(records[1:], parameters)
+    return Dataset(station=station, parameters=parameters, dates=dates, columns=columns,
+                   source=source)
 
 
 def serialize_csv(dataset: Dataset) -> str:
     """Render a dataset back to CSV; parsing the result reproduces it."""
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerow(["Data", *dataset.parameters])
-    # value cells never need quoting: the date, then repr of each float or "*" for None
-    # (no float's repr holds "None")
-    sep = "," if dataset.parameters else ""
-    out.writelines(
-        f"{format_date(row.date)}{sep}{','.join(map(repr, row.values)).replace('None', '*')}\n"
-        for row in dataset.rows
-    )
-    return out.getvalue()
+    # body cells never need quoting: the date, then repr of each float or "*" for None
+    # (no date or float repr holds "None")
+    rows = zip(map(format_date, dataset.dates), *(map(repr, column) for column in dataset.columns))
+    return out.getvalue() + "".join(f"{','.join(row)}\n" for row in rows).replace("None", "*")
 
 
 def load_csv(path: str | Path, station: str | None = None) -> Dataset:
@@ -193,10 +239,13 @@ def dataset_series(dataset: Dataset, parameter: str) -> TimeSeries:
         raise UnknownParameter(
             f"unknown parameter {parameter!r}; file has {', '.join(dataset.parameters)}"
         ) from None
-    present = [(row.date, row.values[i]) for row in dataset.rows if row.values[i] is not None]
-    if not present:
+    column = dataset.columns[i]
+    present = ~np.isnan(np.array(column, dtype=float))  # None reads as nan; the table has no nan
+    if not present.any():
         raise EmptySeries(f"no values for {dataset.station!r}/{parameter!r}")
-    epoch = present[0][0]
-    base = epoch.toordinal()
-    knots = tuple((float(when.toordinal() - base), float(value)) for when, value in present)
+    days = dataset.ordinals[present]
+    t = (days - days[0]).astype(float)
+    # the knots share the table's float objects
+    knots = tuple(zip(t.tolist(), map(float, compress(column, present.tolist()))))
+    epoch = dataset.dates[int(present.argmax())]
     return TimeSeries(station=dataset.station, parameter=parameter, knots=knots, epoch=epoch)

@@ -15,6 +15,7 @@ over Python floats, with the float64 operations in their fixed order.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,27 +93,26 @@ def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
     Runs in O(n) with no pivoting.  Raises ZeroPivot when an eliminated
     pivot falls below ``ZERO_PIVOT_TOL`` in magnitude.
     """
-    n = system.n
     lower, diag, upper, rhs = (
         v.tolist() for v in (system.lower, system.diag, system.upper, system.rhs)
     )
-    gamma = [0.0] * (n - 1)
-    delta = [0.0] * n
     pivot = diag[0]
     if abs(pivot) < ZERO_PIVOT_TOL:
         raise ZeroPivot("zero pivot at row 0")
-    delta[0] = rhs[0] / pivot
-    for i in range(1, n):
-        gamma[i - 1] = upper[i - 1] / pivot
-        pivot = diag[i] - lower[i - 1] * gamma[i - 1]
+    d = rhs[0] / pivot
+    gamma, delta = [], [d]
+    for lo, di, up, r in zip(lower, diag[1:], upper, rhs[1:]):
+        g = up / pivot
+        pivot = di - lo * g
         if abs(pivot) < ZERO_PIVOT_TOL:
-            raise ZeroPivot(f"zero pivot at row {i}")
-        delta[i] = (rhs[i] - lower[i - 1] * delta[i - 1]) / pivot
-    x = [0.0] * n
-    x[n - 1] = delta[n - 1]
-    for i in range(n - 2, -1, -1):
-        x[i] = delta[i] - gamma[i] * x[i + 1]
-    return np.array(x)
+            raise ZeroPivot(f"zero pivot at row {len(delta)}")
+        d = (r - lo * d) / pivot
+        gamma.append(g)
+        delta.append(d)
+    x = [d]  # back substitution, from the last unknown to the first
+    for g, dk in zip(reversed(gamma), delta[-2::-1]):
+        x.append(dk - g * x[-1])
+    return np.array(x[::-1])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite solution raises NumericOverflow
@@ -173,34 +173,38 @@ def solve_banded_spd(bands: np.ndarray, rhs) -> np.ndarray:
     b = _as_vector(rhs, "rhs")
     if b.size != n:
         raise ValueError("rhs length must match band columns")
-    bands, b = bands.tolist(), b.tolist()
-    chol = [[0.0] * n for _ in range(p + 1)]
-    for j in range(n):
-        s = bands[0][j]
-        for k in range(max(0, j - p), j):
+    # diagonals[p - d][i] = A[i, i - d]: zipped, row i of the band up to the diagonal
+    diagonals = [[0.0] * d + bands[d, : max(n - d, 0)].tolist() for d in range(p, -1, -1)]
+    # per row of the factor L: its pivot, the column below the pivot and the
+    # forward-substituted rhs; the window holds those of the last p rows
+    pivots, columns, zs, window = [], [], [], deque(maxlen=p)
+    for i, (row, acc) in enumerate(zip(map(list, zip(*diagonals)), b.tolist())):
+        # row[t:p] turns into L[i, k] for k = i - len(window) .. i - 1, left to right
+        t = p - len(window)
+        s = row[p]
+        for pivot, column, z in window:
+            value = row[t] / pivot
+            t += 1
+            for m, below in enumerate(column, t):
+                row[m] -= value * below
+            column.append(value)
             try:
-                s -= chol[j - k][k] ** 2
+                s -= value ** 2
             except OverflowError:  # a float64 square rounds to inf instead
                 s -= math.inf
+            acc -= value * z
         if s <= ZERO_PIVOT_TOL:
-            raise ZeroPivot(f"pivot collapsed at row {j}; matrix not positive definite")
-        chol[0][j] = math.sqrt(s)
-        for i in range(j + 1, min(j + p, n - 1) + 1):
-            u = bands[i - j][j]
-            for k in range(max(0, i - p), j):
-                u -= chol[i - k][k] * chol[j - k][k]
-            chol[i - j][j] = u / chol[0][j]
-    # forward then backward substitution on the banded factor
-    z = [0.0] * n
-    for i in range(n):
-        acc = b[i]
-        for k in range(max(0, i - p), i):
-            acc -= chol[i - k][k] * z[k]
-        z[i] = acc / chol[0][i]
-    x = [0.0] * n
-    for i in range(n - 1, -1, -1):
-        acc = z[i]
-        for k in range(i + 1, min(i + p, n - 1) + 1):
-            acc -= chol[k - i][i] * x[k]
-        x[i] = acc / chol[0][i]
-    return np.array(x)
+            raise ZeroPivot(f"pivot collapsed at row {i}; matrix not positive definite")
+        pivot = math.sqrt(s)
+        column, z = [], acc / pivot
+        pivots.append(pivot)
+        columns.append(column)
+        zs.append(z)
+        window.append((pivot, column, z))
+    # backward substitution: x holds the unknowns after row i, nearest last
+    x = []
+    for pivot, column, acc in zip(reversed(pivots), reversed(columns), reversed(zs)):
+        for value, later in zip(column, reversed(x)):
+            acc -= value * later
+        x.append(acc / pivot)
+    return np.array(x[::-1])

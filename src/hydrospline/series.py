@@ -7,7 +7,7 @@ from a table's column.
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from datetime import date, timedelta
 from functools import cached_property
 
@@ -59,9 +59,16 @@ def format_date(d: date) -> str:
 
 class _Value:
     """Equality, hashing and ``repr`` by the constructor arguments named in ``_fields``,
-    whose values copies and pickles pass back to the constructor."""
+    whose values copies and pickles pass back to the constructor.  Instances are
+    frozen: assignment raises FrozenInstanceError, as on a frozen dataclass."""
 
     _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

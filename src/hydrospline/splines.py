@@ -8,7 +8,6 @@ squared curvature with weight ``lam`` and collapses to the interpolant at
 ``lam = 0`` and to the least-squares line as ``lam`` grows.
 """
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Union
@@ -33,7 +32,6 @@ FLAT_CURVATURE_TOL = 1e-10
 KNOT_SNAP_TOL = 1e-12
 
 
-@dataclass(frozen=True, init=False, eq=False, repr=False)
 class SplineModel(_Value):
     """Piecewise cubic f(t) = a + b s + c s^2 + d s^3, s = t - t_i per segment.
 
@@ -42,10 +40,9 @@ class SplineModel(_Value):
     the knot span the model extends linearly with the boundary slope.  Any
     finite (n-1, 4) coefficient table is stored once, as a read-only float64
     array; ``coefficients`` is a tuple view of it, built on first use.
+    ``smoothing`` is the fit's lam.
     """
 
-    knots: tuple[tuple[float, float], ...]
-    smoothing: float
     _fields = ("knots", "coefficients", "smoothing")
 
     def __init__(self, knots, coefficients, smoothing: float = 0.0) -> None:
@@ -85,7 +82,6 @@ class LagrangeModel:
             raise WeightOverflow("barycentric weights overflow for this knot layout")
 
 
-@dataclass(frozen=True, init=False, eq=False, repr=False)
 class CurveSamples(_Value):
     """A curve evaluated on a uniform grid, tagged with its source.
 
@@ -94,9 +90,6 @@ class CurveSamples(_Value):
     use.  Equality, hashing and ``repr`` go by ``t``, ``y`` and ``source``.
     """
 
-    grid: np.ndarray
-    values: np.ndarray
-    source: str
     _fields = ("t", "y", "source")
 
     def __init__(self, t, y, source: str) -> None:
@@ -370,11 +363,13 @@ def spline_extrema(model: SplineModel) -> list[Extremum]:
     keep = exists & ~(s < -1e-12 * np.maximum(1.0, np.abs(h))) & ~(s >= h)
     keep &= (ts[0] < t) & (t < ts[-1]) & ~(np.abs(curvature) <= FLAT_CURVATURE_TOL)
     order = np.argsort(t[keep], kind="stable")
-    deduped: list[Extremum] = []
-    last = -math.inf
-    for when, value, bend in zip(*(x[keep][order].tolist() for x in (t, y, curvature))):
-        if abs(when - last) <= 1e-9:
-            continue
-        deduped.append(Extremum(when, value, "max" if bend < 0.0 else "min"))
-        last = when
-    return deduped
+    t, y, curvature = (x[keep][order] for x in (t, y, curvature))
+    # a point within 1e-9 of the last point kept merges into it; only the ends of
+    # gaps of at most 1e-9 can merge, so the walk visits just those
+    merged = np.zeros(t.size, dtype=bool)
+    for i in np.flatnonzero(np.diff(t) <= 1e-9).tolist():
+        if not merged[i]:  # the first gap of a run starts at a kept point
+            last = t[i]
+        merged[i + 1] = abs(t[i + 1] - last) <= 1e-9
+    t, y, kinds = t[~merged], y[~merged], np.where(curvature[~merged] < 0.0, "max", "min")
+    return list(map(Extremum, t.tolist(), y.tolist(), kinds.tolist()))

@@ -26,7 +26,7 @@ from html import escape
 
 import numpy as np
 
-from hydrospline import Dataset, DatasetRow, TimeSeries
+from hydrospline import Dataset, TimeSeries
 from hydrospline.errors import MalformedNumber, MalformedRow, WeightOverflow, ZeroPivot
 from hydrospline.linalg import ZERO_PIVOT_TOL
 from hydrospline.series import parse_date
@@ -54,13 +54,16 @@ def scalar_matched_pairs(a, b):
     return pairs
 
 
-def make_dataset(*rows, parameters=("OD",)) -> Dataset:
-    """A table of station "s" from (date, values) rows, built without parse_csv."""
+def make_dataset(*rows, parameters=("OD",), station="s", source="<hand>") -> Dataset:
+    """A table from (date, values) rows, built without parse_csv: the rows are
+    transposed into the Dataset's columns."""
+    values = [v for _, v in rows]
     return Dataset(
-        station="s",
+        station=station,
         parameters=parameters,
-        rows=tuple(DatasetRow(date=d, values=v) for d, v in rows),
-        source="<hand>",
+        dates=[d for d, _ in rows],
+        columns=list(zip(*values)) if values else [()] * len(parameters),
+        source=source,
     )
 
 
@@ -79,9 +82,9 @@ def _scalar_cell(cell, row_number, code):
 
 
 def scalar_parse_rows(body, parameters):
-    """The rows of a CSV body (the records after the header), parsed a record
-    at a time; the first bad cell in row order raises (arity, then date, then
-    values from left to right)."""
+    """The (date, values) rows of a CSV body (the records after the header),
+    parsed a record at a time; the first bad cell in row order raises (arity,
+    then date, then values from left to right)."""
     rows = []
     for number, record in enumerate(body, start=2):
         cells = [cell.strip() for cell in record]
@@ -93,7 +96,7 @@ def scalar_parse_rows(body, parameters):
         values = tuple(
             _scalar_cell(cell, number, code) for cell, code in zip(cells[1:], parameters)
         )
-        rows.append(DatasetRow(date=when, values=values))
+        rows.append((when, values))
     return rows
 
 

@@ -1,7 +1,10 @@
 """CSV parsing, serialization round trips, and the bundled dataset."""
 
+import copy
 import csv
+import gc
 import io
+import pickle
 import random
 from datetime import date, datetime, timedelta
 
@@ -11,6 +14,7 @@ import pytest
 from helpers import make_dataset, scalar_parse_rows
 from hydrospline import (
     Dataset,
+    DatasetRow,
     dataset_series,
     gropeni_dataset,
     load_csv,
@@ -159,7 +163,8 @@ def test_datasets_compare_by_value(gropeni):
     clone = Dataset(
         station=gropeni.station,
         parameters=gropeni.parameters,
-        rows=gropeni.rows,
+        dates=gropeni.dates,
+        columns=gropeni.columns,
         source=gropeni.source,
     )
     assert clone == gropeni
@@ -264,9 +269,11 @@ def test_dataset_series_all_missing_matches_build_series():
 
 def test_hand_built_row_of_wrong_width_rejected():
     # a parsed table checks the cell count of each record, so only a hand-built one gets here
-    with pytest.raises(MalformedRow, match=r"^row on 9/11/2003: expected 2 values, got 1$"):
-        make_dataset((date(2003, 9, 11), (1.0,)), (date(2003, 9, 12), (2.0,)),
-                     parameters=("OD", "pH"))
+    dates = (date(2003, 9, 11), date(2003, 9, 12))
+    with pytest.raises(MalformedRow, match=r"^expected 2 columns, got 1$"):
+        Dataset("s", ("OD", "pH"), dates, ((1.0, 2.0),), "<hand>")
+    with pytest.raises(MalformedRow, match=r"^column pH: expected 2 values, got 1$"):
+        Dataset("s", ("OD", "pH"), dates, ((1.0, 2.0), (7.0,)), "<hand>")
 
 
 def test_dataset_series_rejects_infinite_values():
@@ -350,7 +357,8 @@ def _reference_parse(text):
     """What parse_csv gives, with the body parsed by the row-major reference."""
     records = [record for record in csv.reader(io.StringIO(text, newline="")) if record]
     parameters = tuple(cell.strip() for cell in records[0][1:])
-    return Dataset("unknown", parameters, scalar_parse_rows(records[1:], parameters), "<memory>")
+    rows = scalar_parse_rows(records[1:], parameters)
+    return make_dataset(*rows, parameters=parameters, station="unknown", source="<memory>")
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -370,8 +378,11 @@ def test_table_without_parameters_round_trips():
 
 
 _GOOD_CELLS = ["1", "-2.5", "+.5", "3.", "1e3", " 7.25 ", "-0.0", "*", "-", " * "]
-_BAD_DATES = ["2/30/2003", "13/1/2003", "x"]
-_BAD_CELLS = ["abc", "", "1.2.3", "1e400", "-1e999", '"1\n2"', "٣", "١.٥e1"]
+_BAD_DATES = ["2/30/2003", "13/1/2003", "x", "1/1/04", "1//2004"]
+# the last ten are made of characters that numbers and markers hold, so only
+# float() or the per-line scan tells them from a number
+_BAD_CELLS = ["abc", "", "1.2.3", "1e400", "-1e999", '"1\n2"', "٣", "١.٥e1",
+              "1e", "--", ".", "+", "e5", "1_0", "inf", "nan", "-*", "1.5e3.2"]
 
 
 def _corrupted_table(rng):
@@ -428,3 +439,43 @@ def test_line_endings_parse_alike(gropeni_text, ending):
 def test_quoted_line_break_is_not_a_number():
     assert _parse_failure('Data,A\r\n1/1/2003,"1\r\n2"\r\n') == (
         MalformedNumber, "row 2, column A: not a number: '1\\r\\n2'")
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_dataset_copies_are_rebuilt(gropeni, duplicate):
+    # a copy goes through the constructor, so it carries no cached rows view
+    # and its ordinals are read-only, like the original's
+    assert gropeni.rows and "rows" in vars(gropeni)
+    duplicated = duplicate(gropeni)
+    assert duplicated == gropeni
+    assert not duplicated.ordinals.flags.writeable
+    assert duplicated.ordinals.tobytes() == gropeni.ordinals.tobytes()
+    assert "rows" not in vars(duplicated)
+    assert duplicated.rows == gropeni.rows
+
+
+def test_parse_leaves_no_object_per_row_for_the_collector():
+    # the table is held as columns of floats, None and dates, which the garbage
+    # collector does not track, so a parse and its series leave O(parameters)
+    # tracked objects alive; a row object per row left about 2,000
+    text, _ = _seeded_table()
+    gc.collect()
+    before = len(gc.get_objects())
+    dataset = parse_csv(text)
+    series = [dataset_series(dataset, p) for p in dataset.parameters]
+    gc.collect()
+    assert len(gc.get_objects()) - before < 10 * len(series)
+    assert len(dataset.dates) == 2000
+
+
+def test_rows_view_matches_columns():
+    ds = parse_csv("Data,temp,pH\n3/1/2004,5.0,*\n9/11/2003,19.0,7.5\n")
+    assert "rows" not in vars(ds)
+    assert ds.rows == (DatasetRow(date(2003, 9, 11), (19.0, 7.5)),
+                       DatasetRow(date(2004, 3, 1), (5.0, None)))
+    assert ds.columns == ((19.0, 5.0), (7.5, None))
+    assert ds.ordinals.tolist() == [date(2003, 9, 11).toordinal(), date(2004, 3, 1).toordinal()]

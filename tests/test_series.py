@@ -102,7 +102,9 @@ def test_build_series_is_permutation_invariant(order):
     from hydrospline.dataio import gropeni_dataset
 
     ds = gropeni_dataset()
-    shuffled = Dataset(ds.station, ds.parameters, tuple(ds.rows[i] for i in order), ds.source)
+    dates = tuple(ds.dates[i] for i in order)
+    columns = tuple(tuple(column[i] for i in order) for column in ds.columns)
+    shuffled = Dataset(ds.station, ds.parameters, dates, columns, ds.source)
     # the Dataset sorts its rows when it is built
     assert shuffled == ds
     assert dataset_series(shuffled, "OD") == dataset_series(ds, "OD")

@@ -1,6 +1,7 @@
 """Spline and Lagrange model behavior against independent oracles."""
 
 import copy
+import dataclasses
 import math
 import pickle
 import warnings
@@ -764,3 +765,21 @@ def test_copies_are_equal_with_read_only_arrays(od_series, kind, duplicate):
     else:
         assert duplicated == value
     assert _arrays(duplicated) and not any(a.flags.writeable for a in _arrays(duplicated))
+
+
+@pytest.mark.parametrize("kind", ["model", "curve"])
+def test_models_and_curves_are_frozen_values_not_dataclasses(od_series, kind):
+    # they declared dataclass fields their constructors do not take, so replace()
+    # failed with a misleading missing- or unexpected-argument TypeError
+    value = _value_types(od_series)[kind]
+    assert not dataclasses.is_dataclass(value)
+    with pytest.raises(TypeError, match="dataclass"):
+        dataclasses.replace(value, source="x")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        value.knots = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del value.values
+    # the lazy tuple views are still built on first read, and only then
+    view = "coefficients" if kind == "model" else "t"
+    assert view not in vars(value)
+    assert getattr(value, view) == getattr(value, view) and view in vars(value)
