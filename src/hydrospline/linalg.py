@@ -9,13 +9,12 @@ Two public solvers with fixed numeric contracts:
   bases up to degree 10 well conditioned.
 
 Both are deterministic: the same input bytes give the same output bytes.
-:func:`solve_banded_spd` is the banded Cholesky used by the smoothing
-spline's pentadiagonal system.  It and :func:`solve_tridiagonal` loop
-over Python floats, with the float64 operations in their fixed order.
+:func:`solve_banded_spd` is the pentadiagonal Cholesky for the smoothing
+spline's system (Reinsch, Numer. Math. 1967).  It and :func:`solve_tridiagonal`
+loop over Python floats, with the float64 operations in their fixed order.
 """
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,53 +157,47 @@ def solve_least_squares(problem: LeastSquaresProblem) -> np.ndarray:
 
 
 def solve_banded_spd(bands: np.ndarray, rhs) -> np.ndarray:
-    """Solve A x = rhs for a symmetric positive-definite banded matrix.
+    """Solve A x = rhs for a symmetric positive-definite pentadiagonal matrix.
 
-    ``bands`` holds the lower band rows: ``bands[d, j] = A[j + d, j]`` for
-    d = 0..p (entries past the matrix edge are ignored).  Cholesky without
-    pivoting; raises ZeroPivot when a pivot collapses, i.e. the matrix is
-    not numerically positive definite.
+    ``bands`` holds the three lower band rows: ``bands[d, j] = A[j + d, j]``
+    for d = 0, 1, 2 (entries past the matrix edge are ignored).  Cholesky
+    without pivoting; raises ZeroPivot when a pivot collapses, i.e. the
+    matrix is not numerically positive definite.
     """
     bands = np.asarray(bands, dtype=float)
     if bands.ndim != 2:
         raise ValueError("bands must be two-dimensional")
-    p = bands.shape[0] - 1
-    n = bands.shape[1]
+    if bands.shape[0] != 3:
+        raise ValueError("bands must have three rows: the diagonal and the two below it")
+    diag, near, far = bands.tolist()
     b = _as_vector(rhs, "rhs")
-    if b.size != n:
+    if b.size != len(diag):
         raise ValueError("rhs length must match band columns")
-    # diagonals[p - d][i] = A[i, i - d]: zipped, row i of the band up to the diagonal
-    diagonals = [[0.0] * d + bands[d, : max(n - d, 0)].tolist() for d in range(p, -1, -1)]
-    # per row of the factor L: its pivot, the column below the pivot and the
-    # forward-substituted rhs; the window holds those of the last p rows
-    pivots, columns, zs, window = [], [], [], deque(maxlen=p)
-    for i, (row, acc) in enumerate(zip(map(list, zip(*diagonals)), b.tolist())):
-        # row[t:p] turns into L[i, k] for k = i - len(window) .. i - 1, left to right
-        t = p - len(window)
-        s = row[p]
-        for pivot, column, z in window:
-            value = row[t] / pivot
-            t += 1
-            for m, below in enumerate(column, t):
-                row[m] -= value * below
-            column.append(value)
-            try:
-                s -= value ** 2
-            except OverflowError:  # a float64 square rounds to inf instead
-                s -= math.inf
-            acc -= value * z
+    # row i of the factor L is (L[i, i-2], L[i, i-1], L[i, i], z_i), z the forward-
+    # substituted rhs; identity rows before row 0 and after row n-1 stand in for neighbours
+    rows = [(0.0, 0.0, 1.0, 0.0)] * 2
+    for i, (a2, a1, s, acc) in enumerate(zip([0.0, 0.0, *far], [0.0, *near], diag, b.tolist())):
+        (_, _, d2, z2), (_, c, d1, z1) = rows[-2:]
+        l2 = a2 / d2
+        l1 = (a1 - l2 * c) / d1
+        try:
+            s -= l2 ** 2
+        except OverflowError:  # a float64 square rounds to inf instead
+            s -= math.inf
+        try:
+            s -= l1 ** 2
+        except OverflowError:
+            s -= math.inf
+        acc -= l2 * z2
+        acc -= l1 * z1
         if s <= ZERO_PIVOT_TOL:
             raise ZeroPivot(f"pivot collapsed at row {i}; matrix not positive definite")
         pivot = math.sqrt(s)
-        column, z = [], acc / pivot
-        pivots.append(pivot)
-        columns.append(column)
-        zs.append(z)
-        window.append((pivot, column, z))
-    # backward substitution: x holds the unknowns after row i, nearest last
-    x = []
-    for pivot, column, acc in zip(reversed(pivots), reversed(columns), reversed(zs)):
-        for value, later in zip(column, reversed(x)):
-            acc -= value * later
-        x.append(acc / pivot)
-    return np.array(x[::-1])
+        rows.append((l2, l1, pivot, acc / pivot))
+    # back substitution from the last row, each row i with rows i+1 and i+2;
+    # x holds x_{n+1} = x_n = 0 and then the unknowns found so far, last first
+    back = rows[:2] + rows[::-1]
+    x = [0.0, 0.0]
+    for (_, _, pivot, z), (_, c1, _, _), (c2, _, _, _) in zip(back[2:-2], back[1:], back):
+        x.append((z - c1 * x[-1] - c2 * x[-2]) / pivot)
+    return np.array(x[:1:-1])

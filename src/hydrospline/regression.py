@@ -98,7 +98,8 @@ def trend_report(series: TimeSeries) -> TrendReport:
     """Degree-1 fit summarized as slope, total change over the span, direction.
 
     ``direction`` is "flat" when |total_change| < FLAT_THRESHOLD, otherwise
-    "down" or "up" by the sign of the slope.
+    "down" or "up" by the sign of the slope.  A slope or total change that
+    leaves the float range raises NumericOverflow.
     """
     if len(series.knots) < 2:
         raise InsufficientData("a trend needs at least 2 knots")
@@ -106,6 +107,8 @@ def trend_report(series: TimeSeries) -> TrendReport:
     slope = model.coefficients[1] / model.t_scale
     span_days = series.span_days
     total_change = slope * span_days
+    if not (math.isfinite(slope) and math.isfinite(total_change)):
+        raise NumericOverflow("trend overflows the float range for these values")
     if abs(total_change) < FLAT_THRESHOLD:
         direction = "flat"
     elif slope < 0:

@@ -37,9 +37,10 @@ class SplineModel(_Value):
 
     ``knots`` keeps the data the model was fitted to; for a smoothing fit
     the curve passes through fitted values, not through ``knots``.  Outside
-    the knot span the model extends linearly with the boundary slope.  Any
-    finite (n-1, 4) coefficient table is stored once, as a read-only float64
-    array; ``coefficients`` is a tuple view of it, built on first use.
+    the knot span the model extends linearly with the boundary slope.  For
+    n >= 2 knots, any finite (n-1, 4) coefficient table is stored once, as a
+    read-only float64 array; ``coefficients`` is a tuple view of it, built on
+    first use.
     ``smoothing`` is the fit's lam.
     """
 
@@ -48,8 +49,8 @@ class SplineModel(_Value):
     def __init__(self, knots, coefficients, smoothing: float = 0.0) -> None:
         times = np.array([t for t, _ in knots], dtype=float)
         table = np.array(coefficients, dtype=float)
-        if table.shape != (len(knots) - 1, 4):
-            raise ValueError("a spline needs one coefficient row per segment between knots")
+        if len(knots) < 2 or table.shape != (len(knots) - 1, 4):
+            raise ValueError("a spline needs 2 or more knots and one coefficient row per segment")
         if not np.isfinite(times).all() or (times[1:] <= times[:-1]).any():
             raise ValueError("knot times must be finite and strictly increasing")
         if not np.isfinite(table).all():
@@ -199,12 +200,8 @@ def fit_smoothing_spline(series: TimeSeries, lam: float) -> SplineModel:
     bands[0] = (h[:-1] + h[1:]) / 3.0 + lam * (
         ih[:-1] ** 2 + (ih[:-1] + ih[1:]) ** 2 + ih[1:] ** 2
     )
-    if m > 1:
-        bands[1, : m - 1] = h[1:-1] / 6.0 - lam * ih[1:-1] * (
-            ih[:-2] + 2.0 * ih[1:-1] + ih[2:]
-        )
-    if m > 2:
-        bands[2, : m - 2] = lam * ih[1:-2] * ih[2:-1]
+    bands[1, : m - 1] = h[1:-1] / 6.0 - lam * ih[1:-1] * (ih[:-2] + 2.0 * ih[1:-1] + ih[2:])
+    bands[2, : m - 2] = lam * ih[1:-2] * ih[2:-1]
     rhs = (y[2:] - y[1:-1]) * ih[1:] - (y[1:-1] - y[:-2]) * ih[:-1]
     gamma = solve_banded_spd(bands, rhs)
     # fitted knot values: y - lam * Q gamma

@@ -392,6 +392,19 @@ def scalar_tridiagonal(system):
     return x
 
 
+def smoothing_bands(rng, m, lam):
+    """Lower bands (bandwidth 2) of R + lam Q^T Q on m interior knots with random gaps."""
+    h = rng.uniform(0.5, 3.0, m + 1)
+    ih = 1.0 / h
+    bands = np.zeros((3, m))
+    bands[0] = (h[:-1] + h[1:]) / 3.0 + lam * (
+        ih[:-1] ** 2 + (ih[:-1] + ih[1:]) ** 2 + ih[1:] ** 2
+    )
+    bands[1, : m - 1] = h[1:-1] / 6.0 - lam * ih[1:-1] * (ih[:-2] + 2.0 * ih[1:-1] + ih[2:])
+    bands[2, : max(m - 2, 0)] = lam * ih[1:-2] * ih[2:-1]
+    return bands
+
+
 def scalar_banded_spd(bands, rhs):
     """Banded Cholesky over numpy scalars: the exact-equality reference for solve_banded_spd."""
     bands = np.asarray(bands, dtype=float)

@@ -342,9 +342,10 @@ def _zero_and_huge(tmp_path):
         ("1e300", ["correlate", "--param-a", "OD", "--param-b", "OD"]),
         ("1e308", ["correlate", "--param-a", "OD", "--param-b", "OD"]),
         ("0,1.7e308", ["plot", "--param", "OD", "--resolution", "5", "--out", "{out}/plot.svg"]),
+        ("1.7e308", ["trend", "--param", "OD"]),
     ],
     ids=["smooth", "interp", "extrema", "plot", "correlate-square", "correlate-sum",
-         "plot-range"],
+         "plot-range", "trend"],
 )
 def test_values_outside_float_range_are_data_errors(capsys, tmp_path, size, argv):
     if size == "0,1.7e308":
@@ -428,10 +429,11 @@ def test_cell_over_the_csv_field_limit_is_data_error(tmp_path):
 
 
 def test_cli_import_leaves_network_modules_unloaded():
-    # the CLI's start-up cost: none of these may ride in with an import
+    # the CLI's start-up cost: none of these may ride in with an import;
+    # scipy is the tests' oracle and never a run-time dependency
     script = (
         "import sys, hydrospline.cli\n"
-        "print([m for m in ('urllib.request', 'http.client', 'ssl', 'email') "
+        "print([m for m in ('urllib.request', 'http.client', 'ssl', 'email', 'scipy') "
         "if m in sys.modules])\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(hydrospline.__file__).parents[1]))

@@ -8,6 +8,7 @@ from helpers import (
     normal_equations_solve,
     scalar_banded_spd,
     scalar_tridiagonal,
+    smoothing_bands,
     tridiagonal_to_dense,
 )
 from hydrospline import (
@@ -99,7 +100,8 @@ def test_dimension_validation():
         (lambda: LeastSquaresProblem(design=np.ones((3, 2)), targets=two), "targets length"),
         (lambda: LeastSquaresProblem(design=[[1.0, np.nan], two], targets=two), "be finite"),
         (lambda: solve_banded_spd(np.ones(3), [1.0] * 3), "bands must be two-"),
-        (lambda: solve_banded_spd(np.ones((2, 3)), two), "rhs length must match band columns"),
+        (lambda: solve_banded_spd(np.ones((2, 3)), [1.0] * 3), "bands must have three rows"),
+        (lambda: solve_banded_spd(np.ones((3, 3)), two), "rhs length must match band columns"),
     ):
         with pytest.raises(ValueError, match=message):
             build()
@@ -163,15 +165,15 @@ def test_banded_spd_matches_dense_oracle():
     rng = np.random.default_rng(1234)
     for _ in range(30):
         n = int(rng.integers(1, 40))
-        p = int(rng.integers(1, min(3, n) + 1)) if n > 1 else 1
+        p = int(rng.integers(1, min(2, n) + 1)) if n > 1 else 1
         # assemble a random SPD matrix with bandwidth p: B^T B + n I on a banded B
         b = np.zeros((n, n))
         for d in range(0, p + 1):
             vals = rng.uniform(-1.0, 1.0, n - d)
             b[np.arange(n - d) + d, np.arange(n - d)] = vals
         a = b @ b.T + n * np.eye(n)
-        # bandwidth of a is p; pack the lower bands
-        bands = np.zeros((p + 1, n))
+        # bandwidth of a is p; pack the lower bands into three rows
+        bands = np.zeros((3, n))
         for d in range(p + 1):
             bands[d, : n - d] = a[np.arange(n - d) + d, np.arange(n - d)]
         rhs = rng.uniform(-5.0, 5.0, n)
@@ -180,7 +182,7 @@ def test_banded_spd_matches_dense_oracle():
 
 
 def test_banded_spd_rejects_indefinite():
-    bands = np.array([[1.0, -5.0], [2.0, 0.0]])  # [[1,2],[2,-5]] is indefinite
+    bands = np.array([[1.0, -5.0], [2.0, 0.0], [0.0, 0.0]])  # [[1,2],[2,-5]] is indefinite
     with pytest.raises(ZeroPivot):
         solve_banded_spd(bands, [1.0, 1.0])
 
@@ -203,19 +205,6 @@ def test_tridiagonal_matches_scalar_reference_bit_for_bit(n):
         assert _bits(solve_tridiagonal(system)) == _bits(scalar_tridiagonal(system))
 
 
-def smoothing_bands(rng, m, lam):
-    """Lower bands (bandwidth 2) of R + lam Q^T Q on m interior knots with random gaps."""
-    h = rng.uniform(0.5, 3.0, m + 1)
-    ih = 1.0 / h
-    bands = np.zeros((3, m))
-    bands[0] = (h[:-1] + h[1:]) / 3.0 + lam * (
-        ih[:-1] ** 2 + (ih[:-1] + ih[1:]) ** 2 + ih[1:] ** 2
-    )
-    bands[1, : m - 1] = h[1:-1] / 6.0 - lam * ih[1:-1] * (ih[:-2] + 2.0 * ih[1:-1] + ih[2:])
-    bands[2, : max(m - 2, 0)] = lam * ih[1:-2] * ih[2:-1]
-    return bands
-
-
 @pytest.mark.parametrize("n", SOLVER_SIZES)
 def test_banded_spd_matches_scalar_reference_bit_for_bit(n):
     rng = np.random.default_rng(1000 + n)
@@ -223,9 +212,11 @@ def test_banded_spd_matches_scalar_reference_bit_for_bit(n):
         bands = smoothing_bands(rng, n, lam)
         rhs = rng.uniform(-10.0, 10.0, n)
         assert _bits(solve_banded_spd(bands, rhs)) == _bits(scalar_banded_spd(bands, rhs))
-    # bandwidths 0, 1 and 3 of a diagonally dominant matrix
-    for p in (0, 1, 3):
-        bands = np.vstack([rng.uniform(4.0, 8.0, (1, n)), rng.uniform(-1.0, 1.0, (p, n))])
+    # bandwidths 0 and 1 of a diagonally dominant matrix, padded with zero rows
+    for p in (0, 1):
+        bands = np.vstack([
+            rng.uniform(4.0, 8.0, (1, n)), rng.uniform(-1.0, 1.0, (p, n)), np.zeros((2 - p, n))
+        ])
         rhs = rng.uniform(-1e3, 1e3, n)
         assert _bits(solve_banded_spd(bands, rhs)) == _bits(scalar_banded_spd(bands, rhs))
 
@@ -235,7 +226,7 @@ def test_banded_spd_squares_like_float64_power():
     # with ** 2, so the pivot of row 1 (2 - x ** 2) keeps that last bit
     x = float.fromhex("-0x1.53d82875324fbp+0")
     assert x**2 != x * x
-    bands = np.array([[1.0, 2.0, 3.0], [x, 0.5, 0.0]])
+    bands = np.array([[1.0, 2.0, 3.0], [x, 0.5, 0.0], [0.0, 0.0, 0.0]])
     rhs = [1.0, -1.0, 0.5]
     assert _bits(solve_banded_spd(bands, rhs)) == _bits(scalar_banded_spd(bands, rhs))
 
@@ -244,7 +235,7 @@ def test_banded_spd_squares_like_float64_power():
 def test_banded_spd_square_overflow_matches_float64(second):
     # chol[1, 0] = 1e160 / sqrt(2e-13) squares past the float range: float64
     # gives inf, so the pivot is 1e300 - inf (ZeroPivot) or inf - inf (nan)
-    bands = np.array([[2e-13, second, 1.0], [1e160, 1.0, 0.0]])
+    bands = np.array([[2e-13, second, 1.0], [1e160, 1.0, 0.0], [0.0, 0.0, 0.0]])
     rhs = [1.0, 1.0, 1.0]
     with np.errstate(all="ignore"):
         try:

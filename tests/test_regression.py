@@ -308,3 +308,9 @@ def test_overflowing_rmse_is_inf():
 def test_overflowing_least_squares_fit_is_typed():
     with pytest.raises(NumericOverflow):
         trend_report(make_series([0.0, 1.0, 2.0, 3.0], [1e308] * 4))
+
+
+def test_overflowing_trend_is_typed():
+    # a finite fit whose slope, -2e308 per day, leaves the float range
+    with pytest.raises(NumericOverflow):
+        trend_report(make_series([0.0, 1.0], [1e308, -1e308]))

@@ -422,9 +422,12 @@ def test_lagrange_model_needs_one_weight_per_knot():
 
 
 def test_spline_model_needs_one_row_per_segment():
-    # one row for three knots would fail in evaluation with a bare IndexError
+    # one row for three knots, or one knot with no rows, would fail in evaluation
+    # with a bare IndexError
     with pytest.raises(ValueError, match="one coefficient row per segment"):
         SplineModel(knots=((0.0, 0.0), (1.0, 1.0), (2.0, 0.0)), coefficients=((0.0, 1.0, 0.0, 0.0),))
+    with pytest.raises(ValueError, match="2 or more knots"):
+        SplineModel(knots=((0.0, 1.0),), coefficients=np.zeros((0, 4)))
     # unsorted knots evaluated 0.5 at t = 1.5 and gridded from 2.0 to 3.0 only
     for times in UNORDERED_TIMES:
         with pytest.raises(ValueError, match="knot times must be finite and strictly increasing"):
