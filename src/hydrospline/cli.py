@@ -247,7 +247,7 @@ def _cmd_plot(args, dataset: Dataset) -> int:
     if args.harmonic:
         index_map = IndexMap.spanning(series.t[0], series.t[-1])
         fitted = fit_amplitude_offset(curve, HarmonicSpec(), index_map)
-        reference = sample_harmonic(fitted, index_map, curve.t)
+        reference = sample_harmonic(fitted, index_map, curve.grid)
         layers.append(curve_layer(reference, "red", "harmonic"))
     layers.append(marker_layer(series.knots, "black", "samples"))
     spec = PlotSpec(

@@ -68,49 +68,73 @@ class HarmonicResiduals(NamedTuple):
     argmax_t: float
 
 
+class _GridKey:
+    """A float64 day grid as a memo key: hashed by its size, equal by identity or by
+    ``np.array_equal``.  The grid must not change while the memo holds it."""
+
+    __slots__ = ("grid",)
+
+    def __init__(self, grid: np.ndarray) -> None:
+        self.grid = grid
+
+    def __hash__(self) -> int:
+        return self.grid.size
+
+    def __eq__(self, other) -> bool:
+        return self.grid is other.grid or np.array_equal(self.grid, other.grid)
+
+
+_OVERFLOW = "harmonic reference leaves the float range for these coefficients"
+
+
 @lru_cache(maxsize=1)
+@np.errstate(over="ignore", invalid="ignore")  # as Python floats do: inf or nan, no warning
 def _signed_powers(
-    angular_coeff: float, exponent: float, index_map: IndexMap, ts: tuple
+    angular_coeff: float, exponent: float, index_map: IndexMap, key: _GridKey
 ) -> np.ndarray:
     """copysign(|u| ** p, u), u = sin(w k) + cos(w k), k = scale * t + offset, at each day
-    offset of ``ts``.
+    offset t of ``key.grid``.
 
-    One loop over bound locals with ``math`` per point, as numpy's vectorised
-    sin, cos and ``**`` round differently from libm.  The last result is
-    memoized by value, so fitting, comparing and sampling on one grid compute
-    the powers once; keys that compare equal (-0.0 and 0.0, an int and its
-    float) give the same bits.  Raises NumericOverflow when the signed power
-    overflows or an angle is infinite.
+    The angles are one float64 array, rounded step by step as Python floats
+    round them.  sin, cos and pow are libm's, one call per point: ``math.sin``
+    and ``math.cos`` through ``map``, and ``np.float_power``, whose float64
+    loop calls libm ``pow``; numpy's SIMD sin, cos and ``**`` round
+    differently.  The last result is memoized by the coefficients, the map
+    and the grid's :class:`_GridKey`, so fitting, comparing and sampling on
+    one grid compute the powers once: the same grid object hits in O(1), an
+    equal one after one ``np.array_equal``, and equal keys (-0.0 and 0.0, an
+    int and its float) give the same bits.  Raises NumericOverflow when the
+    signed power overflows or an angle is infinite.
     """
-    w, p = angular_coeff, exponent
-    scale, shift = index_map.scale, index_map.offset
-    sin, cos, copysign = math.sin, math.cos, math.copysign
-    powers = []
-    append = powers.append
+    angles = (angular_coeff * (index_map.scale * key.grid + index_map.offset)).tolist()
     try:
-        for t in ts:
-            k = scale * t + shift
-            u = sin(w * k) + cos(w * k)
-            append(copysign(abs(u) ** p, u))
-    except (OverflowError, ValueError):  # |u| ** p overflows; sin or cos of inf
-        raise NumericOverflow(
-            "harmonic reference leaves the float range for these coefficients"
-        ) from None
-    powers = np.array(powers)
+        u = np.fromiter(map(math.sin, angles), float, len(angles))
+        u += np.fromiter(map(math.cos, angles), float, len(angles))
+    except ValueError:  # sin or cos of an infinite angle
+        raise NumericOverflow(_OVERFLOW) from None
+    powers = np.copysign(np.float_power(np.abs(u), exponent), u)
+    # a finite exponent overflows where Python's pow raises; |u| ** inf is inf without error
+    if math.isfinite(exponent) and np.isinf(powers).any():
+        raise NumericOverflow(_OVERFLOW)
     powers.flags.writeable = False  # shared by every caller that hits the memo
     return powers
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as Python floats do: inf or nan, no warning
-def _reference_values(spec: HarmonicSpec, index_map: IndexMap, ts) -> np.ndarray:
-    """offset + amplitude * copysign(|u| ** p, u) at each day offset of ``ts``, with the
+def _reference_values(spec: HarmonicSpec, index_map: IndexMap, grid) -> np.ndarray:
+    """offset + amplitude * copysign(|u| ** p, u) at each day offset of ``grid``, with the
     signed powers of :func:`_signed_powers`."""
-    powers = _signed_powers(spec.angular_coeff, spec.exponent, index_map, tuple(ts))
+    key = _GridKey(np.asarray(grid, dtype=float))
+    powers = _signed_powers(spec.angular_coeff, spec.exponent, index_map, key)
     return spec.offset + spec.amplitude * powers
 
 
 def sample_harmonic(spec: HarmonicSpec, index_map: IndexMap, grid) -> CurveSamples:
     """Evaluate the harmonic on a day grid (uniform, as for other curves)."""
+    try:
+        grid = np.array(grid, dtype=float)  # a copy of the caller's grid, so it cannot change
+    except OverflowError:  # int days beyond the float range
+        raise NumericOverflow(_OVERFLOW) from None
     return CurveSamples(t=grid, y=_reference_values(spec, index_map, grid), source="harmonic")
 
 
@@ -122,7 +146,8 @@ def fit_amplitude_offset(
     The angular coefficient and exponent are kept; only the affine scaling
     of the unit-amplitude, zero-offset reference is re-estimated.
     """
-    powers = _signed_powers(spec.angular_coeff, spec.exponent, index_map, curve.t)
+    key = _GridKey(curve.grid)
+    powers = _signed_powers(spec.angular_coeff, spec.exponent, index_map, key)
     # the unit reference is 0.0 + 1.0 * power, which writes -0.0 as 0.0
     design = np.column_stack([0.0 + powers, np.ones(powers.size)])
     amplitude, offset = solve_least_squares(LeastSquaresProblem(design, curve.values))
@@ -139,7 +164,7 @@ def compare_to_harmonic(
     where that maximum occurs (the earliest grid point on ties).  Raises
     NumericOverflow when the rmse leaves the float range.
     """
-    residuals = curve.values - _reference_values(spec, index_map, curve.t)
+    residuals = curve.values - _reference_values(spec, index_map, curve.grid)
     try:
         rmse = math.sqrt(math.fsum((residuals * residuals).tolist()) / residuals.size)
     except OverflowError:  # the sum of squares overflows
@@ -148,4 +173,4 @@ def compare_to_harmonic(
         raise NumericOverflow("harmonic residuals overflow the float range for these values")
     deviation = np.abs(residuals)
     worst = int(np.argmax(deviation))
-    return HarmonicResiduals(rmse, float(deviation[worst]), curve.t[worst])
+    return HarmonicResiduals(rmse, float(deviation[worst]), float(curve.grid[worst]))

@@ -10,6 +10,7 @@ squared curvature with weight ``lam`` and collapses to the interpolant at
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -239,8 +240,10 @@ def _evaluate(model: SplineModel, t: float | np.ndarray, order: int) -> np.ndarr
     s = clipped - ts[i]
     rows, inside = coefficients[i], t == clipped
     if order == 0:
-        value = _cubic(rows, s, 0)
-        return np.where(inside, value, value + _cubic(rows, s, 1) * (t - clipped))
+        value, slope, step = _cubic(rows, s, 0), _cubic(rows, s, 1), t - clipped
+        # a flat boundary adds a signed zero, also at an infinite t, where 0.0 * inf is nan
+        step = np.where(slope == 0.0, np.sign(step), step)
+        return np.where(inside, value, value + slope * step)
     derivative = _cubic(rows, s, order)
     return derivative if order == 1 else np.where(inside, derivative, 0.0)
 
@@ -369,4 +372,5 @@ def spline_extrema(model: SplineModel) -> list[Extremum]:
             last = t[i]
         merged[i + 1] = abs(t[i + 1] - last) <= 1e-9
     t, y, kinds = t[~merged], y[~merged], np.where(curvature[~merged] < 0.0, "max", "min")
-    return list(map(Extremum, t.tolist(), y.tolist(), kinds.tolist()))
+    # tuple.__new__ builds each named tuple in C; Extremum's own __new__ runs Python code
+    return list(map(tuple.__new__, repeat(Extremum), zip(t.tolist(), y.tolist(), kinds.tolist())))

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -237,7 +237,9 @@ def test_seeded_reference_matches_unseeded_bit_for_bit(seeded_fit):
     hand_built = HarmonicSpec(amplitude=fitted.amplitude, offset=fitted.offset)
     assert _harmonic_outputs(copy, hand_built, IndexMap(imap.scale, imap.offset)) == memoized
     assert _power_loops() == 1  # fit, compare and sample on one grid: the fit's loop only
-    powers = harmonic._signed_powers(fitted.angular_coeff, fitted.exponent, imap, curve.t)
+    key = harmonic._GridKey(curve.grid)
+    powers = harmonic._signed_powers(fitted.angular_coeff, fitted.exponent, imap, key)
+    assert _power_loops() == 1  # an equal grid object hits the memo
     with pytest.raises(ValueError):
         powers[0] = 0.0  # the memo's array is shared, so it is read-only
     harmonic._signed_powers.cache_clear()
@@ -302,6 +304,18 @@ def test_signed_zeros_share_a_memo_entry():
         assert [v.hex() for v in samples.y] == [v.hex() for v in reference]
 
 
+def test_grid_key_matches_by_identity_then_by_value():
+    grid = np.array([-0.0, 1.0, math.nan])
+    key = harmonic._GridKey(grid)
+    # the same object matches without a comparison of values, which nan would fail
+    assert key == harmonic._GridKey(grid) and hash(key) == grid.size
+    assert key != harmonic._GridKey(grid.copy())
+    finite = harmonic._GridKey(np.array([-0.0, 1.0, 2.0]))
+    assert finite == harmonic._GridKey(np.array([0.0, 1.0, 2.0]))
+    assert finite != harmonic._GridKey(np.array([0.0, 1.0, 3.0]))
+    assert finite != harmonic._GridKey(np.array([0.0, 1.0]))
+
+
 @pytest.mark.parametrize("amplitude", [1.7e308, -1.7e308])
 def test_seeded_overflow_is_typed_like_unseeded(seeded_fit, amplitude):
     # amplitude * power leaves the float range where |power| > 1.06; the least-squares
@@ -327,3 +341,120 @@ def test_seeded_overflow_is_typed_like_unseeded(seeded_fit, amplitude):
         "harmonic residuals overflow the float range for these values",
         "curve values are not finite (float overflow)",
     ]
+
+
+def _python_pow(x, p):
+    """x ** p as Python floats take it, with inf where it raises OverflowError."""
+    try:
+        return x**p
+    except OverflowError:
+        return math.inf
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=1, max_size=70),
+    st.floats(min_value=0.0, max_value=50.0, exclude_min=True),
+)
+def test_float_power_is_libm_pow(xs, p):
+    # _signed_powers relies on this: float_power's float64 loop is libm pow, while
+    # numpy's ** and square round differently on some values
+    assert [v.hex() for v in np.float_power(np.array(xs), p).tolist()] == [
+        _python_pow(x, p).hex() for x in xs
+    ]
+
+
+@pytest.mark.parametrize(
+    "x, p",
+    [
+        (5e-324, 0.5), (5e-324, 1.0), (2.2250738585072014e-308, 1.5), (1e-300, 1.1),
+        (0.5, 1074.0), (0.5, 1075.0), (0.999, 7e5),  # underflow to subnormals and zero
+        (2.0, 1023.9999999), (2.0, 1024.0), (1.9, 1200.0), (1.4142135623730951, 2047.0),
+        (1.4142135623730951, 2048.5), (1.0, 1e308), (0.0, 1e-300), (0.0, 4.0 / 3.0),
+        (1.5, math.inf), (0.5, math.inf), (1.0, math.inf),
+    ],
+)
+def test_float_power_edges_are_libm_pow(x, p):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"):
+            powers = np.float_power(np.full(20, x), p).tolist()
+    assert {v.hex() for v in powers} == {_python_pow(x, p).hex()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.floats(min_value=-1e6, max_value=1e6),
+    st.floats(min_value=-3.0, max_value=7.0),
+    st.integers(min_value=1, max_value=400),
+    st.floats(min_value=-3.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=50.0, exclude_min=True),
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.floats(min_value=-1e3, max_value=1e3),
+)
+def test_signed_powers_match_scalar_reference(
+    start, log_span, n, log_coeff, exponent, amplitude, offset
+):
+    span = 10.0**log_span
+    grid = np.linspace(start, start + span, n)
+    index_map = IndexMap.spanning(start, start + span)
+    spec = HarmonicSpec(10.0**log_coeff, exponent, amplitude, offset)
+    expected = [harmonic_reference(index_at(index_map, t), spec) for t in grid.tolist()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = _reference_values(spec, index_map, grid)
+    assert [v.hex() for v in values.tolist()] == [v.hex() for v in expected]
+
+
+OVERFLOW = "harmonic reference leaves the float range for these coefficients"
+
+
+@pytest.mark.parametrize(
+    "spec, index_map",
+    [
+        (HarmonicSpec(exponent=2100.0), IndexMap(1.0)),  # |u| ** p overflows at |u| > 1.4
+        (HarmonicSpec(exponent=5e5), IndexMap(1.0)),
+        (HarmonicSpec(angular_coeff=math.inf), IndexMap(1.0)),  # infinite angles
+        (HarmonicSpec(), IndexMap(1e308, 0.0)),  # k = 1e308 * t overflows
+        (HarmonicSpec(), IndexMap(1e308, -1e308)),
+    ],
+    ids=["exponent", "huge-exponent", "angular-coeff", "scale", "scale-and-offset"],
+)
+def test_reference_overflow_is_typed(spec, index_map):
+    grid = tuple(float(i) for i in range(1, 49))
+    # the per-point reference fails on these points as Python floats do
+    with pytest.raises((OverflowError, ValueError)):
+        [harmonic_reference(index_at(index_map, t), spec) for t in grid]
+    curve = CurveSamples(t=grid, y=grid, source="spline")
+    for call in (
+        lambda: fit_amplitude_offset(curve, spec, index_map),
+        lambda: compare_to_harmonic(curve, spec, index_map),
+        lambda: sample_harmonic(spec, index_map, grid),
+    ):
+        harmonic._signed_powers.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflow, match=f"^{OVERFLOW}$"):
+                call()
+
+
+def test_int_days_beyond_the_float_range_are_typed():
+    with pytest.raises(NumericOverflow, match=f"^{OVERFLOW}$"):
+        sample_harmonic(HarmonicSpec(), IndexMap(1.0), [10**400, 10**401])
+
+
+def test_infinite_exponent_is_not_an_overflow():
+    # |u| ** inf is inf for |u| > 1 with no OverflowError, so the curve, not the
+    # signed power, reports the non-finite values, as the per-point loop did
+    spec = HarmonicSpec(exponent=math.inf)
+    index_map = IndexMap(1.0)
+    grid = tuple(float(i) for i in range(48))
+    expected = [harmonic_reference(index_at(index_map, t), spec) for t in grid]
+    assert math.inf in expected and -math.inf in expected and 0.0 in expected
+    harmonic._signed_powers.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = _reference_values(spec, index_map, grid)
+        with pytest.raises(NumericOverflow, match="curve values are not finite"):
+            sample_harmonic(spec, index_map, grid)
+    assert [v.hex() for v in values.tolist()] == [v.hex() for v in expected]

@@ -22,6 +22,7 @@ from helpers import (
 )
 from hydrospline import (
     CurveSamples,
+    Extremum,
     LagrangeModel,
     SplineModel,
     curve_layer,
@@ -131,6 +132,43 @@ def test_extrapolation_is_linear():
         assert eval_spline(model, 14.0 + dt) == pytest.approx(yn + right_slope * dt, rel=1e-12)
         assert eval_spline_derivative(model, -dt, 1) == pytest.approx(left_slope, rel=1e-12)
         assert eval_spline_derivative(model, 14.0 + dt, 2) == 0.0
+
+
+@pytest.mark.parametrize(
+    "knots, coefficients",
+    [
+        (((0.0, 1.0), (1.0, 1.0), (2.0, 1.0)), None),  # a natural fit through a constant
+        (((0.0, -0.0), (1.0, -0.0), (2.0, -0.0)), None),
+        (((0.0, 0.0), (1.0, 0.0)), ((-0.0, -0.0, 0.0, 0.0),)),  # zero slope of either sign
+        (((0.0, 0.0), (1.0, 0.0)), ((-0.0, 0.0, 0.0, 0.0),)),
+        (((0.0, 2.0), (3.0, 5.0)), ((2.0, 1.0, 0.0, 0.0),)),  # a sloped boundary
+    ],
+)
+def test_flat_boundary_extends_to_infinity(knots, coefficients):
+    # 0.0 * inf is nan: a flat boundary segment evaluated nan at +-inf, with a warning
+    if coefficients is None:
+        model = fit_natural_spline(make_series(*zip(*knots)))
+    else:
+        model = SplineModel(knots=knots, coefficients=coefficients)
+    finite = [-1e300, -7.5, -1e-300, 0.0, 0.5, knots[-1][0], knots[-1][0] + 1e-300, 9.0, 1e300]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ends = [eval_spline(model, t) for t in (-math.inf, math.inf)]
+        far = [eval_spline(model, t) for t in (-1e300, 1e300)]
+        slopes = [eval_spline_derivative(model, t, 1) for t in (-math.inf, math.inf)]
+        values = [eval_spline(model, t) for t in finite]
+    for end, limit, slope, (t, _) in zip(ends, far, slopes, (knots[0], knots[-1])):
+        if slope == 0.0:  # the boundary value, with the sign a far finite point gives
+            assert end == eval_spline(model, t) and end.hex() == limit.hex()
+        else:
+            assert end == math.copysign(math.inf, limit)
+    # outside the span, finite points keep the bits of boundary value + slope * distance
+    expected = []
+    for t in finite:
+        edge = min(max(t, knots[0][0]), knots[-1][0])
+        value, slope = eval_spline(model, edge), eval_spline_derivative(model, edge, 1)
+        expected.append(value if t == edge else value + slope * (t - edge))
+    assert [v.hex() for v in values] == [v.hex() for v in expected]
 
 
 def test_evaluation_matches_scalar_reference(od_series):
@@ -657,7 +695,9 @@ def test_extrema_match_scalar_reference():
         series = make_series(t + rng.choice([0.0, 1000.0]), y)
         for lam in (0.0, 0.5, 50.0, 1e6) if n > 2 else (0.0,):
             model = fit_smoothing_spline(series, lam)
-            assert _exact(spline_extrema(model)) == _exact(scalar_extrema(model))
+            extrema = spline_extrema(model)
+            assert _exact(extrema) == _exact(scalar_extrema(model))
+            assert all(type(e) is Extremum for e in extrema)
 
 
 @pytest.mark.parametrize(
