@@ -59,7 +59,6 @@ class DatasetRow:
     values: tuple[float | None, ...]
 
 
-@dataclass(frozen=True)
 class Dataset(_Value):
     """A monitoring table held as columns: ``dates``, and in ``columns`` one tuple
     of values (a float, or None where the cell is absent) per parameter.  It is
@@ -69,18 +68,13 @@ class Dataset(_Value):
     MalformedNumber, two rows on one date DuplicateTimestamp.  ``rows`` is the
     table a row at a time, built on first use."""
 
-    station: str
-    parameters: tuple[str, ...]
-    dates: tuple[date, ...]
-    columns: tuple[tuple[float | None, ...], ...]
-    source: str
     _fields = ("station", "parameters", "dates", "columns", "source")
 
-    def __post_init__(self) -> None:
-        dates, columns, n = self.dates, tuple(self.columns), len(self.dates)
-        if len(columns) != len(self.parameters):
-            raise MalformedRow(f"expected {len(self.parameters)} columns, got {len(columns)}")
-        for code, column in zip(self.parameters, columns):
+    def __init__(self, station: str, parameters, dates, columns, source: str) -> None:
+        columns, n = tuple(columns), len(dates)
+        if len(columns) != len(parameters):
+            raise MalformedRow(f"expected {len(parameters)} columns, got {len(columns)}")
+        for code, column in zip(parameters, columns):
             if len(column) != n:
                 raise MalformedRow(f"column {code}: expected {n} values, got {len(column)}")
         ordinals = np.fromiter(map(date.toordinal, dates), dtype=np.int64, count=n)
@@ -95,13 +89,14 @@ class Dataset(_Value):
             bad += [(i, j) for i in suspects if column[i] is not None]
         if bad:
             i, j = min(bad)
-            when, code = format_date(dates[i]), self.parameters[j]
+            when, code = format_date(dates[i]), parameters[j]
             raise MalformedNumber(f"row on {when}, column {code}: not finite: {columns[j][i]!r}")
         same = np.flatnonzero(ordinals[1:] == ordinals[:-1])
         if same.size:
             raise DuplicateTimestamp(f"two rows on {format_date(dates[same[0]])}")
         ordinals.flags.writeable = False
-        vars(self).update(dates=dates, columns=columns, ordinals=ordinals)
+        vars(self).update(station=station, parameters=parameters, dates=dates, columns=columns,
+                          source=source, ordinals=ordinals)
 
     @cached_property
     def rows(self) -> tuple[DatasetRow, ...]:

@@ -60,7 +60,11 @@ def format_date(d: date) -> str:
 class _Value:
     """Equality, hashing and ``repr`` by the constructor arguments named in ``_fields``,
     whose values copies and pickles pass back to the constructor.  Instances are
-    frozen: assignment raises FrozenInstanceError, as on a frozen dataclass."""
+    frozen: assignment raises FrozenInstanceError, as on a frozen dataclass.  A type
+    that stores a converted copy of its arguments subclasses this with an explicit
+    ``__init__`` (TimeSeries keeps a dataclass one, for ``dataclasses.replace``).  A record
+    that stores its arguments as given stays a dataclass: DatasetRow, HarmonicSpec,
+    IndexMap, PolyModel, TrendReport, PlotSpec and the two mutable linalg solver inputs."""
 
     _fields: tuple[str, ...] = ()
 
@@ -87,7 +91,7 @@ class _Value:
         return type(self), self._values()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class TimeSeries(_Value):
     """Strictly increasing (t, y) knots for one station and parameter.
 

@@ -8,7 +8,6 @@ squared curvature with weight ``lam`` and collapses to the interpolant at
 ``lam = 0`` and to the least-squares line as ``lam`` grows.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from typing import NamedTuple, Union
@@ -64,24 +63,29 @@ class SplineModel(_Value):
         return tuple(map(tuple, self._table.tolist()))
 
 
-@dataclass(frozen=True)
-class LagrangeModel:
-    """Single global interpolating polynomial in barycentric form."""
+class LagrangeModel(_Value):
+    """Single global interpolating polynomial in barycentric form, kept as read-only arrays."""
 
-    knots: tuple[tuple[float, float], ...]
-    weights: tuple[float, ...]
+    _fields = ("knots", "weights")
 
-    def __post_init__(self) -> None:
-        if not self.knots or len(self.weights) != len(self.knots):
+    def __init__(self, knots, weights) -> None:
+        if not knots or len(weights) != len(knots):
             raise ValueError("a Lagrange model needs at least one knot and one weight per knot")
-        times = np.array([t for t, _ in self.knots], dtype=float)
+        times = np.array([t for t, _ in knots], dtype=float)
         if not np.isfinite(times).all() or (times[1:] <= times[:-1]).any():
             raise ValueError("knot times must be finite and strictly increasing")
-        if not np.isfinite([y for _, y in self.knots]).all():
+        values = [y for _, y in knots]
+        if not np.isfinite(values).all():
             raise ValueError("knot values must be finite")
-        weights = np.array(self.weights, dtype=float)
+        values, weights = np.array(values, dtype=float), np.array(weights, dtype=float)
         if not (np.isfinite(weights) & (weights != 0.0)).all():
             raise WeightOverflow("barycentric weights overflow for this knot layout")
+        times.flags.writeable = values.flags.writeable = weights.flags.writeable = False
+        vars(self).update(knots=knots, _times=times, _ys=values, _weights=weights)
+
+    @cached_property
+    def weights(self) -> tuple[float, ...]:
+        return tuple(self._weights.tolist())
 
 
 class CurveSamples(_Value):
@@ -95,7 +99,10 @@ class CurveSamples(_Value):
     _fields = ("t", "y", "source")
 
     def __init__(self, t, y, source: str) -> None:
-        grid, values = np.array(t, dtype=float), np.array(y, dtype=float)
+        try:
+            grid, values = np.array(t, dtype=float), np.array(y, dtype=float)
+        except OverflowError:  # an int beyond the float range
+            raise NumericOverflow("curve values are not finite (float overflow)") from None
         if grid.ndim != 1 or not grid.size or grid.shape != values.shape:
             raise ValueError("grid and values must be non-empty and equal length")
         if not (np.isfinite(grid).all() and np.isfinite(values).all()):
@@ -278,7 +285,7 @@ def fit_lagrange(series: TimeSeries) -> LagrangeModel:
     prod = np.ones(ts.size)
     for j in index:
         prod *= np.where(index == j, 1.0, ts - ts[j])
-    return LagrangeModel(knots=series.knots, weights=tuple((1.0 / prod).tolist()))
+    return LagrangeModel(knots=series.knots, weights=1.0 / prod)
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # inf or nan, as Python floats
@@ -294,15 +301,15 @@ def _barycentric(model: LagrangeModel, t: float | np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     num, den, ell = np.zeros(t.shape), np.zeros(t.shape), np.ones(t.shape)
     snapped = np.full(t.shape, -1)
-    for i, ((ti, yi), wi) in enumerate(zip(model.knots, model.weights)):
+    ts, ys = model._times, model._ys
+    for i, (ti, yi, wi) in enumerate(zip(ts.tolist(), ys.tolist(), model._weights.tolist())):
         offset = t - ti
         snapped[(snapped < 0) & (np.abs(offset) <= KNOT_SNAP_TOL)] = i
         factor = wi / offset
         num += factor * yi
         den += factor
         ell *= offset
-    ys = np.array([y for _, y in model.knots], dtype=float)
-    outside = (t < model.knots[0][0]) | (t > model.knots[-1][0])
+    outside = (t < ts[0]) | (t > ts[-1])
     return np.where(snapped < 0, np.where(outside, ell * num, num / den), ys[snapped])
 
 
@@ -347,8 +354,8 @@ def spline_extrema(model: SplineModel) -> list[Extremum]:
     segment = np.repeat(np.arange(ts.size - 1), 2)
     upper = np.arange(segment.size) % 2 == 1
     rows, h = coefficients[segment], np.diff(ts)[segment]
-    qa, qb, qc = 3.0 * rows[:, 3], 2.0 * rows[:, 2], rows[:, 1]
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # a kept non-finite point raises NumericOverflow below
+        qa, qb, qc = 3.0 * rows[:, 3], 2.0 * rows[:, 2], rows[:, 1]
         disc = qb * qb - 4.0 * qa * qc
         # split the quadratic formula to avoid cancellation between -qb and the root
         q = -(qb + np.copysign(np.sqrt(disc), qb)) / 2.0
@@ -372,5 +379,7 @@ def spline_extrema(model: SplineModel) -> list[Extremum]:
             last = t[i]
         merged[i + 1] = abs(t[i + 1] - last) <= 1e-9
     t, y, kinds = t[~merged], y[~merged], np.where(curvature[~merged] < 0.0, "max", "min")
+    if not (np.isfinite(t).all() and np.isfinite(y).all()):
+        raise NumericOverflow("spline extrema overflow the float range for these values")
     # tuple.__new__ builds each named tuple in C; Extremum's own __new__ runs Python code
     return list(map(tuple.__new__, repeat(Extremum), zip(t.tolist(), y.tolist(), kinds.tolist())))

@@ -54,26 +54,21 @@ def _tables() -> tuple[np.ndarray, np.ndarray]:
 _LAST = np.array([0, 0, 0, 1], bool).view(np.uint32)[0]
 
 
-@dataclass(frozen=True, eq=False)
 class PlotLayer(_Value):
     """Either a connected curve or a set of point markers, as a read-only (n, 2) array."""
 
-    kind: str  # "curve" | "markers"
-    points: np.ndarray
-    color: str
-    label: str = ""
     _fields = ("kind", "points", "color", "label")
     __eq__, __hash__ = object.__eq__, object.__hash__  # arrays have no truth value: by identity
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("curve", "markers"):
-            raise ValueError(f"layer kind must be curve or markers, got {self.kind!r}")
-        points = np.array(self.points, dtype=float)
+    def __init__(self, kind: str, points, color: str, label: str = "") -> None:
+        if kind not in ("curve", "markers"):
+            raise ValueError(f"layer kind must be curve or markers, got {kind!r}")
+        points = np.array(points, dtype=float)
         if points.shape != (0,) and points.shape[1:] != (2,):
             raise ValueError(f"layer points must be (x, y) pairs, got shape {points.shape}")
         points = points.reshape(-1, 2)  # only the empty table changes shape
         points.flags.writeable = False
-        object.__setattr__(self, "points", points)
+        vars(self).update(kind=kind, points=points, color=color, label=label)
 
 
 def curve_layer(samples: CurveSamples, color: str, label: str = "") -> PlotLayer:

@@ -190,21 +190,21 @@ def dense_spline_coefficients(t, y):
 def scalar_spline(model, t, order=0):
     """Value or derivative of a SplineModel at one point, by bisection and Horner.
 
-    Outside the knot span the value extends linearly with the boundary slope,
-    which keeps the slope constant and the curvature zero.
+    The cubic is taken at ``t`` clipped to the knot span.  Outside the span
+    the value extends linearly with the boundary slope, which keeps the slope
+    constant and the curvature zero; a flat boundary adds a signed zero.
     """
     ts = [k for k, _ in model.knots]
-    if t < ts[0]:
-        a, b, _, _ = model.coefficients[0]
-        return (a + b * (t - ts[0]), b, 0.0)[order]
-    i = min(max(bisect_right(ts, t) - 1, 0), len(ts) - 2)
+    clipped = min(max(t, ts[0]), ts[-1])
+    i = min(max(bisect_right(ts, clipped) - 1, 0), len(ts) - 2)
     a, b, c, d = model.coefficients[i]
-    s = min(t, ts[-1]) - ts[i]
+    s = clipped - ts[i]
     value = ((d * s + c) * s + b) * s + a
     slope = (3.0 * d * s + 2.0 * c) * s + b
-    if t > ts[-1]:
-        return (value + slope * (t - ts[-1]), slope, 0.0)[order]
-    return (value, slope, 6.0 * d * s + 2.0 * c)[order]
+    if t == clipped:
+        return (value, slope, 6.0 * d * s + 2.0 * c)[order]
+    step = math.copysign(1.0, t - clipped) if slope == 0.0 else t - clipped
+    return (value + slope * step, slope, 0.0)[order]
 
 
 def _stationary_points(b, c, d):

@@ -8,10 +8,13 @@ renaming one of those breaks it; these tests catch that in the suite.
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 from types import ModuleType
 
 import hydrospline
+from hydrospline.series import TimeSeries, _Value
+from hydrospline.svgplot import PlotLayer
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 PACKAGE_ALIASES = {"hs", "hydrospline"}
@@ -86,3 +89,27 @@ def test_all_lists_every_public_name_once():
     }
     assert len(hydrospline.__all__) == len(set(hydrospline.__all__))
     assert set(hydrospline.__all__) == public | {"__version__"}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_value_types_take_their_fields_and_share_one_value_base():
+    # copies and pickles pass the _fields values to the constructor positionally,
+    # and a dataclass-generated method would shadow the base's
+    classes = [cls for cls in _subclasses(_Value) if cls.__module__.startswith("hydrospline.")]
+    names = {cls.__name__ for cls in classes}
+    assert names == {"TimeSeries", "Dataset", "SplineModel", "LagrangeModel", "CurveSamples",
+                     "PlotLayer"}
+    for cls in classes:
+        assert tuple(inspect.signature(cls).parameters) == cls._fields, cls
+        methods = ["__eq__", "__hash__", "__repr__", "__reduce__"]
+        if cls is not TimeSeries:  # the dataclass __init__ comes with its frozen guards
+            methods += ["__setattr__", "__delattr__"]
+        for method in methods:
+            # a layer's points array has no truth value, so layers compare by identity
+            base = object if cls is PlotLayer and method in ("__eq__", "__hash__") else _Value
+            assert getattr(cls, method) is getattr(base, method), (cls, method)

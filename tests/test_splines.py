@@ -33,6 +33,7 @@ from hydrospline import (
     fit_lagrange,
     fit_natural_spline,
     fit_smoothing_spline,
+    gropeni_dataset,
     spline_extrema,
 )
 from hydrospline.errors import (
@@ -172,19 +173,24 @@ def test_flat_boundary_extends_to_infinity(knots, coefficients):
 
 
 def test_evaluation_matches_scalar_reference(od_series):
-    # same arithmetic as the per-point loop, so the values must be equal, not close
+    # same arithmetic as the per-point loop, so the values must have the same bits,
+    # signed zeros included, which == does not tell apart
     rng = np.random.default_rng(577)
-    for series in (od_series, make_series(*random_knots(rng, 40))):
+    flat = make_series([0.0, 1.0, 3.0, 4.0], [-0.0] * 4)
+    for series in (od_series, make_series(*random_knots(rng, 40)), flat):
         t0, tn = series.t[0], series.t[-1]
-        probes = [*rng.uniform(2 * t0 - tn, 2 * tn - t0, 400).tolist(), *series.t]
+        probes = [*rng.uniform(2 * t0 - tn, 2 * tn - t0, 400).tolist(), *series.t, -1e300, 1e300]
         for model in (fit_natural_spline(series), fit_smoothing_spline(series, 5.0)):
-            assert [eval_spline(model, p) for p in probes] == [
-                scalar_spline(model, p) for p in probes]
-            for order in (1, 2):
-                assert [eval_spline_derivative(model, p, order) for p in probes] == [
-                    scalar_spline(model, p, order) for p in probes]
+            for order in (0, 1, 2):
+                got = [_evaluate_scalar(model, p, order) for p in probes]
+                assert [v.hex() for v in got] == [
+                    scalar_spline(model, p, order).hex() for p in probes]
             curve = dense_grid(model, 1001)
-            assert curve.y == tuple(scalar_spline(model, p) for p in curve.t)
+            assert [v.hex() for v in curve.y] == [scalar_spline(model, p).hex() for p in curve.t]
+
+
+def _evaluate_scalar(model, t, order):
+    return eval_spline(model, t) if order == 0 else eval_spline_derivative(model, t, order)
 
 
 # smoothing spline
@@ -754,6 +760,23 @@ def test_overflowing_curve_is_typed():
             dense_grid(model, 1000)
 
 
+def test_curve_samples_beyond_the_float_range_are_typed():
+    # float() of an int past the float range raised a bare OverflowError
+    with pytest.raises(NumericOverflow):
+        CurveSamples(t=[10**400, 10**401], y=[0.0, 1.0], source="x")
+    with pytest.raises(NumericOverflow):
+        CurveSamples(t=[0.0, 1.0], y=[0.0, -10**400], source="x")
+
+
+def test_overflowing_extremum_is_typed_and_silent():
+    # finite coefficients whose stationary-point products overflow: the search
+    # warned and reported a minimum at y = -inf
+    series = make_series([0.0, 1e-12, 1e6, 1e15, 1e300], [1e15, -1.0, 1.7e308, 1e300, 5e-324])
+    model = fit_natural_spline(series)
+    with pytest.raises(NumericOverflow):
+        spline_extrema(model)
+
+
 def test_single_knot_lagrange_has_no_grid():
     model = fit_lagrange(make_series([3.0], [1.0]))
     with pytest.raises(TooFewKnots):
@@ -785,14 +808,20 @@ def _value_types(od_series):
     model = fit_natural_spline(od_series)
     curve = dense_grid(model, 50)
     return {"series": od_series, "model": model, "curve": curve,
+            "lagrange": fit_lagrange(od_series), "dataset": gropeni_dataset(),
             "layer": curve_layer(curve, "red", "spline")}
+
+
+# the lazy tuple view of each value type that has one
+_VIEWS = {"model": "coefficients", "curve": "t", "lagrange": "weights", "dataset": "rows",
+          "layer": None}
 
 
 def _arrays(value):
     return [a for a in vars(value).values() if isinstance(a, np.ndarray)]
 
 
-@pytest.mark.parametrize("kind", ["series", "model", "curve", "layer"])
+@pytest.mark.parametrize("kind", ["series", "model", "curve", "lagrange", "dataset", "layer"])
 @pytest.mark.parametrize(
     "duplicate",
     [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
@@ -810,7 +839,7 @@ def test_copies_are_equal_with_read_only_arrays(od_series, kind, duplicate):
     assert _arrays(duplicated) and not any(a.flags.writeable for a in _arrays(duplicated))
 
 
-@pytest.mark.parametrize("kind", ["model", "curve"])
+@pytest.mark.parametrize("kind", list(_VIEWS))
 def test_models_and_curves_are_frozen_values_not_dataclasses(od_series, kind):
     # they declared dataclass fields their constructors do not take, so replace()
     # failed with a misleading missing- or unexpected-argument TypeError
@@ -823,6 +852,7 @@ def test_models_and_curves_are_frozen_values_not_dataclasses(od_series, kind):
     with pytest.raises(dataclasses.FrozenInstanceError):
         del value.values
     # the lazy tuple views are still built on first read, and only then
-    view = "coefficients" if kind == "model" else "t"
-    assert view not in vars(value)
-    assert getattr(value, view) == getattr(value, view) and view in vars(value)
+    view = _VIEWS[kind]
+    if view is not None:
+        assert view not in vars(value)
+        assert getattr(value, view) == getattr(value, view) and view in vars(value)
