@@ -6,6 +6,8 @@ base type for "bad data" conditions while programming mistakes still
 surface as ordinary ``ValueError``/``TypeError``.
 """
 
+from contextlib import contextmanager
+
 
 class HydrosplineError(Exception):
     """Base class for all recoverable errors raised by this package."""
@@ -107,3 +109,13 @@ class UnknownParameter(HydrosplineError):
 
 class EmptyPlot(HydrosplineError):
     """Plot specification contains nothing drawable."""
+
+
+@contextmanager
+def typed_overflow(message: str):
+    """Raise NumericOverflow(message) for the bare OverflowError that converting an
+    int beyond the float range to float raises inside the ``with`` block."""
+    try:
+        yield
+    except OverflowError:
+        raise NumericOverflow(message) from None

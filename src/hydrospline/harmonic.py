@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericOverflow
+from .errors import NumericOverflow, typed_overflow
 from .linalg import LeastSquaresProblem, solve_least_squares
 from .splines import CurveSamples
 
@@ -42,6 +42,9 @@ class HarmonicSpec:
             raise ValueError("exponent must be positive")
 
 
+_SPAN_OVERFLOW = "index map scale or offset leaves the float range"
+
+
 @dataclass(frozen=True)
 class IndexMap:
     """Affine map from day offsets to sample indices: k = scale * t + offset."""
@@ -55,10 +58,11 @@ class IndexMap:
         span = t_end - t_start
         if span <= 0:
             raise ValueError("index map needs a positive span")
-        scale = INDEX_UNITS / span
-        offset = -scale * t_start
+        with typed_overflow(_SPAN_OVERFLOW):
+            scale = INDEX_UNITS / span
+            offset = -scale * t_start
         if not (0.0 < scale < math.inf and math.isfinite(offset)):
-            raise NumericOverflow("index map scale or offset leaves the float range")
+            raise NumericOverflow(_SPAN_OVERFLOW)
         return cls(scale=scale, offset=offset)
 
 
@@ -131,10 +135,8 @@ def _reference_values(spec: HarmonicSpec, index_map: IndexMap, grid) -> np.ndarr
 
 def sample_harmonic(spec: HarmonicSpec, index_map: IndexMap, grid) -> CurveSamples:
     """Evaluate the harmonic on a day grid (uniform, as for other curves)."""
-    try:
+    with typed_overflow(_OVERFLOW):  # int days beyond the float range
         grid = np.array(grid, dtype=float)  # a copy of the caller's grid, so it cannot change
-    except OverflowError:  # int days beyond the float range
-        raise NumericOverflow(_OVERFLOW) from None
     return CurveSamples(t=grid, y=_reference_values(spec, index_map, grid), source="harmonic")
 
 

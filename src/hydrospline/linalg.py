@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericOverflow, RankDeficient, ZeroPivot
+from .errors import NumericOverflow, RankDeficient, ZeroPivot, typed_overflow
 
 #: pivots below this magnitude abort elimination
 ZERO_PIVOT_TOL = 1e-14
@@ -48,10 +48,11 @@ class TridiagonalSystem:
     rhs: np.ndarray
 
     def __post_init__(self) -> None:
-        self.lower = _as_vector(self.lower, "lower")
-        self.diag = _as_vector(self.diag, "diag")
-        self.upper = _as_vector(self.upper, "upper")
-        self.rhs = _as_vector(self.rhs, "rhs")
+        with typed_overflow("tridiagonal system entries leave the float range"):
+            self.lower = _as_vector(self.lower, "lower")
+            self.diag = _as_vector(self.diag, "diag")
+            self.upper = _as_vector(self.upper, "upper")
+            self.rhs = _as_vector(self.rhs, "rhs")
         n = self.diag.size
         if n < 1:
             raise ValueError("system must have at least one unknown")
@@ -73,8 +74,9 @@ class LeastSquaresProblem:
     targets: np.ndarray
 
     def __post_init__(self) -> None:
-        self.design = np.asarray(self.design, dtype=float)
-        self.targets = _as_vector(self.targets, "targets")
+        with typed_overflow("least-squares design or targets leave the float range"):
+            self.design = np.asarray(self.design, dtype=float)
+            self.targets = _as_vector(self.targets, "targets")
         if self.design.ndim != 2:
             raise ValueError("design must be two-dimensional")
         m, k = self.design.shape

@@ -6,10 +6,9 @@ live in u-space and :func:`eval_poly` maps back from days.
 """
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain
 
 import numpy as np
 
@@ -148,26 +147,24 @@ def pearson(a: TimeSeries, b: TimeSeries) -> float:
 
 def _pearson_of_pairs(pairs: list[tuple[float, float, float]]) -> float:
     """Pearson correlation of (day, x, y) triples, checked as :func:`pearson` describes."""
-    if len(pairs) < 3:
-        raise InsufficientPairs(f"need at least 3 matched pairs, have {len(pairs)}")
-    xs = [p[1] for p in pairs]
-    ys = [p[2] for p in pairs]
-    if max(xs) == min(xs) or max(ys) == min(ys):
-        raise ZeroVariance("correlation is undefined for a constant series")
     n = len(pairs)
-    try:
-        mean_x = math.fsum(xs) / n
-        mean_y = math.fsum(ys) / n
-        dx = [x - mean_x for x in xs]
-        dy = [y - mean_y for y in ys]
-        sxy = math.fsum(map(operator.mul, dx, dy))
-        sxx = math.fsum(map(pow, dx, repeat(2)))
-        syy = math.fsum(map(pow, dy, repeat(2)))
-    except (OverflowError, ValueError):  # a sum overflows, or meets both signs of inf
-        sxy = sxx = syy = math.inf
+    if n < 3:
+        raise InsufficientPairs(f"need at least 3 matched pairs, have {n}")
+    _, x, y = np.fromiter(chain.from_iterable(pairs), float, 3 * n).reshape(n, 3).T
+    if x.max() == x.min() or y.max() == y.min():
+        raise ZeroVariance("correlation is undefined for a constant series")
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite sums raise NumericOverflow
+        try:
+            dx = x - math.fsum(x.tolist()) / n
+            dy = y - math.fsum(y.tolist()) / n
+            sxy = math.fsum((dx * dy).tolist())
+            # libm pow squares as Python's pow(d, 2) does; float64 d * d rounds differently
+            sxx = math.fsum(np.float_power(dx, 2.0).tolist())
+            syy = math.fsum(np.float_power(dy, 2.0).tolist())
+        except (OverflowError, ValueError):  # a sum overflows, or meets both signs of inf
+            sxy = sxx = syy = math.inf
     # a product that overflows, or underflows below the normal range, would clamp garbage
     if not (math.isfinite(sxy) and sys.float_info.min <= sxx * syy < math.inf):
         raise NumericOverflow("correlation sums leave the float range for these values")
     r = sxy / math.sqrt(sxx * syy)
     return max(-1.0, min(1.0, r))
-

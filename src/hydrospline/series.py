@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidDate, MalformedDate
+from .errors import InvalidDate, MalformedDate, typed_overflow
 
 #: Known parameter codes and their units.  Lookups are case-sensitive;
 #: codes outside the registry are accepted and report unit "unknown".
@@ -109,8 +109,9 @@ class TimeSeries(_Value):
     def __post_init__(self) -> None:
         if not self.knots:
             raise ValueError("a series needs at least one knot")
-        times = np.array([t for t, _ in self.knots], dtype=float)
-        values = np.array([y for _, y in self.knots], dtype=float)
+        with typed_overflow("knots leave the float range"):
+            times = np.array([t for t, _ in self.knots], dtype=float)
+            values = np.array([y for _, y in self.knots], dtype=float)
         if not (np.isfinite(times).all() and np.isfinite(values).all()):
             raise ValueError("knots must be finite")
         if (times[1:] <= times[:-1]).any():

@@ -8,6 +8,7 @@ squared curvature with weight ``lam`` and collapses to the interpolant at
 ``lam = 0`` and to the least-squares line as ``lam`` grows.
 """
 
+import math
 from functools import cached_property
 from itertools import repeat
 from typing import NamedTuple, Union
@@ -21,6 +22,7 @@ from .errors import (
     TooFewKnots,
     UnsupportedOrder,
     WeightOverflow,
+    typed_overflow,
 )
 from .linalg import TridiagonalSystem, solve_banded_spd, solve_tridiagonal
 from .series import TimeSeries, _Value
@@ -30,6 +32,10 @@ FLAT_CURVATURE_TOL = 1e-10
 
 #: evaluation points this close to a knot (in days) return the knot value
 KNOT_SNAP_TOL = 1e-12
+
+#: the kinds of extrema, indexed by "is a maximum"; every Extremum shares these two strs
+_KINDS = np.array(("min", "max"), dtype=object)
+_KINDS.flags.writeable = False
 
 
 class SplineModel(_Value):
@@ -47,8 +53,9 @@ class SplineModel(_Value):
     _fields = ("knots", "coefficients", "smoothing")
 
     def __init__(self, knots, coefficients, smoothing: float = 0.0) -> None:
-        times = np.array([t for t, _ in knots], dtype=float)
-        table = np.array(coefficients, dtype=float)
+        with typed_overflow("spline knots or coefficients leave the float range"):
+            times = np.array([t for t, _ in knots], dtype=float)
+            table = np.array(coefficients, dtype=float)
         if len(knots) < 2 or table.shape != (len(knots) - 1, 4):
             raise ValueError("a spline needs 2 or more knots and one coefficient row per segment")
         if not np.isfinite(times).all() or (times[1:] <= times[:-1]).any():
@@ -71,13 +78,14 @@ class LagrangeModel(_Value):
     def __init__(self, knots, weights) -> None:
         if not knots or len(weights) != len(knots):
             raise ValueError("a Lagrange model needs at least one knot and one weight per knot")
-        times = np.array([t for t, _ in knots], dtype=float)
-        if not np.isfinite(times).all() or (times[1:] <= times[:-1]).any():
-            raise ValueError("knot times must be finite and strictly increasing")
-        values = [y for _, y in knots]
-        if not np.isfinite(values).all():
-            raise ValueError("knot values must be finite")
-        values, weights = np.array(values, dtype=float), np.array(weights, dtype=float)
+        with typed_overflow("Lagrange knots or weights leave the float range"):
+            times = np.array([t for t, _ in knots], dtype=float)
+            if not np.isfinite(times).all() or (times[1:] <= times[:-1]).any():
+                raise ValueError("knot times must be finite and strictly increasing")
+            values = np.array([y for _, y in knots], dtype=float)
+            if not np.isfinite(values).all():
+                raise ValueError("knot values must be finite")
+            weights = np.array(weights, dtype=float)
         if not (np.isfinite(weights) & (weights != 0.0)).all():
             raise WeightOverflow("barycentric weights overflow for this knot layout")
         times.flags.writeable = values.flags.writeable = weights.flags.writeable = False
@@ -99,10 +107,8 @@ class CurveSamples(_Value):
     _fields = ("t", "y", "source")
 
     def __init__(self, t, y, source: str) -> None:
-        try:
+        with typed_overflow("curve values are not finite (float overflow)"):
             grid, values = np.array(t, dtype=float), np.array(y, dtype=float)
-        except OverflowError:  # an int beyond the float range
-            raise NumericOverflow("curve values are not finite (float overflow)") from None
         if grid.ndim != 1 or not grid.size or grid.shape != values.shape:
             raise ValueError("grid and values must be non-empty and equal length")
         if not (np.isfinite(grid).all() and np.isfinite(values).all()):
@@ -255,9 +261,24 @@ def _evaluate(model: SplineModel, t: float | np.ndarray, order: int) -> np.ndarr
     return derivative if order == 1 else np.where(inside, derivative, 0.0)
 
 
+_VALUE_OVERFLOW = "spline value leaves the float range at this t"
+
+
+@np.errstate(over="ignore", invalid="ignore")  # raises NumericOverflow instead
 def eval_spline(model: SplineModel, t: float) -> float:
-    """Evaluate the spline; outside the knot span it extends linearly."""
-    return float(_evaluate(model, t, 0))
+    """Evaluate the spline; outside the knot span it extends linearly.
+
+    At t = +-inf the extension is +-inf by the sign of the boundary slope,
+    or the boundary value where that slope is zero; a nan t gives nan.  Any
+    other result that is not finite, such as at a finite t whose linear
+    extension overflows, raises NumericOverflow, as does an int t beyond
+    the float range.
+    """
+    with typed_overflow(_VALUE_OVERFLOW):
+        value = float(_evaluate(model, t, 0))
+    if math.isfinite(value) or math.isinf(t) and math.isinf(value) or math.isnan(t):
+        return value
+    raise NumericOverflow(_VALUE_OVERFLOW)
 
 
 def eval_spline_derivative(model: SplineModel, t: float, order: int) -> float:
@@ -378,8 +399,9 @@ def spline_extrema(model: SplineModel) -> list[Extremum]:
         if not merged[i]:  # the first gap of a run starts at a kept point
             last = t[i]
         merged[i + 1] = abs(t[i + 1] - last) <= 1e-9
-    t, y, kinds = t[~merged], y[~merged], np.where(curvature[~merged] < 0.0, "max", "min")
+    t, y, is_max = t[~merged], y[~merged], curvature[~merged] < 0.0
     if not (np.isfinite(t).all() and np.isfinite(y).all()):
         raise NumericOverflow("spline extrema overflow the float range for these values")
+    kinds = _KINDS.take(is_max).tolist()
     # tuple.__new__ builds each named tuple in C; Extremum's own __new__ runs Python code
-    return list(map(tuple.__new__, repeat(Extremum), zip(t.tolist(), y.tolist(), kinds.tolist())))
+    return list(map(tuple.__new__, repeat(Extremum), zip(t.tolist(), y.tolist(), kinds)))

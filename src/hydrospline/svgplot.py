@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyPlot, NumericOverflow
+from .errors import EmptyPlot, NumericOverflow, typed_overflow
 from .series import _Value
 from .splines import CurveSamples
 
@@ -63,7 +63,8 @@ class PlotLayer(_Value):
     def __init__(self, kind: str, points, color: str, label: str = "") -> None:
         if kind not in ("curve", "markers"):
             raise ValueError(f"layer kind must be curve or markers, got {kind!r}")
-        points = np.array(points, dtype=float)
+        with typed_overflow("plot points leave the float range"):
+            points = np.array(points, dtype=float)
         if points.shape != (0,) and points.shape[1:] != (2,):
             raise ValueError(f"layer points must be (x, y) pairs, got shape {points.shape}")
         points = points.reshape(-1, 2)  # only the empty table changes shape

@@ -10,7 +10,8 @@ the Lagrange weight and barycentric loops; the scalar harmonic reference
 is the per-point formula that the signed-power loop inlines; the two
 scalar solvers are the numpy-scalar loops that the list-based ones
 replaced; the date pairing is the day-dictionary loop that the sorted
-search replaced; and the SVG marks are the per-point ``to_px`` loop with
+search replaced; the correlation is the list loop that the float64 arrays
+replaced; and the SVG marks are the per-point ``to_px`` loop with
 Python's own ``f"{v:.4f}"``, which the array writer replaced: same
 operations in the same order, so their results must match bit for bit.
 The CSV body is parsed a record and a cell at a time, as before the
@@ -19,15 +20,27 @@ error.
 """
 
 import math
+import operator
+import random
 import re
+import sys
 from bisect import bisect_right
-from datetime import date
+from datetime import date, timedelta
 from html import escape
+from itertools import repeat
 
 import numpy as np
 
 from hydrospline import Dataset, TimeSeries
-from hydrospline.errors import MalformedNumber, MalformedRow, WeightOverflow, ZeroPivot
+from hydrospline.errors import (
+    InsufficientPairs,
+    MalformedNumber,
+    MalformedRow,
+    NumericOverflow,
+    WeightOverflow,
+    ZeroPivot,
+    ZeroVariance,
+)
 from hydrospline.linalg import ZERO_PIVOT_TOL
 from hydrospline.series import parse_date
 from hydrospline.splines import FLAT_CURVATURE_TOL, KNOT_SNAP_TOL, Extremum
@@ -52,6 +65,33 @@ def scalar_matched_pairs(a, b):
         if day in by_day:
             pairs.append((day, by_day[day], y))
     return pairs
+
+
+def scalar_pearson(pairs):
+    """Pearson correlation of (day, x, y) triples on Python lists, with the checks,
+    messages and overflow cases of ``regression._pearson_of_pairs``."""
+    if len(pairs) < 3:
+        raise InsufficientPairs(f"need at least 3 matched pairs, have {len(pairs)}")
+    xs = [p[1] for p in pairs]
+    ys = [p[2] for p in pairs]
+    if max(xs) == min(xs) or max(ys) == min(ys):
+        raise ZeroVariance("correlation is undefined for a constant series")
+    n = len(pairs)
+    try:
+        mean_x = math.fsum(xs) / n
+        mean_y = math.fsum(ys) / n
+        dx = [x - mean_x for x in xs]
+        dy = [y - mean_y for y in ys]
+        sxy = math.fsum(map(operator.mul, dx, dy))
+        sxx = math.fsum(map(pow, dx, repeat(2)))
+        syy = math.fsum(map(pow, dy, repeat(2)))
+    except (OverflowError, ValueError):  # a sum overflows, or meets both signs of inf
+        sxy = sxx = syy = math.inf
+    # a product that overflows, or underflows below the normal range, would clamp garbage
+    if not (math.isfinite(sxy) and sys.float_info.min <= sxx * syy < math.inf):
+        raise NumericOverflow("correlation sums leave the float range for these values")
+    r = sxy / math.sqrt(sxx * syy)
+    return max(-1.0, min(1.0, r))
 
 
 def make_dataset(*rows, parameters=("OD",), station="s", source="<hand>") -> Dataset:
@@ -98,6 +138,36 @@ def scalar_parse_rows(body, parameters):
         )
         rows.append((when, values))
     return rows
+
+
+STATION_PARAMETERS = ("temp", "pH", "OD", "CBO5", "CCO-Mn", "CCO-Cr")
+# (mean, seasonal amplitude, noise) in hundredths, near the ranges of the bundled fixture
+STATION_PROFILES = ((1300, 1000, 200), (750, 30, 20), (830, 100, 50),
+                    (650, 150, 150), (1100, 400, 300), (2500, 800, 500))
+
+
+def station_csv(seed, days=2000):
+    """A daily table of the six station parameters from ``random.Random(seed)``.
+
+    Each value is a whole number of hundredths, written as text: a
+    triangular seasonal wave of period 365 days plus uniform noise, at
+    least 0.01.  A tenth of the cells are absent ("*" or "-").  The text
+    comes from integer arithmetic on the ``random.Random`` stream, so it is
+    the same on every platform.
+    """
+    rng = random.Random(seed)
+    start = date(1990, 1, 1) + timedelta(days=rng.randrange(3650))
+    phases = [rng.randrange(365) for _ in STATION_PROFILES]
+    lines = ["Data," + ",".join(STATION_PARAMETERS)]
+    for i in range(days):
+        cells = []
+        for (mean, amplitude, noise), phase in zip(STATION_PROFILES, phases):
+            season = amplitude * (2 * abs((i + phase) % 365 - 182) - 182) // 182
+            v = max(mean + season + rng.randint(-noise, noise), 1)
+            cells.append(rng.choice("*-") if rng.random() < 0.1 else f"{v // 100}.{v % 100:02d}")
+        d = start + timedelta(days=i)
+        lines.append(f"{d.month}/{d.day}/{d.year}," + ",".join(cells))
+    return "\n".join(lines) + "\n"
 
 
 def random_knots(rng, n, t_span=200.0, y_span=(0.0, 12.0), min_gap=0.5):

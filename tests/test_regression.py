@@ -1,12 +1,21 @@
 """Polynomial trend fitting and Pearson correlation."""
 
 import math
+import random
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import make_series, normal_equations_solve, random_knots, scalar_matched_pairs
+from helpers import (
+    make_series,
+    normal_equations_solve,
+    random_knots,
+    scalar_matched_pairs,
+    scalar_pearson,
+)
 from hydrospline import (
     TimeSeries,
     eval_poly,
@@ -23,6 +32,7 @@ from hydrospline.errors import (
     NumericOverflow,
     ZeroVariance,
 )
+from hydrospline.regression import _pearson_of_pairs
 
 
 def test_two_point_trend_example():
@@ -296,6 +306,49 @@ def test_correlation_outside_float_range_is_typed(size):
     b = make_series(t, [-size, size, size, -size])
     with pytest.raises(NumericOverflow):
         pearson(a, b)
+
+
+def _outcome(correlate, pairs):
+    """The bits of the correlation, or the type and message of what it raised."""
+    try:
+        return correlate(pairs).hex()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _value_side(draw, rng, n):
+    """n values of one magnitude, from subnormals to 1.7e308: constant, or spread
+    around an offset, with some at exactly +-scale."""
+    scale = draw(st.floats(min_value=5e-324, max_value=1.7e308))
+    if draw(st.integers(0, 7)) == 0:
+        return [draw(st.sampled_from([scale, -scale, 0.0, -0.0]))] * n
+    offset = scale * draw(st.sampled_from([0.0, 0.5, -3.0, 1e8]))
+    values = (offset + scale * (rng.choice((-1.0, 1.0)) if rng.random() < 0.1
+                                else rng.uniform(-1.0, 1.0)) for _ in range(n))
+    return [min(max(v, -1.7e308), 1.7e308) for v in values]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_correlation_matches_scalar_route_bit_for_bit(data):
+    # the same bits, or the same exception and message, as the list-based route
+    n = data.draw(st.integers(0, 400))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    xs, ys = data.draw(_value_side(rng, n)), data.draw(_value_side(rng, n))
+    pairs = [(float(day), x, y) for day, (x, y) in enumerate(zip(xs, ys))]
+    assert _outcome(_pearson_of_pairs, pairs) == _outcome(scalar_pearson, pairs)
+
+
+@pytest.mark.parametrize("pairs", [
+    [(0.0, 11.73, 9.17), (1.0, 0.15, 1.72), (2.0, 2.8, 6.53), (3.0, 22.0, 13.91),
+     (4.0, 0.79, 12.05), (5.0, 20.02, 1.97)],
+    [(0.0, 26.79, 2.76), (1.0, 4.77, 4.02), (2.0, 13.68, 7.81), (3.0, 22.6, 9.2),
+     (4.0, 14.4, 0.6), (5.0, 1.53, 5.13)],
+])
+def test_correlation_squares_round_as_pow(pairs):
+    # squaring the deviations as float64 d * d moves the last bit of r on these
+    assert _pearson_of_pairs(pairs).hex() == scalar_pearson(pairs).hex()
 
 
 def test_overflowing_rmse_is_inf():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    EPOCH,
     dense_spline_coefficients,
     make_series,
     random_knots,
@@ -23,8 +24,11 @@ from helpers import (
 from hydrospline import (
     CurveSamples,
     Extremum,
+    IndexMap,
     LagrangeModel,
+    PlotLayer,
     SplineModel,
+    TimeSeries,
     curve_layer,
     dense_grid,
     eval_lagrange,
@@ -34,6 +38,7 @@ from hydrospline import (
     fit_natural_spline,
     fit_smoothing_spline,
     gropeni_dataset,
+    marker_layer,
     spline_extrema,
 )
 from hydrospline.errors import (
@@ -44,6 +49,7 @@ from hydrospline.errors import (
     UnsupportedOrder,
     WeightOverflow,
 )
+from hydrospline.linalg import LeastSquaresProblem, TridiagonalSystem
 from hydrospline.regression import eval_poly, fit_polynomial, poly_curve
 from hydrospline.splines import _barycentric
 
@@ -766,6 +772,69 @@ def test_curve_samples_beyond_the_float_range_are_typed():
         CurveSamples(t=[10**400, 10**401], y=[0.0, 1.0], source="x")
     with pytest.raises(NumericOverflow):
         CurveSamples(t=[0.0, 1.0], y=[0.0, -10**400], source="x")
+
+
+BEYOND = 10**400  # an int that float() cannot convert
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SplineModel(((0.0, 1.0), (BEYOND, 2.0)), [[0.0, 0.0, 0.0, 0.0]]),
+        lambda: SplineModel(((0.0, 1.0), (1.0, 2.0)), [[BEYOND, 0, 0, 0]]),
+        lambda: TimeSeries("s", "p", ((0.0, 1.0), (BEYOND, 2.0)), EPOCH),
+        lambda: TimeSeries("s", "p", ((0.0, 1.0), (1.0, -BEYOND)), EPOCH),
+        lambda: LagrangeModel(((0.0, BEYOND),), [1.0]),
+        lambda: LagrangeModel(((BEYOND, 1.0),), [1.0]),
+        lambda: LagrangeModel(((0.0, 1.0),), [BEYOND]),
+        lambda: PlotLayer("curve", [(0, 1), (1, BEYOND)], "red"),
+        lambda: marker_layer([(0, BEYOND)], "red"),
+        lambda: TridiagonalSystem([1.0], [1.0, BEYOND], [1.0], [1.0, 1.0]),
+        lambda: TridiagonalSystem([], [1.0], [], [BEYOND]),
+        lambda: LeastSquaresProblem([[1.0], [BEYOND]], [1.0, 2.0]),
+        lambda: LeastSquaresProblem([[1.0], [2.0]], [1.0, BEYOND]),
+        lambda: IndexMap.spanning(0, BEYOND),
+        lambda: IndexMap.spanning(BEYOND, BEYOND + 5),
+    ],
+    ids=["spline-knot", "spline-coefficient", "series-time", "series-value", "lagrange-value",
+         "lagrange-time", "lagrange-weight", "layer", "marker-layer", "tridiagonal",
+         "tridiagonal-rhs", "lstsq-design", "lstsq-targets", "index-span", "index-offset"],
+)
+def test_ints_beyond_the_float_range_are_typed(build):
+    # converting the int raised a bare OverflowError (a TypeError for a Lagrange
+    # knot value, from np.isfinite on a list)
+    with pytest.raises(NumericOverflow):
+        build()
+
+
+@pytest.mark.parametrize(
+    "t", [1e308, -1e308, BEYOND, -BEYOND], ids=["1e308", "-1e308", "int", "-int"]
+)
+def test_overflowing_extension_is_typed_and_silent(t):
+    # the linear extension slope * (t - 2) overflowed, warned and returned inf
+    model = fit_natural_spline(make_series([0.0, 1.0, 2.0], [0.0, 10.0, 20.0]))
+    with pytest.raises(NumericOverflow):
+        eval_spline(model, t)
+    assert eval_spline(model, math.inf) == math.inf
+    assert eval_spline(model, -math.inf) == -math.inf
+    assert eval_spline(model, 1e300) == 10.0 * 1e300
+
+
+def test_non_finite_value_at_an_infinite_t_is_typed():
+    # 3 * d overflows, so the boundary slope is nan; the extension to -inf was nan
+    model = SplineModel(((0.0, 0.0), (1.0, 1.0)), [[0.0, 1e308, 1e308, 1e308]])
+    with pytest.raises(NumericOverflow):
+        eval_spline(model, -math.inf)
+    assert math.isfinite(eval_spline(model, 0.5))  # inside the span only the value counts
+
+
+def test_extremum_kinds_are_two_shared_strings(od_series):
+    # the kinds came from a '<U3' array, a new str for every extremum
+    series = make_series(*random_knots(np.random.default_rng(5), 1800, t_span=3600.0))
+    extrema = spline_extrema(fit_natural_spline(od_series)) + spline_extrema(
+        fit_natural_spline(series))
+    assert len(extrema) > 100 and {e.kind for e in extrema} == {"min", "max"}
+    assert len({id(e.kind) for e in extrema}) == 2
 
 
 def test_overflowing_extremum_is_typed_and_silent():
