@@ -166,13 +166,14 @@ def solve_banded_spd(bands: np.ndarray, rhs) -> np.ndarray:
     without pivoting; raises ZeroPivot when a pivot collapses, i.e. the
     matrix is not numerically positive definite.
     """
-    bands = np.asarray(bands, dtype=float)
-    if bands.ndim != 2:
-        raise ValueError("bands must be two-dimensional")
-    if bands.shape[0] != 3:
-        raise ValueError("bands must have three rows: the diagonal and the two below it")
+    with typed_overflow("banded system entries leave the float range"):
+        bands = np.asarray(bands, dtype=float)
+        if bands.ndim != 2:
+            raise ValueError("bands must be two-dimensional")
+        if bands.shape[0] != 3:
+            raise ValueError("bands must have three rows: the diagonal and the two below it")
+        b = _as_vector(rhs, "rhs")
     diag, near, far = bands.tolist()
-    b = _as_vector(rhs, "rhs")
     if b.size != len(diag):
         raise ValueError("rhs length must match band columns")
     # row i of the factor L is (L[i, i-2], L[i, i-1], L[i, i], z_i), z the forward-

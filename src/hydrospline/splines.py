@@ -281,15 +281,26 @@ def eval_spline(model: SplineModel, t: float) -> float:
     raise NumericOverflow(_VALUE_OVERFLOW)
 
 
+_DERIVATIVE_OVERFLOW = "spline derivative leaves the float range at this t"
+
+
+@np.errstate(over="ignore", invalid="ignore")  # raises NumericOverflow instead
 def eval_spline_derivative(model: SplineModel, t: float, order: int) -> float:
     """First or second derivative of the spline at ``t``.
 
     The linear extension outside the knot span keeps the boundary slope and
-    has zero curvature.  Raises UnsupportedOrder for orders outside {1, 2}.
+    has zero curvature, so the derivative at t = +-inf is that of the knot
+    span's end; a nan t gives nan.  Any other result that is not finite
+    raises NumericOverflow, as does an int t beyond the float range.
+    Raises UnsupportedOrder for orders outside {1, 2}.
     """
     if order not in (1, 2):
         raise UnsupportedOrder(f"derivative order must be 1 or 2, got {order}")
-    return float(_evaluate(model, t, order))
+    with typed_overflow(_DERIVATIVE_OVERFLOW):
+        value = float(_evaluate(model, t, order))
+    if math.isfinite(value) or math.isnan(t):
+        return value
+    raise NumericOverflow(_DERIVATIVE_OVERFLOW)
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # raises WeightOverflow instead

@@ -4,16 +4,17 @@ The renderer draws one polyline per curve layer and one circle per knot
 marker, mapping data bounds (padded by 5% per side) linearly onto the
 pixel viewport of at most 1e9 by 1e9 pixels.  Every number is written as
 ``'%.4f' % v`` writes it, except that a value rounding to zero carries no
-sign; one array writer produces that text from float64 columns, so the
-coordinates never become Python floats.  Elements appear in a fixed order,
-so identical input always yields identical bytes.
+sign.  One array writer fills that text from float64 columns into a byte
+template and deletes the template's unused bytes, all 0xFF, with
+``bytes.translate``, so the coordinates never become Python floats.
+Elements appear in a fixed order, so identical input always yields
+identical bytes.
 """
 
 import math
 from dataclasses import dataclass
 from functools import cache
 from html import escape
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -30,28 +31,28 @@ MAX_DIMENSION = 1_000_000_000
 #: rows written per block; bounds the writer's temporary arrays
 _BLOCK = 4096
 
-
-def _slots(places) -> np.ndarray:
-    """Four arrays over the digits of 0..9999, from the thousands to the units
-    place, as one uint32 slot of four bytes per number."""
-    table = np.stack(np.broadcast_arrays(*places), axis=-1).reshape(10_000, 4)
-    return table.view(np.uint32).ravel()
+#: a slot of four bytes that the writer drops, and one that keeps only a minus sign
+_DROPPED, _MINUS = np.frombuffer(b"\xff\xff\xff\xff\xff\xff\xff-", np.uint32)
 
 
 @cache  # built on the first render, so importing the package does not pay for it
 def _tables() -> tuple[np.ndarray, np.ndarray]:
-    """The slots of each of 0..9999: its four ASCII digits, zero-padded, and
-    its keep-mask as a leading group, which keeps its digits from the first
-    non-zero one."""
-    places = np.ix_(*[np.arange(10, dtype=np.uint8)] * 4)
-    digits = _slots([place + ord("0") for place in places])
-    leading = _slots(list(accumulate((place > 0 for place in places), np.logical_or)))
-    digits.flags.writeable = leading.flags.writeable = False  # shared by every render
-    return digits, leading
+    """The 4-byte digit slots of an integer's units group and of the groups above it.
 
-
-#: keep-mask slot that keeps only its last byte
-_LAST = np.array([0, 0, 0, 1], bool).view(np.uint32)[0]
+    Entry i < 10,000 holds the digits of i with the byte 0xFF in place of its
+    leading zeros; entry 10,000 + i holds them zero-padded, for a group with
+    non-zero digits above it.  Entry 0 is "0" in the first table and four
+    0xFF bytes in the second.
+    """
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1) + ord("0")  # [place, number]
+    # a place's digit is a leading zero while the number is below the place's value
+    started = np.arange(10_000) >= np.array([[1000], [100], [10], [0]])
+    slots = np.concatenate([np.where(started, digits, 0xFF), digits], axis=1)
+    units = slots.T.copy().view(np.uint32).ravel()
+    upper = units.copy()
+    upper[0] = _DROPPED
+    units.flags.writeable = upper.flags.writeable = False  # shared by every render
+    return units, upper
 
 
 class PlotLayer(_Value):
@@ -123,44 +124,41 @@ def _write(columns: Sequence[np.ndarray], glue: Sequence[str]) -> list[str]:
     rounding to zero has no sign.  A block is a uint8 matrix of one row per
     output row, filled through its uint32 view in 4-byte slots: per value
     ``[_ _ _ -]``, groups of four integer digits, ``[_ _ _ .]`` and the four
-    decimals, then the value's glue padded to whole slots.  A keep-mask,
-    computed from the sign and the digit counts, drops the pad bytes ``_``,
-    the sign of values that are not negative and the leading zeros of the
-    integer part.
+    decimals, then the value's glue padded to whole slots.  Every byte the
+    text leaves out is written as 0xFF: the pads ``_``, the sign of a value
+    that is not negative and the leading zeros of the integer part.  One
+    ``bytes.translate`` per block deletes them; a glue, being UTF-8, never
+    holds that byte.
     """
-    digits, leading_digits = _tables()
+    units, upper = _tables()
+    padded = units[10_000:]
     glue = [g.encode() for g in glue]
     # a column's integer digit groups; the + 1 covers a value that rounds up
     groups = [(len(str(int(max(c.max(), -c.min())) + 1)) + 3) // 4 for c in columns]
-    chars = keep = b""
-    for g, count in zip(glue, groups):
-        pad = b"\0" * (-len(g) % 4)
-        chars += b"\0\0\0-" + b"0000" * count + b"\0\0\0." + b"0000" + g + pad
-        keep += b"\0\0\0\0" * (count + 1) + b"\0\0\0\1\1\1\1\1" + b"\1" * len(g) + pad
+    chars = b"".join(b"\xff\xff\xff-" + b"0000" * count + b"\xff\xff\xff.0000" + g
+                     + b"\xff" * (-len(g) % 4) for g, count in zip(glue, groups))
     n = len(columns[0])
     text = np.tile(np.frombuffer(chars, np.uint8), (min(n, _BLOCK), 1))
-    mask = np.tile(np.frombuffer(keep, bool), (min(n, _BLOCK), 1))
     blocks = []
     for start in range(0, n, _BLOCK):
         rows = min(n - start, _BLOCK)
-        text32, mask32 = text[:rows].view(np.uint32), mask[:rows].view(np.uint32)
+        text32 = text[:rows].view(np.uint32)
         slot = 0
         for column, g, count in zip(columns, glue, groups):
             negative, part, decimals = _round4(column[start:start + rows])
-            mask32[:, slot] = np.where(negative, _LAST, 0)
+            text32[:, slot] = np.where(negative, _MINUS, _DROPPED)
             for group in range(slot + count, slot, -1):  # from the units digit's group up
-                top = group == slot + 1
-                text32[:, group] = digits.take(part if top else part % 10_000)
-                leading = leading_digits.take(part, mode="clip")
-                mask32[:, group] = leading | _LAST if group == slot + count else leading
-                if not top:
+                # below the top group, a part of 10,000 or more takes the zero-padded slot
+                index = part if group == slot + 1 else np.minimum(part, part % 10_000 + 10_000)
+                text32[:, group] = (units if group == slot + count else upper).take(index)
+                if group > slot + 1:
                     part //= 10_000
-            text32[:, slot + count + 2] = digits.take(decimals)
+            text32[:, slot + count + 2] = padded.take(decimals)
             slot += count + 3 + (len(g) + 3) // 4
-        data = text[:rows][mask[:rows]]
+        data = text[:rows].tobytes().translate(None, b"\xff")
         if start + rows == n:
-            data = data[:data.size - len(glue[-1])]
-        blocks.append(data.tobytes().decode())
+            data = data[:len(data) - len(glue[-1])]
+        blocks.append(data.decode())
     return blocks
 
 

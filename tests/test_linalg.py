@@ -249,6 +249,18 @@ def test_banded_spd_square_overflow_matches_float64(second):
     assert got == expected
 
 
+@pytest.mark.parametrize(
+    "bands, rhs",
+    [([[1.0, 10**400], [0.0, 0.0], [0.0, 0.0]], [1.0, 1.0]),
+     ([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]], [1.0, -10**400])],
+    ids=["bands", "rhs"],
+)
+def test_banded_spd_ints_beyond_the_float_range_are_typed(bands, rhs):
+    # converting the int raised a bare OverflowError
+    with pytest.raises(NumericOverflow):
+        solve_banded_spd(bands, rhs)
+
+
 def test_least_squares_overflow_is_typed_and_silent():
     design = np.column_stack([np.linspace(-1.0, 1.0, 4), np.ones(4)])
     with pytest.raises(NumericOverflow):

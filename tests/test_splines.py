@@ -828,6 +828,23 @@ def test_non_finite_value_at_an_infinite_t_is_typed():
     assert math.isfinite(eval_spline(model, 0.5))  # inside the span only the value counts
 
 
+@pytest.mark.parametrize(
+    "order, t",
+    [(1, 0.5), (2, 0.5), (1, 1e308), (1, math.inf), (1, BEYOND), (2, -BEYOND)],
+    ids=["slope", "curvature", "slope-1e308", "slope-inf", "int", "-int"],
+)
+def test_overflowing_derivative_is_typed_and_silent(order, t):
+    # 3 * d and 6 * d overflow: the derivative warned and returned inf, and an
+    # int t beyond the float range raised a bare OverflowError
+    model = SplineModel(((0.0, 0.0), (1.0, 1.0)), [[0.0, 1e308, 1e308, 1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericOverflow):
+            eval_spline_derivative(model, t, order)
+        assert eval_spline_derivative(model, 1e308, 2) == 0.0  # no curvature outside the span
+        assert math.isnan(eval_spline_derivative(model, math.nan, 1))
+
+
 def test_extremum_kinds_are_two_shared_strings(od_series):
     # the kinds came from a '<U3' array, a new str for every extremum
     series = make_series(*random_knots(np.random.default_rng(5), 1800, t_span=3600.0))

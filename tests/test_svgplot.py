@@ -438,6 +438,31 @@ def test_writer_matches_percent_format_on_coordinates(pairs):
     )
 
 
+#: glues the writer's dropped pad byte must not touch: NUL, U+00FF (0xC3 0xBF in
+#: UTF-8), a non-BMP character, and a digit beside both
+_AWKWARD_GLUE = pytest.mark.parametrize(
+    "glue", ["\0", "\xff", "\U0001f30a", "1\xff\0"], ids=["nul", "u+00ff", "non-bmp", "mixed"]
+)
+
+
+@_AWKWARD_GLUE
+def test_writer_keeps_every_glue_byte(glue):
+    values = np.array([0.0, -0.0, -1.5, 12.25, 99_999.99996, -1e-5, 3e8])
+    text = "".join(_write((values, values[::-1]), (glue, glue + "|")))
+    rows = [f"{scalar_fmt(a)}{glue}{scalar_fmt(b)}" for a, b in zip(values, values[::-1])]
+    assert text == (glue + "|").join(rows)
+
+
+@_AWKWARD_GLUE
+def test_marker_colors_keep_every_byte(glue):
+    points = [(0.0, 1.0), (2.5, -3.0), (-0.0, 0.0)]
+    spec = PlotSpec(width=100, height=50, layers=(
+        marker_layer(points, f"a{glue}b", label="knots"),
+        curve_layer(CurveSamples(t=(0.0, 1.0), y=(0.0, 1.0), source="spline"), glue),
+    ))
+    assert _marks(render_svg(spec)) == scalar_svg_marks(spec)
+
+
 def test_render_memory_is_bounded_by_its_text():
     # one curve of a million points: the writer's blocks, not the whole layer, are
     # held as temporaries, so the peak stays within four times the text it returns
