@@ -21,7 +21,7 @@ from .harmonic import (
     fit_amplitude_offset,
     sample_harmonic,
 )
-from .regression import _pearson_of_pairs, matched_pairs, trend_report
+from .regression import matched_pairs, pearson, trend_report
 from .series import TimeSeries, format_date, parameter_unit
 from .splines import (
     dense_grid,
@@ -222,8 +222,7 @@ def _cmd_trend(args, dataset: Dataset) -> int:
 def _cmd_correlate(args, dataset: Dataset) -> int:
     series_a = dataset_series(dataset, args.param_a)
     series_b = dataset_series(dataset, args.param_b)
-    pairs = matched_pairs(series_a, series_b)
-    print(f"{_num(_pearson_of_pairs(pairs))} {len(pairs)}")
+    print(f"{_num(pearson(series_a, series_b))} {len(matched_pairs(series_a, series_b))}")
     return 0
 
 

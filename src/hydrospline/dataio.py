@@ -30,6 +30,7 @@ from .errors import (
     MalformedRow,
     UndecodableFile,
     UnknownParameter,
+    typed_overflow,
 )
 from .series import _DATE_RE, TimeSeries, _Value, format_date, parse_date
 
@@ -65,8 +66,9 @@ class Dataset(_Value):
     sorted by date when built (a stable sort); ``ordinals`` holds the sorted
     dates' day ordinals as a read-only int64 array.  A column count or length
     that does not match raises MalformedRow, a nan or infinite value
-    MalformedNumber, two rows on one date DuplicateTimestamp.  ``rows`` is the
-    table a row at a time, built on first use."""
+    MalformedNumber, an int beyond the float range NumericOverflow, two rows on
+    one date DuplicateTimestamp.  ``rows`` is the table a row at a time, built
+    on first use."""
 
     _fields = ("station", "parameters", "dates", "columns", "source")
 
@@ -84,8 +86,10 @@ class Dataset(_Value):
         columns = tuple(tuple(map(column.__getitem__, take)) for column in columns)
         bad = []  # (row, column) of each nan or infinite value
         for j, column in enumerate(columns):
+            with typed_overflow(f"column {parameters[j]}: values leave the float range"):
+                values = np.array(column, dtype=float)
             # a None reads as nan, so it is a suspect too
-            suspects = np.flatnonzero(~np.isfinite(np.array(column, dtype=float))).tolist()
+            suspects = np.flatnonzero(~np.isfinite(values)).tolist()
             bad += [(i, j) for i in suspects if column[i] is not None]
         if bad:
             i, j = min(bad)

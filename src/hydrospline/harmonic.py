@@ -127,10 +127,12 @@ def _signed_powers(
 @np.errstate(over="ignore", invalid="ignore")  # as Python floats do: inf or nan, no warning
 def _reference_values(spec: HarmonicSpec, index_map: IndexMap, grid) -> np.ndarray:
     """offset + amplitude * copysign(|u| ** p, u) at each day offset of ``grid``, with the
-    signed powers of :func:`_signed_powers`."""
-    key = _GridKey(np.asarray(grid, dtype=float))
-    powers = _signed_powers(spec.angular_coeff, spec.exponent, index_map, key)
-    return spec.offset + spec.amplitude * powers
+    signed powers of :func:`_signed_powers`.  An int coefficient or map entry beyond the
+    float range raises NumericOverflow."""
+    with typed_overflow(_OVERFLOW):
+        key = _GridKey(np.asarray(grid, dtype=float))
+        powers = _signed_powers(spec.angular_coeff, spec.exponent, index_map, key)
+        return spec.offset + spec.amplitude * powers
 
 
 def sample_harmonic(spec: HarmonicSpec, index_map: IndexMap, grid) -> CurveSamples:
@@ -148,10 +150,8 @@ def fit_amplitude_offset(
     The angular coefficient and exponent are kept; only the affine scaling
     of the unit-amplitude, zero-offset reference is re-estimated.
     """
-    key = _GridKey(curve.grid)
-    powers = _signed_powers(spec.angular_coeff, spec.exponent, index_map, key)
-    # the unit reference is 0.0 + 1.0 * power, which writes -0.0 as 0.0
-    design = np.column_stack([0.0 + powers, np.ones(powers.size)])
+    unit = _reference_values(replace(spec, amplitude=1.0, offset=0.0), index_map, curve.grid)
+    design = np.column_stack([unit, np.ones(unit.size)])
     amplitude, offset = solve_least_squares(LeastSquaresProblem(design, curve.values))
     return replace(spec, amplitude=float(amplitude), offset=float(offset))
 

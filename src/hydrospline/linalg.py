@@ -15,7 +15,6 @@ loop over Python floats, with the float64 operations in their fixed order.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,24 +34,18 @@ def _as_vector(values, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(eq=False)
 class TridiagonalSystem:
     """A x = rhs with A tridiagonal, stored as its three diagonals.
 
     ``lower`` and ``upper`` have length n-1, ``diag`` and ``rhs`` length n.
     """
 
-    lower: np.ndarray
-    diag: np.ndarray
-    upper: np.ndarray
-    rhs: np.ndarray
-
-    def __post_init__(self) -> None:
+    def __init__(self, lower, diag, upper, rhs) -> None:
         with typed_overflow("tridiagonal system entries leave the float range"):
-            self.lower = _as_vector(self.lower, "lower")
-            self.diag = _as_vector(self.diag, "diag")
-            self.upper = _as_vector(self.upper, "upper")
-            self.rhs = _as_vector(self.rhs, "rhs")
+            self.lower = _as_vector(lower, "lower")
+            self.diag = _as_vector(diag, "diag")
+            self.upper = _as_vector(upper, "upper")
+            self.rhs = _as_vector(rhs, "rhs")
         n = self.diag.size
         if n < 1:
             raise ValueError("system must have at least one unknown")
@@ -66,17 +59,13 @@ class TridiagonalSystem:
         return self.diag.size
 
 
-@dataclass(eq=False)
 class LeastSquaresProblem:
     """min ||design @ x - targets||_2 with an m x k design, m >= k >= 1."""
 
-    design: np.ndarray
-    targets: np.ndarray
-
-    def __post_init__(self) -> None:
+    def __init__(self, design, targets) -> None:
         with typed_overflow("least-squares design or targets leave the float range"):
-            self.design = np.asarray(self.design, dtype=float)
-            self.targets = _as_vector(self.targets, "targets")
+            self.design = np.asarray(design, dtype=float)
+            self.targets = _as_vector(targets, "targets")
         if self.design.ndim != 2:
             raise ValueError("design must be two-dimensional")
         m, k = self.design.shape

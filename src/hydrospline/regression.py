@@ -19,6 +19,7 @@ from .errors import (
     NumericOverflow,
     ResolutionTooSmall,
     ZeroVariance,
+    typed_overflow,
 )
 from .linalg import LeastSquaresProblem, solve_least_squares
 from .series import TimeSeries
@@ -77,8 +78,10 @@ def fit_polynomial(series: TimeSeries, degree: int) -> PolyModel:
 
 
 def eval_poly(model: PolyModel, t: float) -> float:
-    """Horner evaluation; at t = t_mid this returns c_0 exactly."""
-    u = (t - model.t_mid) / model.t_scale
+    """Horner evaluation; at t = t_mid this returns c_0 exactly.  An int t beyond the
+    float range raises NumericOverflow."""
+    with typed_overflow("polynomial value leaves the float range at this t"):
+        u = (t - model.t_mid) / model.t_scale
     acc = 0.0
     for c in reversed(model.coefficients):
         acc = acc * u + c
@@ -89,7 +92,8 @@ def poly_curve(model: PolyModel, t_start: float, t_end: float, resolution: int) 
     """Sample a fitted polynomial on a uniform grid."""
     if resolution < 2:
         raise ResolutionTooSmall(f"need at least 2 grid points, got {resolution}")
-    grid = np.linspace(t_start, t_end, resolution)
+    with typed_overflow("polynomial grid leaves the float range"):
+        grid = np.linspace(float(t_start), float(t_end), resolution)
     return CurveSamples(t=grid, y=eval_poly(model, grid), source="regression")
 
 

@@ -64,7 +64,8 @@ class _Value:
     that stores a converted copy of its arguments subclasses this with an explicit
     ``__init__`` (TimeSeries keeps a dataclass one, for ``dataclasses.replace``).  A record
     that stores its arguments as given stays a dataclass: DatasetRow, HarmonicSpec,
-    IndexMap, PolyModel, TrendReport, PlotSpec and the two mutable linalg solver inputs."""
+    IndexMap, PolyModel, TrendReport and PlotSpec.  The two linalg solver inputs are
+    mutable, so they convert their arguments in a plain ``__init__`` without this base."""
 
     _fields: tuple[str, ...] = ()
 

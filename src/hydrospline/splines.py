@@ -67,7 +67,7 @@ class SplineModel(_Value):
 
     @cached_property
     def coefficients(self) -> tuple[tuple[float, float, float, float], ...]:
-        return tuple(map(tuple, self._table.tolist()))
+        return tuple(zip(*self._table.T.tolist()))
 
 
 class LagrangeModel(_Value):
@@ -200,6 +200,8 @@ def fit_smoothing_spline(series: TimeSeries, lam: float) -> SplineModel:
     """
     if not lam >= 0:
         raise NegativeLambda(f"smoothing weight must be >= 0, got {lam}")
+    with typed_overflow("smoothing weight leaves the float range"):
+        lam = float(lam)
     n = len(series.knots)
     if lam == 0:
         return fit_natural_spline(series)
@@ -261,10 +263,20 @@ def _evaluate(model: SplineModel, t: float | np.ndarray, order: int) -> np.ndarr
     return derivative if order == 1 else np.where(inside, derivative, 0.0)
 
 
-_VALUE_OVERFLOW = "spline value leaves the float range at this t"
+_OVERFLOW = ("spline value leaves the float range at this t",
+             "spline derivative leaves the float range at this t")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # raises NumericOverflow instead
+def _checked(model: SplineModel, t: float, order: int) -> float:
+    # finite, nan at a nan t, or (a value only) an infinity at an infinite t; else NumericOverflow
+    with typed_overflow(_OVERFLOW[order > 0]):
+        value = float(_evaluate(model, t, order))
+    if math.isfinite(value) or math.isnan(t) or order == 0 and math.isinf(t) and math.isinf(value):
+        return value
+    raise NumericOverflow(_OVERFLOW[order > 0])
+
+
 def eval_spline(model: SplineModel, t: float) -> float:
     """Evaluate the spline; outside the knot span it extends linearly.
 
@@ -274,17 +286,9 @@ def eval_spline(model: SplineModel, t: float) -> float:
     extension overflows, raises NumericOverflow, as does an int t beyond
     the float range.
     """
-    with typed_overflow(_VALUE_OVERFLOW):
-        value = float(_evaluate(model, t, 0))
-    if math.isfinite(value) or math.isinf(t) and math.isinf(value) or math.isnan(t):
-        return value
-    raise NumericOverflow(_VALUE_OVERFLOW)
+    return _checked(model, t, 0)
 
 
-_DERIVATIVE_OVERFLOW = "spline derivative leaves the float range at this t"
-
-
-@np.errstate(over="ignore", invalid="ignore")  # raises NumericOverflow instead
 def eval_spline_derivative(model: SplineModel, t: float, order: int) -> float:
     """First or second derivative of the spline at ``t``.
 
@@ -296,11 +300,7 @@ def eval_spline_derivative(model: SplineModel, t: float, order: int) -> float:
     """
     if order not in (1, 2):
         raise UnsupportedOrder(f"derivative order must be 1 or 2, got {order}")
-    with typed_overflow(_DERIVATIVE_OVERFLOW):
-        value = float(_evaluate(model, t, order))
-    if math.isfinite(value) or math.isnan(t):
-        return value
-    raise NumericOverflow(_DERIVATIVE_OVERFLOW)
+    return _checked(model, t, order)
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # raises WeightOverflow instead
@@ -346,8 +346,10 @@ def _barycentric(model: LagrangeModel, t: float | np.ndarray) -> np.ndarray:
 
 
 def eval_lagrange(model: LagrangeModel, t: float) -> float:
-    """Evaluate the barycentric form; exact at (snapped) knots."""
-    return float(_barycentric(model, t))
+    """Evaluate the barycentric form; exact at (snapped) knots.  An int t beyond the
+    float range raises NumericOverflow."""
+    with typed_overflow("Lagrange value leaves the float range at this t"):
+        return float(_barycentric(model, t))
 
 
 SplineOrLagrange = Union[SplineModel, LagrangeModel]

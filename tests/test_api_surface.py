@@ -82,6 +82,17 @@ def test_traced_run_records_every_target_with_its_counts():
     assert spans["svgplot.render_svg"][0].counts["points"] == 2 * grid + knots
 
 
+def test_cli_imports_only_public_names():
+    # the CLI reaches each computation through its public route
+    source = Path(hydrospline.__file__).with_name("cli.py").read_text(encoding="utf-8")
+    relative = [node for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom) and node.level]
+    assert {node.module for node in relative} >= {"dataio", "regression", "splines"}
+    private = [(node.module, alias.name) for node in relative for alias in node.names
+               if alias.name.startswith("_")]
+    assert private == []
+
+
 def test_all_lists_every_public_name_once():
     public = {
         name for name, value in vars(hydrospline).items()

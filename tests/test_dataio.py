@@ -88,6 +88,14 @@ def test_row_arity_checked():
         parse_csv("Data,temp,pH\n1/2/2003,5.0\n")
 
 
+def test_cell_over_the_csv_field_limit_rejected():
+    # the csv module's own error for the cell becomes a MalformedRow on its line
+    text = "Data,OD\n1/2/2003," + "9" * (csv.field_size_limit() + 1) + "\n1/3/2003,5.0\n"
+    with pytest.raises(MalformedRow) as info:
+        parse_csv(text)
+    assert str(info.value) == f"row 2: field larger than field limit ({csv.field_size_limit()})"
+
+
 def test_bad_cells_rejected():
     for cell in ("abc", "1.2.3", "nan", "inf", "1_000", "--", ""):
         with pytest.raises(MalformedNumber):

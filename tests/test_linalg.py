@@ -231,11 +231,19 @@ def test_banded_spd_squares_like_float64_power():
     assert _bits(solve_banded_spd(bands, rhs)) == _bits(scalar_banded_spd(bands, rhs))
 
 
-@pytest.mark.parametrize("second", [1e300, np.inf], ids=["collapses", "nan"])
-def test_banded_spd_square_overflow_matches_float64(second):
-    # chol[1, 0] = 1e160 / sqrt(2e-13) squares past the float range: float64
-    # gives inf, so the pivot is 1e300 - inf (ZeroPivot) or inf - inf (nan)
-    bands = np.array([[2e-13, second, 1.0], [1e160, 1.0, 0.0], [0.0, 0.0, 0.0]])
+@pytest.mark.parametrize(
+    "bands",
+    [[[2e-13, 1e300, 1.0], [1e160, 1.0, 0.0], [0.0, 0.0, 0.0]],
+     [[2e-13, np.inf, 1.0], [1e160, 1.0, 0.0], [0.0, 0.0, 0.0]],
+     [[2e-13, 1.0, 1.0], [0.0, 0.0, 0.0], [1e160, 0.0, 0.0]],
+     [[2e-13, 1.0, np.inf], [0.0, 0.0, 0.0], [1e160, 0.0, 0.0]]],
+    ids=["collapses", "nan", "far-collapses", "far-nan"],
+)
+def test_banded_spd_square_overflow_matches_float64(bands):
+    # chol[1, 0] or, in the far cases, chol[2, 0] = 1e160 / sqrt(2e-13) squares past the
+    # float range: float64 gives inf, so the pivot is finite - inf (ZeroPivot) or
+    # inf - inf (nan)
+    bands = np.array(bands)
     rhs = [1.0, 1.0, 1.0]
     with np.errstate(all="ignore"):
         try:

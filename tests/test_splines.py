@@ -6,6 +6,7 @@ import math
 import pickle
 import warnings
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,22 +24,27 @@ from helpers import (
 )
 from hydrospline import (
     CurveSamples,
+    Dataset,
     Extremum,
+    HarmonicSpec,
     IndexMap,
     LagrangeModel,
     PlotLayer,
     SplineModel,
     TimeSeries,
+    compare_to_harmonic,
     curve_layer,
     dense_grid,
     eval_lagrange,
     eval_spline,
     eval_spline_derivative,
+    fit_amplitude_offset,
     fit_lagrange,
     fit_natural_spline,
     fit_smoothing_spline,
     gropeni_dataset,
     marker_layer,
+    sample_harmonic,
     spline_extrema,
 )
 from hydrospline.errors import (
@@ -777,6 +783,34 @@ def test_curve_samples_beyond_the_float_range_are_typed():
 BEYOND = 10**400  # an int that float() cannot convert
 
 
+def _small_series():
+    return make_series([0.0, 1.0, 2.0, 3.0], [1.0, 3.0, 2.0, 4.0])
+
+
+def _on_curve(route, spec=HarmonicSpec(), index_map=IndexMap(64.0)):
+    """A harmonic route on a spline curve of the small series."""
+    curve = dense_grid(fit_natural_spline(_small_series()), 5)
+    if route is sample_harmonic:
+        return route(spec, index_map, curve.grid)
+    return route(curve, spec, index_map)
+
+
+_HARMONIC_ROUTES = {"sample": sample_harmonic, "fit": fit_amplitude_offset,
+                    "compare": compare_to_harmonic}
+_HARMONIC_BEYOND = {
+    "angular": {"spec": HarmonicSpec(angular_coeff=BEYOND)},
+    "exponent": {"spec": HarmonicSpec(exponent=BEYOND)},
+    "index-map": {"index_map": IndexMap(BEYOND)},
+    "amplitude": {"spec": HarmonicSpec(amplitude=BEYOND)},  # the fit replaces amplitude
+    "offset": {"spec": HarmonicSpec(offset=-BEYOND)},  # and offset
+}
+_HARMONIC_CASES = {
+    f"{route}-{field}": partial(_on_curve, _HARMONIC_ROUTES[route], **change)
+    for route in _HARMONIC_ROUTES for field, change in _HARMONIC_BEYOND.items()
+    if not (route == "fit" and field in ("amplitude", "offset"))
+}
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -795,16 +829,38 @@ BEYOND = 10**400  # an int that float() cannot convert
         lambda: LeastSquaresProblem([[1.0], [2.0]], [1.0, BEYOND]),
         lambda: IndexMap.spanning(0, BEYOND),
         lambda: IndexMap.spanning(BEYOND, BEYOND + 5),
+        lambda: Dataset("s", ("a",), (EPOCH,), ((BEYOND,),), "x"),
+        lambda: eval_poly(fit_polynomial(_small_series(), 1), BEYOND),
+        lambda: poly_curve(fit_polynomial(_small_series(), 1), 0.0, BEYOND, 3),
+        lambda: eval_lagrange(fit_lagrange(_small_series()), BEYOND),
+        lambda: fit_smoothing_spline(_small_series(), BEYOND),
+        *_HARMONIC_CASES.values(),
     ],
     ids=["spline-knot", "spline-coefficient", "series-time", "series-value", "lagrange-value",
          "lagrange-time", "lagrange-weight", "layer", "marker-layer", "tridiagonal",
-         "tridiagonal-rhs", "lstsq-design", "lstsq-targets", "index-span", "index-offset"],
+         "tridiagonal-rhs", "lstsq-design", "lstsq-targets", "index-span", "index-offset",
+         "dataset-cell", "eval-poly", "poly-curve", "eval-lagrange", "smoothing-lam",
+         *_HARMONIC_CASES],
 )
 def test_ints_beyond_the_float_range_are_typed(build):
     # converting the int raised a bare OverflowError (a TypeError for a Lagrange
-    # knot value, from np.isfinite on a list)
+    # knot value, from np.isfinite on a list, and for a poly_curve end, from the
+    # grid's subtraction)
     with pytest.raises(NumericOverflow):
         build()
+
+
+def test_ints_in_the_float_range_keep_their_bits_and_types():
+    series = _small_series()
+    poly, lagrange = fit_polynomial(series, 2), fit_lagrange(series)
+    assert type(eval_poly(poly, 2)) is float
+    assert eval_poly(poly, 2).hex() == eval_poly(poly, 2.0).hex()
+    curves = poly_curve(poly, 0, 3, 4), poly_curve(poly, 0.0, 3.0, 4)
+    assert curves[0].values.tobytes() == curves[1].values.tobytes()
+    assert eval_lagrange(lagrange, 2).hex() == eval_lagrange(lagrange, 2.0).hex()
+    smooth = fit_smoothing_spline(series, 3)
+    assert smooth._table.tobytes() == fit_smoothing_spline(series, 3.0)._table.tobytes()
+    assert type(smooth.smoothing) is float
 
 
 @pytest.mark.parametrize(
