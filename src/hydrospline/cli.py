@@ -7,6 +7,7 @@ bytes on stdout and in any file written.
 """
 
 import argparse
+import gc
 import math
 import sys
 
@@ -263,7 +264,7 @@ def _cmd_plot(args, dataset: Dataset) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -274,6 +275,15 @@ def main(argv=None) -> int:
     except (HydrosplineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv=None) -> int:
+    """Run one command and return its exit code.  Without ``argv`` it parses
+    the process's own command line, and the process is expected to exit next."""
+    code = _run(argv)
+    if argv is None:
+        gc.freeze()  # skips exit's collection, which the OS makes moot: 12.0 -> 2.7 ms in `trend`
+    return code
 
 
 if __name__ == "__main__":

@@ -63,6 +63,10 @@ class ResolutionTooSmall(HydrosplineError):
     """A dense grid needs at least two points."""
 
 
+class ResolutionTooLarge(HydrosplineError):
+    """A dense grid has more points than one numpy array can hold."""
+
+
 class NumericOverflow(HydrosplineError):
     """Values too large (or too small) for a finite result in float arithmetic."""
 

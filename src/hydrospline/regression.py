@@ -17,13 +17,12 @@ from .errors import (
     InsufficientData,
     InsufficientPairs,
     NumericOverflow,
-    ResolutionTooSmall,
     ZeroVariance,
     typed_overflow,
 )
 from .linalg import LeastSquaresProblem, solve_least_squares
 from .series import TimeSeries
-from .splines import CurveSamples
+from .splines import CurveSamples, _check_resolution
 
 MAX_DEGREE = 10
 
@@ -90,8 +89,7 @@ def eval_poly(model: PolyModel, t: float) -> float:
 
 def poly_curve(model: PolyModel, t_start: float, t_end: float, resolution: int) -> CurveSamples:
     """Sample a fitted polynomial on a uniform grid."""
-    if resolution < 2:
-        raise ResolutionTooSmall(f"need at least 2 grid points, got {resolution}")
+    _check_resolution(resolution)
     with typed_overflow("polynomial grid leaves the float range"):
         grid = np.linspace(float(t_start), float(t_end), resolution)
     return CurveSamples(t=grid, y=eval_poly(model, grid), source="regression")

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     NegativeLambda,
     NumericOverflow,
+    ResolutionTooLarge,
     ResolutionTooSmall,
     TooFewKnots,
     UnsupportedOrder,
@@ -32,6 +33,9 @@ FLAT_CURVATURE_TOL = 1e-10
 
 #: evaluation points this close to a knot (in days) return the knot value
 KNOT_SNAP_TOL = 1e-12
+
+#: the most float64 values one numpy array can hold, and so the most grid points
+_MAX_POINTS = np.iinfo(np.intp).max // 8
 
 #: the kinds of extrema, indexed by "is a maximum"; every Extremum shares these two strs
 _KINDS = np.array(("min", "max"), dtype=object)
@@ -253,7 +257,7 @@ def _evaluate(model: SplineModel, t: float | np.ndarray, order: int) -> np.ndarr
     clipped = np.clip(t, ts[0], ts[-1])
     i = np.clip(np.searchsorted(ts, clipped, side="right") - 1, 0, ts.size - 2)
     s = clipped - ts[i]
-    rows, inside = coefficients[i], t == clipped
+    rows, inside = coefficients.take(i, axis=0), t == clipped
     if order == 0:
         value, slope, step = _cubic(rows, s, 0), _cubic(rows, s, 1), t - clipped
         # a flat boundary adds a signed zero, also at an infinite t, where 0.0 * inf is nan
@@ -355,6 +359,14 @@ def eval_lagrange(model: LagrangeModel, t: float) -> float:
 SplineOrLagrange = Union[SplineModel, LagrangeModel]
 
 
+def _check_resolution(resolution: int) -> None:
+    """Raise a typed error for a grid size that ``np.linspace`` cannot give."""
+    if resolution < 2:
+        raise ResolutionTooSmall(f"need at least 2 grid points, got {resolution}")
+    if resolution > _MAX_POINTS:
+        raise ResolutionTooLarge(f"a grid holds at most {_MAX_POINTS} points")
+
+
 @np.errstate(over="ignore", invalid="ignore")  # CurveSamples rejects non-finite values
 def dense_grid(model: SplineOrLagrange, resolution: int) -> CurveSamples:
     """Evaluate a model on a uniform grid of ``resolution`` points.
@@ -362,8 +374,7 @@ def dense_grid(model: SplineOrLagrange, resolution: int) -> CurveSamples:
     The grid runs from the first to the last knot inclusive, so
     ``resolution = 2`` yields exactly the two endpoints.
     """
-    if resolution < 2:
-        raise ResolutionTooSmall(f"need at least 2 grid points, got {resolution}")
+    _check_resolution(resolution)
     if len(model.knots) < 2:
         raise TooFewKnots("a dense grid needs at least 2 knots")
     grid = np.linspace(model.knots[0][0], model.knots[-1][0], resolution)
@@ -387,7 +398,7 @@ def spline_extrema(model: SplineModel) -> list[Extremum]:
     # two slots per segment for the ascending real roots of f'(s) = qc + qb s + qa s^2
     segment = np.repeat(np.arange(ts.size - 1), 2)
     upper = np.arange(segment.size) % 2 == 1
-    rows, h = coefficients[segment], np.diff(ts)[segment]
+    rows, h = coefficients.take(segment, axis=0), np.diff(ts)[segment]
     with np.errstate(all="ignore"):  # a kept non-finite point raises NumericOverflow below
         qa, qb, qc = 3.0 * rows[:, 3], 2.0 * rows[:, 2], rows[:, 1]
         disc = qb * qb - 4.0 * qa * qc

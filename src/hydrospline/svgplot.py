@@ -14,7 +14,6 @@ identical bytes.
 import math
 from dataclasses import dataclass
 from functools import cache
-from html import escape
 from typing import Sequence
 
 import numpy as np
@@ -27,6 +26,11 @@ MARKER_RADIUS = 3.0
 
 #: largest plot width or height; it keeps every coordinate times 1e4 below 2**50
 MAX_DIMENSION = 1_000_000_000
+
+#: html.escape(s, quote=False) and html.escape(s) as str.translate tables; importing
+#: html would load html.entities on every start for these five characters
+_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+_ATTRIBUTE = {**_TEXT, ord('"'): "&quot;", ord("'"): "&#x27;"}
 
 #: rows written per block; bounds the writer's temporary arrays
 _BLOCK = 4096
@@ -221,17 +225,17 @@ def render_svg(spec: PlotSpec) -> str:
     if spec.title:
         parts.append(
             f'<text x="{_fmt(w / 2)}" y="16" text-anchor="middle" '
-            f'font-size="14">{escape(spec.title, quote=False)}</text>\n'
+            f'font-size="14">{spec.title.translate(_TEXT)}</text>\n'
         )
     if spec.x_label:
         parts.append(
             f'<text x="{_fmt(w / 2)}" y="{_fmt(h - 4)}" text-anchor="middle" '
-            f'font-size="11">{escape(spec.x_label, quote=False)}</text>\n'
+            f'font-size="11">{spec.x_label.translate(_TEXT)}</text>\n'
         )
     if spec.y_label:
         parts.append(
             f'<text x="12" y="{_fmt(h / 2)}" text-anchor="middle" font-size="11" '
-            f'transform="rotate(-90 12 {_fmt(h / 2)})">{escape(spec.y_label, quote=False)}</text>\n'
+            f'transform="rotate(-90 12 {_fmt(h / 2)})">{spec.y_label.translate(_TEXT)}</text>\n'
         )
     # in place, the float operations of (x - x_lo) / x_span * w and
     # h - (y - y_lo) / y_span * h, so no second copy of the columns is held
@@ -243,7 +247,7 @@ def render_svg(spec: PlotSpec) -> str:
         py /= y_span
         py *= h
         np.subtract(h, py, out=py)
-        color = escape(layer.color)
+        color = layer.color.translate(_ATTRIBUTE)
         if layer.kind == "curve":
             parts.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="'
@@ -259,8 +263,8 @@ def render_svg(spec: PlotSpec) -> str:
     for layer in spec.layers:
         if layer.label:
             parts.append(
-                f'<text x="8" y="{legend_y}" font-size="11" '
-                f'fill="{escape(layer.color)}">{escape(layer.label, quote=False)}</text>\n'
+                f'<text x="8" y="{legend_y}" font-size="11" fill="'
+                f'{layer.color.translate(_ATTRIBUTE)}">{layer.label.translate(_TEXT)}</text>\n'
             )
             legend_y += 14
     parts.append("</svg>\n")

@@ -1,5 +1,6 @@
 """Command line interface: outputs, exit codes, and determinism."""
 
+import gc
 import importlib.metadata
 import importlib.util
 import json
@@ -503,3 +504,55 @@ def test_installed_console_script_on_path():
     }
     assert installed == CONSOLE_SCRIPTS
     assert shutil.which("hydrospline") is not None
+
+
+def test_cli_import_leaves_html_unloaded():
+    # svgplot escapes with two translate tables; html would bring html.entities
+    script = "import sys, hydrospline.cli\nprint([m for m in sys.modules if m.startswith('html')])\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(hydrospline.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout == "[]\n"
+
+
+# a success, a usage error (exit 1) and a data error (exit 2)
+EXIT_CASES = [
+    ("trend", "--fixture", "gropeni", "--param", "OD"),
+    ("trend", "--no-such-flag"),
+    ("trend", "--fixture", "gropeni", "--param", "nope"),
+]
+
+
+@pytest.mark.parametrize("argv", EXIT_CASES)
+def test_in_process_main_leaves_the_collector_alone(capsys, argv):
+    frozen = gc.get_freeze_count()
+    code, _, _ = run(capsys, *argv)
+    assert code == EXIT_CASES.index(argv)
+    assert gc.get_freeze_count() == frozen
+
+
+def test_main_on_the_process_command_line_freezes_the_collector():
+    script = (
+        "import gc, sys\n"
+        "from hydrospline.cli import main\n"
+        "sys.argv = ['hydrospline', 'trend', '--fixture', 'gropeni', '--param', 'OD']\n"
+        "before = gc.get_freeze_count()\n"
+        "code = main()\n"
+        "print(code, before, gc.get_freeze_count() > 0)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(hydrospline.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.splitlines()[-1] == "0 0 True"
+
+
+@pytest.mark.parametrize("argv", EXIT_CASES)
+def test_both_fresh_routes_match_in_process_main(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    entry_point = importlib.metadata.EntryPoint(
+        "hydrospline", CONSOLE_SCRIPTS["hydrospline"], "console_scripts"
+    )
+    for done in (_fresh_cli(*argv), _run_wrapper(entry_point, *argv)):
+        assert (done.returncode, done.stdout, done.stderr) == (code, out, err)

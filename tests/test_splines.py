@@ -50,6 +50,7 @@ from hydrospline import (
 from hydrospline.errors import (
     NegativeLambda,
     NumericOverflow,
+    ResolutionTooLarge,
     ResolutionTooSmall,
     TooFewKnots,
     UnsupportedOrder,
@@ -57,7 +58,7 @@ from hydrospline.errors import (
 )
 from hydrospline.linalg import LeastSquaresProblem, TridiagonalSystem
 from hydrospline.regression import eval_poly, fit_polynomial, poly_curve
-from hydrospline.splines import _barycentric
+from hydrospline.splines import _MAX_POINTS, _barycentric, _evaluate
 
 
 def junction_mismatch(model):
@@ -536,6 +537,29 @@ def test_dense_grid_resolution_too_small(od_series):
         dense_grid(model, 1)
     with pytest.raises(ResolutionTooSmall):
         poly_curve(fit_polynomial(od_series, 1), od_series.t[0], od_series.t[-1], 1)
+
+
+@pytest.mark.parametrize(
+    "resolution", [_MAX_POINTS + 1, 2**63, 10**400], ids=["max+1", "2**63", "10**400"]
+)
+def test_grid_beyond_one_array_is_typed(od_series, resolution):
+    # numpy raised a bare ValueError at 10**400 and an IndexError at 2**63
+    model = fit_natural_spline(od_series)
+    with pytest.raises(ResolutionTooLarge, match=f"at most {_MAX_POINTS} points"):
+        dense_grid(model, resolution)
+    with pytest.raises(ResolutionTooLarge, match=f"at most {_MAX_POINTS} points"):
+        poly_curve(fit_polynomial(od_series, 1), od_series.t[0], od_series.t[-1], resolution)
+    with pytest.raises(ResolutionTooLarge):
+        dense_grid(fit_lagrange(od_series), resolution)
+
+
+def test_scalar_t_evaluates_one_row(od_series):
+    model = fit_natural_spline(od_series)
+    for t in (od_series.t[3] + 0.25, np.float64(-5.0), np.array(1e9)):
+        for order in (0, 1, 2):
+            value = _evaluate(model, t, order)
+            assert value.shape == ()
+            assert value == _evaluate(model, np.array([t]), order)[0]
 
 
 def test_dense_grid_sources(od_series):

@@ -1,5 +1,6 @@
 """SVG rendering: structure, determinism, and formatting."""
 
+import html
 import re
 import tracemalloc
 from xml.dom import minidom
@@ -25,7 +26,16 @@ from hydrospline import (
     sample_harmonic,
 )
 from hydrospline.errors import EmptyPlot, NumericOverflow
-from hydrospline.svgplot import _BLOCK, MAX_DIMENSION, PlotLayer, _bounds, _fmt, _write
+from hydrospline.svgplot import (
+    _ATTRIBUTE,
+    _BLOCK,
+    _TEXT,
+    MAX_DIMENSION,
+    PlotLayer,
+    _bounds,
+    _fmt,
+    _write,
+)
 
 
 @pytest.fixture()
@@ -478,3 +488,9 @@ def test_render_memory_is_bounded_by_its_text():
         tracemalloc.stop()
     assert svg.count(",") == 1_000_000
     assert peak <= 4 * len(svg)
+
+
+@given(st.text(alphabet=st.sampled_from("&<>\"'a;#x\u00e9\x00") | st.characters()))
+def test_escape_tables_match_html_escape(text):
+    assert text.translate(_TEXT) == html.escape(text, quote=False)
+    assert text.translate(_ATTRIBUTE) == html.escape(text)
