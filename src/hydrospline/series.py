@@ -92,6 +92,19 @@ class _Value:
         return type(self), self._values()
 
 
+def _knot_arrays(knots) -> tuple[np.ndarray, np.ndarray]:
+    """The times and values of (t, y) knots as read-only float64 arrays, checked."""
+    with typed_overflow("knots leave the float range"):
+        times = np.array([t for t, _ in knots], dtype=float)
+        values = np.array([y for _, y in knots], dtype=float)
+    if not np.isfinite(times).all() or (times[1:] <= times[:-1]).any():
+        raise ValueError("knot times must be finite and strictly increasing")
+    if not np.isfinite(values).all():
+        raise ValueError("knot values must be finite")
+    times.flags.writeable = values.flags.writeable = False
+    return times, values
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class TimeSeries(_Value):
     """Strictly increasing (t, y) knots for one station and parameter.
@@ -110,14 +123,7 @@ class TimeSeries(_Value):
     def __post_init__(self) -> None:
         if not self.knots:
             raise ValueError("a series needs at least one knot")
-        with typed_overflow("knots leave the float range"):
-            times = np.array([t for t, _ in self.knots], dtype=float)
-            values = np.array([y for _, y in self.knots], dtype=float)
-        if not (np.isfinite(times).all() and np.isfinite(values).all()):
-            raise ValueError("knots must be finite")
-        if (times[1:] <= times[:-1]).any():
-            raise ValueError("knot times must be strictly increasing")
-        times.flags.writeable = values.flags.writeable = False
+        times, values = _knot_arrays(self.knots)
         vars(self).update(times=times, values=values)
 
     @cached_property

@@ -26,7 +26,7 @@ from .errors import (
     typed_overflow,
 )
 from .linalg import TridiagonalSystem, solve_banded_spd, solve_tridiagonal
-from .series import TimeSeries, _Value
+from .series import TimeSeries, _knot_arrays, _Value
 
 #: stationary points with |f''| at or below this are treated as flat and dropped
 FLAT_CURVATURE_TOL = 1e-10
@@ -57,16 +57,14 @@ class SplineModel(_Value):
     _fields = ("knots", "coefficients", "smoothing")
 
     def __init__(self, knots, coefficients, smoothing: float = 0.0) -> None:
-        with typed_overflow("spline knots or coefficients leave the float range"):
-            times = np.array([t for t, _ in knots], dtype=float)
+        times, _ = _knot_arrays(knots)
+        with typed_overflow("spline coefficients leave the float range"):
             table = np.array(coefficients, dtype=float)
-        if len(knots) < 2 or table.shape != (len(knots) - 1, 4):
+        if times.size < 2 or table.shape != (times.size - 1, 4):
             raise ValueError("a spline needs 2 or more knots and one coefficient row per segment")
-        if not np.isfinite(times).all() or (times[1:] <= times[:-1]).any():
-            raise ValueError("knot times must be finite and strictly increasing")
         if not np.isfinite(table).all():
             raise NumericOverflow("spline coefficients overflow the float range for these values")
-        times.flags.writeable = table.flags.writeable = False
+        table.flags.writeable = False
         vars(self).update(knots=knots, smoothing=smoothing, _times=times, _table=table)
 
     @cached_property
@@ -80,19 +78,14 @@ class LagrangeModel(_Value):
     _fields = ("knots", "weights")
 
     def __init__(self, knots, weights) -> None:
-        if not knots or len(weights) != len(knots):
+        times, values = _knot_arrays(knots)
+        if not times.size or len(weights) != times.size:
             raise ValueError("a Lagrange model needs at least one knot and one weight per knot")
-        with typed_overflow("Lagrange knots or weights leave the float range"):
-            times = np.array([t for t, _ in knots], dtype=float)
-            if not np.isfinite(times).all() or (times[1:] <= times[:-1]).any():
-                raise ValueError("knot times must be finite and strictly increasing")
-            values = np.array([y for _, y in knots], dtype=float)
-            if not np.isfinite(values).all():
-                raise ValueError("knot values must be finite")
+        with typed_overflow("Lagrange weights leave the float range"):
             weights = np.array(weights, dtype=float)
         if not (np.isfinite(weights) & (weights != 0.0)).all():
             raise WeightOverflow("barycentric weights overflow for this knot layout")
-        times.flags.writeable = values.flags.writeable = weights.flags.writeable = False
+        weights.flags.writeable = False
         vars(self).update(knots=knots, _times=times, _ys=values, _weights=weights)
 
     @cached_property
@@ -375,9 +368,10 @@ def dense_grid(model: SplineOrLagrange, resolution: int) -> CurveSamples:
     ``resolution = 2`` yields exactly the two endpoints.
     """
     _check_resolution(resolution)
-    if len(model.knots) < 2:
+    ts = model._times
+    if ts.size < 2:
         raise TooFewKnots("a dense grid needs at least 2 knots")
-    grid = np.linspace(model.knots[0][0], model.knots[-1][0], resolution)
+    grid = np.linspace(ts[0], ts[-1], resolution)
     if isinstance(model, SplineModel):
         source = "smoothing" if model.smoothing > 0 else "spline"
         values = _evaluate(model, grid, 0)

@@ -93,6 +93,30 @@ def test_cli_imports_only_public_names():
     assert private == []
 
 
+def _knot_pair_loops(tree):
+    """Lines of the comprehensions and for loops that unpack pairs from ``*knots``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.comprehension, ast.For)) and isinstance(node.target, ast.Tuple):
+            source = node.iter
+            name = source.id if isinstance(source, ast.Name) else getattr(source, "attr", "")
+            if name.endswith("knots"):
+                yield node.target.lineno
+
+
+def test_only_the_knot_reader_splits_knot_pairs():
+    # TimeSeries, SplineModel and LagrangeModel convert and check their knots in one place
+    package = Path(hydrospline.__file__).parent
+    loops, reader = set(), set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if path.name == "series.py" and getattr(node, "name", None) == "_knot_arrays":
+                reader.update(_knot_pair_loops(node))
+        loops.update((path.name, line) for line in _knot_pair_loops(tree))
+    assert len(reader) == 2  # the walk finds the reader's times and values
+    assert sorted(loops - {("series.py", line) for line in reader}) == []
+
+
 def test_all_lists_every_public_name_once():
     public = {
         name for name, value in vars(hydrospline).items()

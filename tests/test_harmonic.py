@@ -93,6 +93,11 @@ def test_spec_rejects_nonpositive_parameters():
         HarmonicSpec(angular_coeff=1.0, exponent=-2.0)
 
 
+def test_spec_rejects_a_zero_exponent():
+    with pytest.raises(ValueError, match="exponent must be positive"):
+        HarmonicSpec(exponent=0.0)
+
+
 def test_index_map_spanning():
     imap = IndexMap.spanning(0.0, 308.0)
     assert index_at(imap, 0.0) == 0.0

@@ -1,5 +1,7 @@
 """Solver contracts against dense oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,19 @@ def test_eliminated_zero_pivot_raises():
     system = TridiagonalSystem(lower=[1.0], diag=[1.0, 1.0], upper=[1.0], rhs=[1.0, 1.0])
     with pytest.raises(ZeroPivot):
         solve_tridiagonal(system)
+
+
+def test_pivot_at_the_tolerance_is_kept():
+    # a pivot of exactly ZERO_PIVOT_TOL = 1e-14 is solved; one just below it raises,
+    # at row 0 and at an eliminated row (upper 0.0 leaves the second pivot as given)
+    assert solve_tridiagonal(TridiagonalSystem([], [1e-14], [], [1.0])).tolist() == [1e14]
+    system = TridiagonalSystem([1.0], [1.0, 1e-14], [0.0], [0.0, 1.0])
+    assert solve_tridiagonal(system).tolist() == [0.0, 1e14]
+    below = math.nextafter(1e-14, 0.0)
+    for system in (TridiagonalSystem([], [below], [], [1.0]),
+                   TridiagonalSystem([1.0], [1.0, below], [0.0], [0.0, 1.0])):
+        with pytest.raises(ZeroPivot):
+            solve_tridiagonal(system)
 
 
 def test_dimension_validation():

@@ -32,7 +32,7 @@ from hydrospline.errors import (
     NumericOverflow,
     ZeroVariance,
 )
-from hydrospline.regression import _pearson_of_pairs
+from hydrospline.regression import PolyModel, _pearson_of_pairs
 
 
 def test_two_point_trend_example():
@@ -141,6 +141,12 @@ def test_underdetermined_fit_rejected():
     series = make_series([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
     with pytest.raises(InsufficientData):
         fit_polynomial(series, 3)
+
+
+def test_one_knot_constant_keeps_a_unit_scale():
+    # a zero half-span scales the axis by exactly 1.0, not by 0 (which gives 0 / 0)
+    model = fit_polynomial(make_series([5.0], [2.0]), 0)
+    assert model == PolyModel((2.0,), 5.0, 1.0, 0.0)
 
 
 def test_poly_curve_tagging(od_series):

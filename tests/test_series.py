@@ -2,6 +2,7 @@
 
 import dataclasses
 from datetime import date
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hydrospline.errors import (
     MalformedDate,
 )
 from hydrospline.series import format_date
+from hydrospline.splines import LagrangeModel, SplineModel
 
 
 @pytest.mark.parametrize(
@@ -147,20 +149,31 @@ def test_series_arrays_are_read_only_float64_knots(od_series):
         od_series.times[0] = 1.0
 
 
+BAD_TIMES = "knot times must be finite and strictly increasing"
+
+
 @pytest.mark.parametrize(
     "knots,message",
     [
         ((), "a series needs at least one knot"),
-        (((0.0, 1.0), (1.0, float("nan"))), "knots must be finite"),
-        (((float("-inf"), 1.0),), "knots must be finite"),
-        (((0.0, 1.0), (2.0, 2.0), (2.0, 3.0)), "knot times must be strictly increasing"),
-        (((3.0, 1.0), (1.0, 2.0)), "knot times must be strictly increasing"),
+        (((0.0, 1.0), (1.0, float("nan"))), "knot values must be finite"),
+        (((float("-inf"), 1.0), (0.0, 2.0)), BAD_TIMES),
+        (((0.0, 1.0), (2.0, 2.0), (2.0, 3.0)), BAD_TIMES),
+        (((3.0, 1.0), (1.0, 2.0)), BAD_TIMES),
+        (((0.0, float("inf")), (1.0, 2.0)), "knot values must be finite"),
+        (((0.0, 1.0), (float("nan"), 2.0)), BAD_TIMES),
     ],
 )
 def test_series_constructor_messages(knots, message):
-    with pytest.raises(ValueError) as info:
-        TimeSeries(station="s", parameter="y", knots=knots, epoch=date(2000, 1, 1))
-    assert str(info.value) == message
+    # one reader checks the knots of all three types; each keeps its own count rule
+    builds = [partial(TimeSeries, "s", "y", knots, date(2000, 1, 1))]
+    if knots:
+        builds += [partial(SplineModel, knots, [[0.0, 1.0, 0.0, 0.0]] * (len(knots) - 1)),
+                   partial(LagrangeModel, knots, [1.0] * len(knots))]
+    for build in builds:
+        with pytest.raises(ValueError) as info:
+            build()
+        assert type(info.value) is ValueError and str(info.value) == message, build.func
 
 
 def test_calendar_date_truncates_fractions(od_series):

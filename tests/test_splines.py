@@ -840,6 +840,7 @@ _HARMONIC_CASES = {
     [
         lambda: SplineModel(((0.0, 1.0), (BEYOND, 2.0)), [[0.0, 0.0, 0.0, 0.0]]),
         lambda: SplineModel(((0.0, 1.0), (1.0, 2.0)), [[BEYOND, 0, 0, 0]]),
+        lambda: SplineModel(((0.0, 1.0), (1.0, BEYOND)), [[0.0, 0.0, 0.0, 0.0]]),
         lambda: TimeSeries("s", "p", ((0.0, 1.0), (BEYOND, 2.0)), EPOCH),
         lambda: TimeSeries("s", "p", ((0.0, 1.0), (1.0, -BEYOND)), EPOCH),
         lambda: LagrangeModel(((0.0, BEYOND),), [1.0]),
@@ -860,7 +861,7 @@ _HARMONIC_CASES = {
         lambda: fit_smoothing_spline(_small_series(), BEYOND),
         *_HARMONIC_CASES.values(),
     ],
-    ids=["spline-knot", "spline-coefficient", "series-time", "series-value", "lagrange-value",
+    ids=["spline-knot", "spline-coefficient", "spline-value", "series-time", "series-value", "lagrange-value",
          "lagrange-time", "lagrange-weight", "layer", "marker-layer", "tridiagonal",
          "tridiagonal-rhs", "lstsq-design", "lstsq-targets", "index-span", "index-offset",
          "dataset-cell", "eval-poly", "poly-curve", "eval-lagrange", "smoothing-lam",

@@ -166,6 +166,11 @@ def test_dimensions_validated():
     PlotSpec(width=MAX_DIMENSION, height=MAX_DIMENSION, layers=())
 
 
+def test_one_pixel_canvas_builds():
+    spec = PlotSpec(width=1, height=1, layers=())
+    assert (spec.width, spec.height) == (1, 1)
+
+
 @pytest.mark.parametrize(
     "color",
     ["a&b", 'red" onload="alert(1)', "<x>'y'</x>", "50%"],
