@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NumericOverflow, typed_overflow
 from .linalg import LeastSquaresProblem, solve_least_squares
-from .splines import CurveSamples
+from .series import CurveSamples
 
 #: IndexMap.spanning maps a series' span onto [0, INDEX_UNITS]
 INDEX_UNITS = 192.0

@@ -21,8 +21,7 @@ from .errors import (
     typed_overflow,
 )
 from .linalg import LeastSquaresProblem, solve_least_squares
-from .series import TimeSeries
-from .splines import CurveSamples, _check_resolution
+from .series import CurveSamples, TimeSeries, _check_resolution
 
 MAX_DEGREE = 10
 
@@ -76,17 +75,26 @@ def fit_polynomial(series: TimeSeries, degree: int) -> PolyModel:
     return PolyModel(tuple(coeffs.tolist()), t_mid=float(t_mid), t_scale=float(t_scale), rmse=rmse)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # raises NumericOverflow instead
 def eval_poly(model: PolyModel, t: float) -> float:
-    """Horner evaluation; at t = t_mid this returns c_0 exactly.  An int t beyond the
-    float range raises NumericOverflow."""
-    with typed_overflow("polynomial value leaves the float range at this t"):
+    """Horner evaluation; at t = t_mid this returns c_0 exactly.
+
+    A result that is not finite at a finite t raises NumericOverflow, as does an
+    int t beyond the float range; an infinite or nan t gives what the arithmetic
+    gives.  An array t, as :func:`poly_curve` passes, is evaluated unchecked.
+    """
+    message = "polynomial value leaves the float range at this t"
+    with typed_overflow(message):
         u = (t - model.t_mid) / model.t_scale
     acc = 0.0
     for c in reversed(model.coefficients):
         acc = acc * u + c
-    return acc
+    if np.ndim(acc) or math.isfinite(acc) or not math.isfinite(t):
+        return acc
+    raise NumericOverflow(message)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # CurveSamples rejects non-finite values
 def poly_curve(model: PolyModel, t_start: float, t_end: float, resolution: int) -> CurveSamples:
     """Sample a fitted polynomial on a uniform grid."""
     _check_resolution(resolution)

@@ -1,8 +1,13 @@
-"""The time-series value type and the calendar-to-day time axis.
+"""The time-series and curve value types and the calendar-to-day time axis.
 
 A :class:`TimeSeries` holds the knots of one station/parameter, with
 ``t`` counting days since its epoch; ``dataio.dataset_series`` builds one
-from a table's column.
+from a table's column.  A :class:`CurveSamples` is a curve on a uniform
+grid, as the spline, trend and harmonic modules return it, and
+``_check_resolution`` is the one grid-size rule of ``dense_grid`` and
+``poly_curve`` (``ResolutionTooSmall``, ``ResolutionTooLarge``).  The
+shared internals, ``_Value`` and the knot reader ``_knot_arrays``, live
+here too, so those modules need not import each other.
 """
 
 import math
@@ -13,7 +18,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidDate, MalformedDate, typed_overflow
+from .errors import (
+    InvalidDate,
+    MalformedDate,
+    NumericOverflow,
+    ResolutionTooLarge,
+    ResolutionTooSmall,
+    typed_overflow,
+)
 
 #: Known parameter codes and their units.  Lookups are case-sensitive;
 #: codes outside the registry are accepted and report unit "unknown".
@@ -92,8 +104,11 @@ class _Value:
         return type(self), self._values()
 
 
-def _knot_arrays(knots) -> tuple[np.ndarray, np.ndarray]:
-    """The times and values of (t, y) knots as read-only float64 arrays, checked."""
+def _knot_arrays(knots) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """The (t, y) knots as a tuple of tuples (a tuple passes through as the same object)
+    and their times and values as read-only float64 arrays, checked."""
+    if not isinstance(knots, tuple):
+        knots = tuple(map(tuple, knots))
     with typed_overflow("knots leave the float range"):
         times = np.array([t for t, _ in knots], dtype=float)
         values = np.array([y for _, y in knots], dtype=float)
@@ -102,7 +117,7 @@ def _knot_arrays(knots) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(values).all():
         raise ValueError("knot values must be finite")
     times.flags.writeable = values.flags.writeable = False
-    return times, values
+    return knots, times, values
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -123,8 +138,8 @@ class TimeSeries(_Value):
     def __post_init__(self) -> None:
         if not self.knots:
             raise ValueError("a series needs at least one knot")
-        times, values = _knot_arrays(self.knots)
-        vars(self).update(times=times, values=values)
+        knots, times, values = _knot_arrays(self.knots)
+        vars(self).update(knots=knots, times=times, values=values)
 
     @cached_property
     def t(self) -> tuple[float, ...]:
@@ -142,3 +157,48 @@ class TimeSeries(_Value):
         """Calendar day containing day-offset ``t`` (fractions truncated)."""
         return self.epoch + timedelta(days=math.floor(t))
 
+
+#: the most float64 values one numpy array can hold, and so the most grid points
+_MAX_POINTS = np.iinfo(np.intp).max // 8
+
+
+class CurveSamples(_Value):
+    """A curve evaluated on a uniform grid, tagged with its source.
+
+    ``grid`` and ``values`` are read-only float64 arrays, the one stored copy
+    of the curve; ``t`` and ``y`` are tuple views of them, built on first
+    use.  Equality, hashing and ``repr`` go by ``t``, ``y`` and ``source``.
+    """
+
+    _fields = ("t", "y", "source")
+
+    def __init__(self, t, y, source: str) -> None:
+        with typed_overflow("curve values are not finite (float overflow)"):
+            grid, values = np.array(t, dtype=float), np.array(y, dtype=float)
+        if grid.ndim != 1 or not grid.size or grid.shape != values.shape:
+            raise ValueError("grid and values must be non-empty and equal length")
+        if not (np.isfinite(grid).all() and np.isfinite(values).all()):
+            raise NumericOverflow("curve values are not finite (float overflow)")
+        steps = np.diff(grid)
+        if steps.size and (
+            steps[0] <= 0 or np.abs(steps - steps[0]).max() > 1e-9 * max(1.0, abs(steps[0]))
+        ):
+            raise ValueError("grid must be strictly increasing with uniform step")
+        grid.flags.writeable = values.flags.writeable = False
+        vars(self).update(grid=grid, values=values, source=source)
+
+    @cached_property
+    def t(self) -> tuple[float, ...]:
+        return tuple(self.grid.tolist())
+
+    @cached_property
+    def y(self) -> tuple[float, ...]:
+        return tuple(self.values.tolist())
+
+
+def _check_resolution(resolution: int) -> None:
+    """Raise a typed error for a grid size that ``np.linspace`` cannot give."""
+    if resolution < 2:
+        raise ResolutionTooSmall(f"need at least 2 grid points, got {resolution}")
+    if resolution > _MAX_POINTS:
+        raise ResolutionTooLarge(f"a grid holds at most {_MAX_POINTS} points")

@@ -6,36 +6,34 @@ solve a tridiagonal system, and per-segment cubic coefficients are
 recovered from the moments.  The smoothing variant penalizes integrated
 squared curvature with weight ``lam`` and collapses to the interpolant at
 ``lam = 0`` and to the least-squares line as ``lam`` grows.
+:func:`dense_grid` returns a ``series.CurveSamples`` and checks its size by
+the grid-size rule that ``series`` keeps; ``splines.CurveSamples`` names
+that same class.
 """
 
 import math
 from functools import cached_property
 from itertools import repeat
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
     NegativeLambda,
     NumericOverflow,
-    ResolutionTooLarge,
-    ResolutionTooSmall,
     TooFewKnots,
     UnsupportedOrder,
     WeightOverflow,
     typed_overflow,
 )
 from .linalg import TridiagonalSystem, solve_banded_spd, solve_tridiagonal
-from .series import TimeSeries, _knot_arrays, _Value
+from .series import CurveSamples, TimeSeries, _check_resolution, _knot_arrays, _Value
 
 #: stationary points with |f''| at or below this are treated as flat and dropped
 FLAT_CURVATURE_TOL = 1e-10
 
 #: evaluation points this close to a knot (in days) return the knot value
 KNOT_SNAP_TOL = 1e-12
-
-#: the most float64 values one numpy array can hold, and so the most grid points
-_MAX_POINTS = np.iinfo(np.intp).max // 8
 
 #: the kinds of extrema, indexed by "is a maximum"; every Extremum shares these two strs
 _KINDS = np.array(("min", "max"), dtype=object)
@@ -57,7 +55,7 @@ class SplineModel(_Value):
     _fields = ("knots", "coefficients", "smoothing")
 
     def __init__(self, knots, coefficients, smoothing: float = 0.0) -> None:
-        times, _ = _knot_arrays(knots)
+        knots, times, _ = _knot_arrays(knots)
         with typed_overflow("spline coefficients leave the float range"):
             table = np.array(coefficients, dtype=float)
         if times.size < 2 or table.shape != (times.size - 1, 4):
@@ -78,7 +76,7 @@ class LagrangeModel(_Value):
     _fields = ("knots", "weights")
 
     def __init__(self, knots, weights) -> None:
-        times, values = _knot_arrays(knots)
+        knots, times, values = _knot_arrays(knots)
         if not times.size or len(weights) != times.size:
             raise ValueError("a Lagrange model needs at least one knot and one weight per knot")
         with typed_overflow("Lagrange weights leave the float range"):
@@ -91,40 +89,6 @@ class LagrangeModel(_Value):
     @cached_property
     def weights(self) -> tuple[float, ...]:
         return tuple(self._weights.tolist())
-
-
-class CurveSamples(_Value):
-    """A curve evaluated on a uniform grid, tagged with its source.
-
-    ``grid`` and ``values`` are read-only float64 arrays, the one stored copy
-    of the curve; ``t`` and ``y`` are tuple views of them, built on first
-    use.  Equality, hashing and ``repr`` go by ``t``, ``y`` and ``source``.
-    """
-
-    _fields = ("t", "y", "source")
-
-    def __init__(self, t, y, source: str) -> None:
-        with typed_overflow("curve values are not finite (float overflow)"):
-            grid, values = np.array(t, dtype=float), np.array(y, dtype=float)
-        if grid.ndim != 1 or not grid.size or grid.shape != values.shape:
-            raise ValueError("grid and values must be non-empty and equal length")
-        if not (np.isfinite(grid).all() and np.isfinite(values).all()):
-            raise NumericOverflow("curve values are not finite (float overflow)")
-        steps = np.diff(grid)
-        if steps.size and (
-            steps[0] <= 0 or np.abs(steps - steps[0]).max() > 1e-9 * max(1.0, abs(steps[0]))
-        ):
-            raise ValueError("grid must be strictly increasing with uniform step")
-        grid.flags.writeable = values.flags.writeable = False
-        vars(self).update(grid=grid, values=values, source=source)
-
-    @cached_property
-    def t(self) -> tuple[float, ...]:
-        return tuple(self.grid.tolist())
-
-    @cached_property
-    def y(self) -> tuple[float, ...]:
-        return tuple(self.values.tolist())
 
 
 class Extremum(NamedTuple):
@@ -343,25 +307,22 @@ def _barycentric(model: LagrangeModel, t: float | np.ndarray) -> np.ndarray:
 
 
 def eval_lagrange(model: LagrangeModel, t: float) -> float:
-    """Evaluate the barycentric form; exact at (snapped) knots.  An int t beyond the
-    float range raises NumericOverflow."""
-    with typed_overflow("Lagrange value leaves the float range at this t"):
-        return float(_barycentric(model, t))
+    """Evaluate the barycentric form; exact at (snapped) knots.
 
-
-SplineOrLagrange = Union[SplineModel, LagrangeModel]
-
-
-def _check_resolution(resolution: int) -> None:
-    """Raise a typed error for a grid size that ``np.linspace`` cannot give."""
-    if resolution < 2:
-        raise ResolutionTooSmall(f"need at least 2 grid points, got {resolution}")
-    if resolution > _MAX_POINTS:
-        raise ResolutionTooLarge(f"a grid holds at most {_MAX_POINTS} points")
+    A result that is not finite at a finite t raises NumericOverflow, as does an
+    int t beyond the float range; an infinite or nan t gives what the arithmetic
+    gives.
+    """
+    message = "Lagrange value leaves the float range at this t"
+    with typed_overflow(message):
+        value = float(_barycentric(model, t))
+    if math.isfinite(value) or not math.isfinite(t):
+        return value
+    raise NumericOverflow(message)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # CurveSamples rejects non-finite values
-def dense_grid(model: SplineOrLagrange, resolution: int) -> CurveSamples:
+def dense_grid(model: SplineModel | LagrangeModel, resolution: int) -> CurveSamples:
     """Evaluate a model on a uniform grid of ``resolution`` points.
 
     The grid runs from the first to the last knot inclusive, so

@@ -19,8 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyPlot, NumericOverflow, typed_overflow
-from .series import _Value
-from .splines import CurveSamples
+from .series import CurveSamples, _Value
 
 MARKER_RADIUS = 3.0
 

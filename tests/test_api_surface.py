@@ -13,6 +13,7 @@ from pathlib import Path
 from types import ModuleType
 
 import hydrospline
+import hydrospline.splines
 from hydrospline.series import TimeSeries, _Value
 from hydrospline.svgplot import PlotLayer
 
@@ -91,6 +92,27 @@ def test_cli_imports_only_public_names():
     private = [(node.module, alias.name) for node in relative for alias in node.names
                if alias.name.startswith("_")]
     assert private == []
+
+
+def _imported_names(tree):
+    """Each dotted part of the modules a tree imports from, and of the names it imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            yield from (node.module or "").split(".")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield from alias.name.split(".")
+
+
+def test_curve_users_take_the_curve_type_from_series_not_splines():
+    # the uniform-grid curve and its grid-size rule sit beside the other shared internals,
+    # so the trend, harmonic and plot modules do not load the spline fitter
+    package = Path(hydrospline.__file__).parent
+    for name in ("regression.py", "harmonic.py", "svgplot.py"):
+        tree = ast.parse((package / name).read_text(encoding="utf-8"))
+        assert "splines" not in set(_imported_names(tree)), name
+    assert hydrospline.CurveSamples.__module__ == "hydrospline.series"
+    assert hydrospline.splines.CurveSamples is hydrospline.CurveSamples
 
 
 def _knot_pair_loops(tree):

@@ -176,6 +176,22 @@ def test_series_constructor_messages(knots, message):
         assert type(info.value) is ValueError and str(info.value) == message, build.func
 
 
+def test_list_built_values_equal_and_hash_as_tuple_built():
+    # the knot reader stores other sequences as a tuple of tuples and keeps a tuple as it is
+    pairs, epoch, rows = ((0.0, 1.0), (1.0, 2.0), (3.0, 0.5)), date(2000, 1, 1), [[0, 1, 0, 0]] * 2
+    series = TimeSeries("s", "p", pairs, epoch)
+    cases = [
+        (TimeSeries("s", "p", list(pairs), epoch), series),
+        (dataclasses.replace(series, knots=[list(pair) for pair in pairs]), series),
+        (SplineModel(list(pairs), rows), SplineModel(pairs, rows)),
+        (LagrangeModel(list(pairs), [1.0] * 3), LagrangeModel(pairs, [1.0] * 3)),
+    ]
+    for listed, tupled in cases:
+        assert tupled.knots is pairs
+        assert listed.knots == pairs and type(listed.knots[0]) is tuple
+        assert listed == tupled and hash(listed) == hash(tupled)
+
+
 def test_calendar_date_truncates_fractions(od_series):
     assert od_series.calendar_date(0.0) == date(2003, 9, 11)
     assert od_series.calendar_date(33.9) == date(2003, 10, 14)

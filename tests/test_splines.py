@@ -58,7 +58,8 @@ from hydrospline.errors import (
 )
 from hydrospline.linalg import LeastSquaresProblem, TridiagonalSystem
 from hydrospline.regression import eval_poly, fit_polynomial, poly_curve
-from hydrospline.splines import _MAX_POINTS, _barycentric, _evaluate
+from hydrospline.series import _MAX_POINTS
+from hydrospline.splines import _barycentric, _evaluate
 
 
 def junction_mismatch(model):
@@ -393,7 +394,12 @@ def test_lagrange_matches_scalar_reference(seed):
         inside = len(probes) - len(outside)
         assert _hex(values[:inside]) == _hex(scalar_lagrange(model, p) for p in probes[:inside])
         assert _hex(values[inside:]) == _hex(scalar_lagrange_first_form(model, p) for p in outside)
-        assert _hex(eval_lagrange(model, p) for p in probes[::37]) == _hex(values[::37])
+        for probe, value in zip(probes[::37], values[::37]):
+            if math.isfinite(value):
+                assert eval_lagrange(model, probe).hex() == value.hex()
+            else:  # a result that is not finite at a finite t is typed
+                with pytest.raises(NumericOverflow):
+                    eval_lagrange(model, probe)
         if all(map(math.isfinite, values[:200])):
             assert _hex(dense_grid(model, 200).y) == _hex(values[:200])
     assert fitted and overflowed
@@ -899,6 +905,24 @@ def test_overflowing_extension_is_typed_and_silent(t):
     assert eval_spline(model, math.inf) == math.inf
     assert eval_spline(model, -math.inf) == -math.inf
     assert eval_spline(model, 1e300) == 10.0 * 1e300
+
+
+def test_poly_and_lagrange_overflow_at_a_finite_t_is_typed(od_series):
+    # these returned an infinity (a numpy float t also warned) where eval_spline raises
+    poly, lagrange = fit_polynomial(od_series, 3), fit_lagrange(od_series)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cases = [(eval_poly, poly, 1e308), (eval_poly, poly, np.float64(-1e308)),
+                 (eval_lagrange, lagrange, 1e300)]
+        for evaluate, model, t in cases:
+            with pytest.raises(NumericOverflow, match="leaves the float range at this t"):
+                evaluate(model, t)
+        # an infinite or nan t and an array t keep what the arithmetic gives
+        for t in (math.inf, math.nan):
+            assert math.isnan(eval_poly(poly, t)) and math.isnan(eval_lagrange(lagrange, t))
+        assert eval_poly(poly, np.array([0.0, 1e308]))[1] == -math.inf
+        with pytest.raises(NumericOverflow):  # np.linspace warned over this span
+            poly_curve(poly, -1e308, 1e308, 3)
 
 
 def test_non_finite_value_at_an_infinite_t_is_typed():
