@@ -21,7 +21,7 @@ from .errors import (
     typed_overflow,
 )
 from .linalg import LeastSquaresProblem, solve_least_squares
-from .series import CurveSamples, TimeSeries, _check_resolution
+from .series import CurveSamples, TimeSeries, _check_resolution, _check_span
 
 MAX_DEGREE = 10
 
@@ -99,7 +99,9 @@ def poly_curve(model: PolyModel, t_start: float, t_end: float, resolution: int) 
     """Sample a fitted polynomial on a uniform grid."""
     _check_resolution(resolution)
     with typed_overflow("polynomial grid leaves the float range"):
-        grid = np.linspace(float(t_start), float(t_end), resolution)
+        t_start, t_end = float(t_start), float(t_end)
+    _check_span(t_start, t_end, resolution)
+    grid = np.linspace(t_start, t_end, resolution)
     return CurveSamples(t=grid, y=eval_poly(model, grid), source="regression")
 
 

@@ -3,11 +3,12 @@
 A :class:`TimeSeries` holds the knots of one station/parameter, with
 ``t`` counting days since its epoch; ``dataio.dataset_series`` builds one
 from a table's column.  A :class:`CurveSamples` is a curve on a uniform
-grid, as the spline, trend and harmonic modules return it, and
-``_check_resolution`` is the one grid-size rule of ``dense_grid`` and
-``poly_curve`` (``ResolutionTooSmall``, ``ResolutionTooLarge``).  The
-shared internals, ``_Value`` and the knot reader ``_knot_arrays``, live
-here too, so those modules need not import each other.
+grid, as the spline, trend and harmonic modules return it;
+``_check_resolution`` and ``_check_span`` are the grid-size rules of
+``dense_grid`` and ``poly_curve`` (``ResolutionTooSmall``,
+``ResolutionTooLarge``).  The shared internals, ``_Value`` and the knot
+reader ``_knot_arrays``, live here too, so those modules need not import
+each other.
 """
 
 import math
@@ -75,9 +76,9 @@ class _Value:
     frozen: assignment raises FrozenInstanceError, as on a frozen dataclass.  A type
     that stores a converted copy of its arguments subclasses this with an explicit
     ``__init__`` (TimeSeries keeps a dataclass one, for ``dataclasses.replace``).  A record
-    that stores its arguments as given stays a dataclass: DatasetRow, HarmonicSpec,
-    IndexMap, PolyModel, TrendReport and PlotSpec.  The two linalg solver inputs are
-    mutable, so they convert their arguments in a plain ``__init__`` without this base."""
+    that stores its arguments as given stays a frozen dataclass, and a mutable type that
+    converts its arguments, like the linalg solver inputs, is a plain class without this
+    base."""
 
     _fields: tuple[str, ...] = ()
 
@@ -105,9 +106,9 @@ class _Value:
 
 
 def _knot_arrays(knots) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """The (t, y) knots as a tuple of tuples (a tuple passes through as the same object)
-    and their times and values as read-only float64 arrays, checked."""
-    if not isinstance(knots, tuple):
+    """The (t, y) knots as a tuple of tuples (a tuple of tuples passes through as the same
+    object) and their times and values as read-only float64 arrays, checked."""
+    if not isinstance(knots, tuple) or list(map(type, knots)).count(tuple) < len(knots):
         knots = tuple(map(tuple, knots))
     with typed_overflow("knots leave the float range"):
         times = np.array([t for t, _ in knots], dtype=float)
@@ -167,7 +168,9 @@ class CurveSamples(_Value):
 
     ``grid`` and ``values`` are read-only float64 arrays, the one stored copy
     of the curve; ``t`` and ``y`` are tuple views of them, built on first
-    use.  Equality, hashing and ``repr`` go by ``t``, ``y`` and ``source``.
+    use.  Equality, hashing and ``repr`` go by ``t``, ``y`` and ``source``.  A grid is
+    uniform when every step is positive and differs from the first by at most 1e-9 times
+    max(1, first step) plus four float spacings at the grid's larger end.
     """
 
     _fields = ("t", "y", "source")
@@ -180,10 +183,12 @@ class CurveSamples(_Value):
         if not (np.isfinite(grid).all() and np.isfinite(values).all()):
             raise NumericOverflow("curve values are not finite (float overflow)")
         steps = np.diff(grid)
-        if steps.size and (
-            steps[0] <= 0 or np.abs(steps - steps[0]).max() > 1e-9 * max(1.0, abs(steps[0]))
-        ):
-            raise ValueError("grid must be strictly increasing with uniform step")
+        if steps.size:
+            # rounding moves each point by up to a few float spacings, the largest at an end
+            spacing = np.spacing(max(abs(grid[0]), abs(grid[-1])))
+            slack = 1e-9 * max(1.0, abs(steps[0])) + 4.0 * spacing
+            if steps.min() <= 0 or np.abs(steps - steps[0]).max() > slack:
+                raise ValueError("grid must be strictly increasing with uniform step")
         grid.flags.writeable = values.flags.writeable = False
         vars(self).update(grid=grid, values=values, source=source)
 
@@ -202,3 +207,10 @@ def _check_resolution(resolution: int) -> None:
         raise ResolutionTooSmall(f"need at least 2 grid points, got {resolution}")
     if resolution > _MAX_POINTS:
         raise ResolutionTooLarge(f"a grid holds at most {_MAX_POINTS} points")
+
+
+def _check_span(start: float, end: float, resolution: int) -> None:
+    """Raise ResolutionTooLarge when a rising span is too narrow for ``resolution`` distinct
+    grid points: their step would fall below the float spacing at the span's larger end."""
+    if start < end and (end - start) / (resolution - 1) < np.spacing(max(abs(start), abs(end))):
+        raise ResolutionTooLarge(f"the span is too narrow for {resolution} distinct grid points")

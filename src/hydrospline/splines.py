@@ -7,8 +7,7 @@ recovered from the moments.  The smoothing variant penalizes integrated
 squared curvature with weight ``lam`` and collapses to the interpolant at
 ``lam = 0`` and to the least-squares line as ``lam`` grows.
 :func:`dense_grid` returns a ``series.CurveSamples`` and checks its size by
-the grid-size rule that ``series`` keeps; ``splines.CurveSamples`` names
-that same class.
+the grid-size rules that ``series`` keeps.
 """
 
 import math
@@ -27,7 +26,7 @@ from .errors import (
     typed_overflow,
 )
 from .linalg import TridiagonalSystem, solve_banded_spd, solve_tridiagonal
-from .series import CurveSamples, TimeSeries, _check_resolution, _knot_arrays, _Value
+from .series import CurveSamples, TimeSeries, _check_resolution, _check_span, _knot_arrays, _Value
 
 #: stationary points with |f''| at or below this are treated as flat and dropped
 FLAT_CURVATURE_TOL = 1e-10
@@ -332,6 +331,7 @@ def dense_grid(model: SplineModel | LagrangeModel, resolution: int) -> CurveSamp
     ts = model._times
     if ts.size < 2:
         raise TooFewKnots("a dense grid needs at least 2 knots")
+    _check_span(ts[0], ts[-1], resolution)
     grid = np.linspace(ts[0], ts[-1], resolution)
     if isinstance(model, SplineModel):
         source = "smoothing" if model.smoothing > 0 else "spline"

@@ -148,6 +148,30 @@ def test_all_lists_every_public_name_once():
     assert set(hydrospline.__all__) == public | {"__version__"}
 
 
+def _defined_names(tree):
+    """The names a module's own top-level classes, functions and assignments bind."""
+    for node in tree.body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            yield from (target.id for target in node.targets if isinstance(target, ast.Name))
+
+
+def test_every_public_name_is_defined_in_a_submodule():
+    # __all__ is whatever __init__ imports, so an import from outside the package would
+    # make a foreign name public; each name must come from the submodule that defines it
+    package = Path(hydrospline.__file__).parent
+    homes = {}
+    for path in sorted(package.glob("*.py")):
+        if path.name != "__init__.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            homes.update(dict.fromkeys(_defined_names(tree), path.stem))
+    for name in set(hydrospline.__all__) - {"__version__"}:
+        assert name in homes, name
+        module = importlib.import_module(f"hydrospline.{homes[name]}")
+        assert getattr(hydrospline, name) is getattr(module, name), name
+
+
 def _subclasses(cls):
     for sub in cls.__subclasses__():
         yield sub

@@ -192,6 +192,22 @@ def test_list_built_values_equal_and_hash_as_tuple_built():
         assert listed == tupled and hash(listed) == hash(tupled)
 
 
+def test_tuple_of_lists_built_values_equal_and_hash_as_tuple_built():
+    # a tuple whose pairs are not all tuples is read as a tuple of tuples too
+    pairs, epoch, rows = ((0.0, 1.0), (1.0, 2.0), (3.0, 0.5)), date(2000, 1, 1), [[0, 1, 0, 0]] * 2
+    series = TimeSeries("s", "p", pairs, epoch)
+    for given in (tuple(map(list, pairs)), (pairs[0], [1.0, 2.0], pairs[2])):
+        cases = [
+            (TimeSeries("s", "p", given, epoch), series),
+            (dataclasses.replace(series, knots=given), series),
+            (SplineModel(given, rows), SplineModel(pairs, rows)),
+            (LagrangeModel(given, [1.0] * 3), LagrangeModel(pairs, [1.0] * 3)),
+        ]
+        for built, tupled in cases:
+            assert built.knots == pairs and {type(pair) for pair in built.knots} == {tuple}
+            assert built == tupled and hash(built) == hash(tupled)
+
+
 def test_calendar_date_truncates_fractions(od_series):
     assert od_series.calendar_date(0.0) == date(2003, 9, 11)
     assert od_series.calendar_date(33.9) == date(2003, 10, 14)

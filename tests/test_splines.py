@@ -586,6 +586,50 @@ def test_curve_samples_validate_uniformity():
         CurveSamples(t=(0.0, 1.0, 2.0), y=(0.0, 0.0), source="spline")
 
 
+def test_curve_samples_reject_an_uneven_or_repeating_grid():
+    # the last grid repeats a point by less than the 1e-9 step slack
+    message = "grid must be strictly increasing with uniform step"
+    for t in ([0.0, 1.0, 3.0], [0.0, 1e-10, 0.5e-10], [0.0, 1e-10, 1e-10]):
+        with pytest.raises(ValueError, match=message):
+            CurveSamples(t=t, y=[0.0, 0.0, 0.0], source="spline")
+
+
+@pytest.mark.parametrize("offset", [0.0, 7.3e5, 1e7, 1.7e9, -1.7e9, 1e15])
+def test_grids_far_from_t_zero_are_the_linspace_grid(offset):
+    # at 1.7e9 (an hour of knots in Unix seconds) the rounding of np.linspace's own
+    # points exceeded the step slack, and all three curves raised ValueError
+    series = make_series([offset, offset + 1800, offset + 3600], [1.0, 3.0, 2.0])
+    grid = np.linspace(offset, offset + 3600, 1000)
+    curves = [
+        dense_grid(fit_natural_spline(series), 1000),
+        poly_curve(fit_polynomial(series, 1), offset, offset + 3600, 1000),
+        sample_harmonic(HarmonicSpec(), IndexMap.spanning(offset, offset + 3600), grid),
+    ]
+    for curve in curves:
+        assert curve.grid.tobytes() == grid.tobytes()
+
+
+def test_span_too_narrow_for_the_grid_is_typed():
+    # two knots two floats apart hold three distinct grid points, not 50
+    start = 1e6
+    middle = math.nextafter(start, math.inf)
+    end = math.nextafter(middle, math.inf)
+    series = make_series([start, end], [1.0, 2.0])
+    message = "too narrow for 50 distinct grid points"
+    for model in (fit_natural_spline(series), fit_lagrange(series)):
+        with pytest.raises(ResolutionTooLarge, match=message):
+            dense_grid(model, 50)
+        assert dense_grid(model, 3).t == (start, middle, end)
+        with pytest.raises(ResolutionTooSmall):  # the grid size is still checked first
+            dense_grid(model, 1)
+    poly = fit_polynomial(series, 1)
+    with pytest.raises(ResolutionTooLarge, match=message):
+        poly_curve(poly, start, end, 50)
+    assert poly_curve(poly, start, end, 3).t == (start, middle, end)
+    with pytest.raises(ValueError, match="strictly increasing"):  # a falling span is no grid
+        poly_curve(poly, end, start, 50)
+
+
 def test_curve_samples_hold_read_only_float_arrays():
     # an int grid and -0.0 values; arrays, lists and tuples give the same curve
     t, y = [2, 4, 6, 8], [1, -0.0, 2.5, 0]
@@ -609,6 +653,20 @@ def test_curve_samples_hold_read_only_float_arrays():
 
 
 # extrema
+
+
+def test_extrema_whose_discriminant_rounds_to_zero_are_kept():
+    # f'(s) = 3d s^2 + 2c s + b has two roots 0.018 apart where |f''| is about 0.1, but its
+    # discriminant rounds to exactly 0: the pair is reported as one stationary point, not lost
+    b, c, d = 30135454877077.605, -12670796.555794422, 1.7758604276724412
+    qa, qb, qc = 3.0 * d, 2.0 * c, b
+    assert qb * qb - 4.0 * qa * qc == 0.0
+    exact = Fraction(qb) ** 2 - 4 * Fraction(qa) * Fraction(qc)
+    assert math.sqrt(exact) > 0.09 and math.sqrt(exact) / qa > 0.018
+    s = -qb / (2.0 * qa)
+    model = SplineModel(((0.0, 0.0), (4.0 * s, 1.0)), [[0.0, b, c, d]])
+    [point] = spline_extrema(model)
+    assert point.t == s
 
 
 def test_symmetric_hump_has_single_interior_max():
