@@ -10,7 +10,6 @@ import importlib.resources
 import io
 import math
 import re
-from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
 from itertools import compress, repeat
@@ -52,12 +51,11 @@ _DATE_LINE_RE = re.compile(_DATE_RE.pattern, re.M)
 _Bad = tuple[int, HydrosplineError]  # a column's first bad cell: its index and its error
 
 
-@dataclass(frozen=True)
-class DatasetRow:
+class DatasetRow(_Value):
     """One sampling date; values align with the dataset's parameter order."""
 
-    date: date
-    values: tuple[float | None, ...]
+    def __init__(self, date: date, values: tuple[float | None, ...]) -> None:
+        vars(self).update(date=date, values=values)
 
 
 class Dataset(_Value):
@@ -69,8 +67,6 @@ class Dataset(_Value):
     MalformedNumber, an int beyond the float range NumericOverflow, two rows on
     one date DuplicateTimestamp.  ``rows`` is the table a row at a time, built
     on first use."""
-
-    _fields = ("station", "parameters", "dates", "columns", "source")
 
     def __init__(self, station: str, parameters, dates, columns, source: str) -> None:
         columns, n = tuple(columns), len(dates)

@@ -7,7 +7,6 @@ period 48 index units.
 """
 
 import math
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from .errors import NumericOverflow, typed_overflow
 from .linalg import LeastSquaresProblem, solve_least_squares
-from .series import CurveSamples
+from .series import CurveSamples, _Value
 
 #: IndexMap.spanning maps a series' span onto [0, INDEX_UNITS]
 INDEX_UNITS = 192.0
@@ -26,31 +25,28 @@ DEFAULT_ANGULAR_COEFF = 8.0 * math.pi / INDEX_UNITS
 DEFAULT_EXPONENT = 4.0 / 3.0
 
 
-@dataclass(frozen=True)
-class HarmonicSpec:
+class HarmonicSpec(_Value):
     """Parameters of the signed-power harmonic reference."""
 
-    angular_coeff: float = DEFAULT_ANGULAR_COEFF
-    exponent: float = DEFAULT_EXPONENT
-    amplitude: float = 1.0
-    offset: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not self.angular_coeff > 0:
+    def __init__(self, angular_coeff: float = DEFAULT_ANGULAR_COEFF,
+                 exponent: float = DEFAULT_EXPONENT, amplitude: float = 1.0,
+                 offset: float = 0.0) -> None:
+        if not angular_coeff > 0:
             raise ValueError("angular_coeff must be positive")
-        if not self.exponent > 0:
+        if not exponent > 0:
             raise ValueError("exponent must be positive")
+        vars(self).update(angular_coeff=angular_coeff, exponent=exponent, amplitude=amplitude,
+                          offset=offset)
 
 
 _SPAN_OVERFLOW = "index map scale or offset leaves the float range"
 
 
-@dataclass(frozen=True)
-class IndexMap:
+class IndexMap(_Value):
     """Affine map from day offsets to sample indices: k = scale * t + offset."""
 
-    scale: float
-    offset: float = 0.0
+    def __init__(self, scale: float, offset: float = 0.0) -> None:
+        vars(self).update(scale=scale, offset=offset)
 
     @classmethod
     def spanning(cls, t_start: float, t_end: float) -> "IndexMap":
@@ -150,10 +146,10 @@ def fit_amplitude_offset(
     The angular coefficient and exponent are kept; only the affine scaling
     of the unit-amplitude, zero-offset reference is re-estimated.
     """
-    unit = _reference_values(replace(spec, amplitude=1.0, offset=0.0), index_map, curve.grid)
+    unit = _reference_values(spec._replace(amplitude=1.0, offset=0.0), index_map, curve.grid)
     design = np.column_stack([unit, np.ones(unit.size)])
     amplitude, offset = solve_least_squares(LeastSquaresProblem(design, curve.values))
-    return replace(spec, amplitude=float(amplitude), offset=float(offset))
+    return spec._replace(amplitude=float(amplitude), offset=float(offset))
 
 
 @np.errstate(over="ignore")  # an rmse that overflows raises NumericOverflow

@@ -7,7 +7,6 @@ live in u-space and :func:`eval_poly` maps back from days.
 
 import math
 import sys
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -21,7 +20,7 @@ from .errors import (
     typed_overflow,
 )
 from .linalg import LeastSquaresProblem, solve_least_squares
-from .series import CurveSamples, TimeSeries, _check_resolution, _check_span
+from .series import CurveSamples, TimeSeries, _check_resolution, _check_span, _Value
 
 MAX_DEGREE = 10
 
@@ -29,25 +28,22 @@ MAX_DEGREE = 10
 FLAT_THRESHOLD = 0.01
 
 
-@dataclass(frozen=True)
-class PolyModel:
+class PolyModel(_Value):
     """Polynomial sum c_j u^j over the normalized axis u = (t - t_mid) / t_scale."""
 
-    coefficients: tuple[float, ...]
-    t_mid: float
-    t_scale: float
-    rmse: float
+    def __init__(self, coefficients: tuple[float, ...], t_mid: float, t_scale: float,
+                 rmse: float) -> None:
+        vars(self).update(coefficients=coefficients, t_mid=t_mid, t_scale=t_scale, rmse=rmse)
 
 
-@dataclass(frozen=True)
-class TrendReport:
-    """Linear trend summary: slope is in y-units per day and
-    total_change = slope * span_days by construction."""
+class TrendReport(_Value):
+    """Linear trend summary: slope is in y-units per day, total_change = slope * span_days
+    by construction, and direction is "down", "up" or "flat"."""
 
-    slope: float
-    total_change: float
-    span_days: float
-    direction: str  # "down" | "up" | "flat"
+    def __init__(self, slope: float, total_change: float, span_days: float,
+                 direction: str) -> None:
+        vars(self).update(slope=slope, total_change=total_change, span_days=span_days,
+                          direction=direction)
 
 
 def fit_polynomial(series: TimeSeries, degree: int) -> PolyModel:

@@ -13,7 +13,7 @@ each other.
 
 import math
 import re
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from datetime import date, timedelta
 from functools import cached_property
 
@@ -71,16 +71,19 @@ def format_date(d: date) -> str:
 
 
 class _Value:
-    """Equality, hashing and ``repr`` by the constructor arguments named in ``_fields``,
-    whose values copies and pickles pass back to the constructor.  Instances are
-    frozen: assignment raises FrozenInstanceError, as on a frozen dataclass.  A type
-    that stores a converted copy of its arguments subclasses this with an explicit
-    ``__init__`` (TimeSeries keeps a dataclass one, for ``dataclasses.replace``).  A record
-    that stores its arguments as given stays a frozen dataclass, and a mutable type that
-    converts its arguments, like the linalg solver inputs, is a plain class without this
-    base."""
+    """Equality, hashing and ``repr`` by the arguments of the constructor, whose names
+    ``_fields`` lists and whose values copies, pickles and ``_replace`` pass back to it.
+    Each subclass's ``__init__`` checks its arguments and stores them, or a converted copy,
+    with ``vars(self).update``; instances are frozen, so assignment raises
+    FrozenInstanceError.  A mutable type, like the linalg solver inputs, is a plain class
+    without this base."""
 
-    _fields: tuple[str, ...] = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -104,6 +107,10 @@ class _Value:
     def __reduce__(self):
         return type(self), self._values()
 
+    def _replace(self, **changes):
+        """A copy with ``changes`` applied, built and so checked again by the constructor."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
 
 def _knot_arrays(knots) -> tuple[tuple, np.ndarray, np.ndarray]:
     """The (t, y) knots as a tuple of tuples (a tuple of tuples passes through as the same
@@ -121,7 +128,6 @@ def _knot_arrays(knots) -> tuple[tuple, np.ndarray, np.ndarray]:
     return knots, times, values
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class TimeSeries(_Value):
     """Strictly increasing (t, y) knots for one station and parameter.
 
@@ -130,17 +136,13 @@ class TimeSeries(_Value):
     ``values`` are the knots as read-only float64 arrays; ``t`` and ``y`` are tuples of them.
     """
 
-    station: str
-    parameter: str
-    knots: tuple[tuple[float, float], ...]
-    epoch: date
-    _fields = ("station", "parameter", "knots", "epoch")
-
-    def __post_init__(self) -> None:
-        if not self.knots:
+    def __init__(self, station: str, parameter: str, knots: tuple[tuple[float, float], ...],
+                 epoch: date) -> None:
+        if not knots:
             raise ValueError("a series needs at least one knot")
-        knots, times, values = _knot_arrays(self.knots)
-        vars(self).update(knots=knots, times=times, values=values)
+        knots, times, values = _knot_arrays(knots)
+        vars(self).update(station=station, parameter=parameter, knots=knots, epoch=epoch,
+                          times=times, values=values)
 
     @cached_property
     def t(self) -> tuple[float, ...]:
@@ -172,8 +174,6 @@ class CurveSamples(_Value):
     uniform when every step is positive and differs from the first by at most 1e-9 times
     max(1, first step) plus four float spacings at the grid's larger end.
     """
-
-    _fields = ("t", "y", "source")
 
     def __init__(self, t, y, source: str) -> None:
         with typed_overflow("curve values are not finite (float overflow)"):

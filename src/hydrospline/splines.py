@@ -51,8 +51,6 @@ class SplineModel(_Value):
     ``smoothing`` is the fit's lam.
     """
 
-    _fields = ("knots", "coefficients", "smoothing")
-
     def __init__(self, knots, coefficients, smoothing: float = 0.0) -> None:
         knots, times, _ = _knot_arrays(knots)
         with typed_overflow("spline coefficients leave the float range"):
@@ -71,8 +69,6 @@ class SplineModel(_Value):
 
 class LagrangeModel(_Value):
     """Single global interpolating polynomial in barycentric form, kept as read-only arrays."""
-
-    _fields = ("knots", "weights")
 
     def __init__(self, knots, weights) -> None:
         knots, times, values = _knot_arrays(knots)

@@ -12,7 +12,6 @@ identical bytes.
 """
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from typing import Sequence
 
@@ -61,7 +60,6 @@ def _tables() -> tuple[np.ndarray, np.ndarray]:
 class PlotLayer(_Value):
     """Either a connected curve or a set of point markers, as a read-only (n, 2) array."""
 
-    _fields = ("kind", "points", "color", "label")
     __eq__, __hash__ = object.__eq__, object.__hash__  # arrays have no truth value: by identity
 
     def __init__(self, kind: str, points, color: str, label: str = "") -> None:
@@ -85,20 +83,15 @@ def marker_layer(points, color: str, label: str = "") -> PlotLayer:
     return PlotLayer(kind="markers", points=points, color=color, label=label)
 
 
-@dataclass(frozen=True)
-class PlotSpec:
+class PlotSpec(_Value):
     """What to draw: layers plus title and axis labels on a fixed canvas."""
 
-    width: int
-    height: int
-    layers: tuple[PlotLayer, ...]
-    title: str = ""
-    x_label: str = ""
-    y_label: str = ""
-
-    def __post_init__(self) -> None:
-        if not (0 < self.width <= MAX_DIMENSION and 0 < self.height <= MAX_DIMENSION):
+    def __init__(self, width: int, height: int, layers: tuple[PlotLayer, ...], title: str = "",
+                 x_label: str = "", y_label: str = "") -> None:
+        if not (0 < width <= MAX_DIMENSION and 0 < height <= MAX_DIMENSION):
             raise ValueError(f"plot dimensions must be positive and at most {MAX_DIMENSION}")
+        vars(self).update(width=width, height=height, layers=layers, title=title,
+                          x_label=x_label, y_label=y_label)
 
 
 def _round4(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

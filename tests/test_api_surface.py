@@ -6,16 +6,22 @@ renaming one of those breaks it; these tests catch that in the suite.
 """
 
 import ast
+import copy
+import dataclasses
 import importlib
 import importlib.util
 import inspect
+import pickle
+from datetime import date
 from pathlib import Path
 from types import ModuleType
+
+import pytest
 
 import hydrospline
 import hydrospline.splines
 from hydrospline.series import TimeSeries, _Value
-from hydrospline.svgplot import PlotLayer
+from hydrospline.svgplot import MAX_DIMENSION, PlotLayer
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 PACKAGE_ALIASES = {"hs", "hydrospline"}
@@ -180,17 +186,67 @@ def _subclasses(cls):
 
 def test_value_types_take_their_fields_and_share_one_value_base():
     # copies and pickles pass the _fields values to the constructor positionally,
-    # and a dataclass-generated method would shadow the base's
+    # and a class-level method would shadow the base's
     classes = [cls for cls in _subclasses(_Value) if cls.__module__.startswith("hydrospline.")]
     names = {cls.__name__ for cls in classes}
     assert names == {"TimeSeries", "Dataset", "SplineModel", "LagrangeModel", "CurveSamples",
-                     "PlotLayer"}
+                     "PlotLayer", "DatasetRow", "HarmonicSpec", "IndexMap", "PolyModel",
+                     "TrendReport", "PlotSpec"}
     for cls in classes:
         assert tuple(inspect.signature(cls).parameters) == cls._fields, cls
-        methods = ["__eq__", "__hash__", "__repr__", "__reduce__"]
-        if cls is not TimeSeries:  # the dataclass __init__ comes with its frozen guards
-            methods += ["__setattr__", "__delattr__"]
-        for method in methods:
+        for method in ("__eq__", "__hash__", "__repr__", "__reduce__", "__setattr__",
+                       "__delattr__"):
             # a layer's points array has no truth value, so layers compare by identity
             base = object if cls is PlotLayer and method in ("__eq__", "__hash__") else _Value
             assert getattr(cls, method) is getattr(base, method), (cls, method)
+
+
+RECORDS = [
+    (hydrospline.DatasetRow(date(2004, 1, 2), (1.5, None)),
+     "DatasetRow(date=datetime.date(2004, 1, 2), values=(1.5, None))"),
+    (hydrospline.HarmonicSpec(amplitude=2.0, offset=-0.5),
+     "HarmonicSpec(angular_coeff=0.1308996938995747, exponent=1.3333333333333333, "
+     "amplitude=2.0, offset=-0.5)"),
+    (hydrospline.IndexMap(2.0, -1.0), "IndexMap(scale=2.0, offset=-1.0)"),
+    (hydrospline.PolyModel((1.0, -0.25), 3.5, 1.5, 0.125),
+     "PolyModel(coefficients=(1.0, -0.25), t_mid=3.5, t_scale=1.5, rmse=0.125)"),
+    (hydrospline.TrendReport(0.5, 2.0, 4.0, "up"),
+     "TrendReport(slope=0.5, total_change=2.0, span_days=4.0, direction='up')"),
+    (hydrospline.PlotSpec(640, 480, (), "OD", "day"),
+     "PlotSpec(width=640, height=480, layers=(), title='OD', x_label='day', y_label='')"),
+]
+
+
+@pytest.mark.parametrize("value,text", RECORDS, ids=[type(v).__name__ for v, _ in RECORDS])
+def test_records_copy_pickle_and_print_as_before(value, text):
+    # the records print, compare and hash by their constructor's fields, in its order
+    assert repr(value) == text
+    fields = tuple(inspect.signature(type(value)).parameters)
+    assert hash(value) == hash(tuple(getattr(value, name) for name in fields))
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+        assert repr(twin) == text
+
+
+def test_no_public_name_is_a_dataclass():
+    # every value and record type is a _Value; a dataclass would be a second mechanism
+    assert [name for name in hydrospline.__all__
+            if dataclasses.is_dataclass(getattr(hydrospline, name))] == []
+
+
+def test_replace_checks_the_new_value_again():
+    series = TimeSeries("s", "p", ((0.0, 1.0), (1.0, 2.0)), date(2000, 1, 1))
+    spec = hydrospline.PlotSpec(640, 480, ())
+    assert series._replace(station="t") == TimeSeries("t", "p", series.knots, series.epoch)
+    assert spec._replace(title="OD") == hydrospline.PlotSpec(640, 480, (), "OD")
+    cases = [
+        (lambda: hydrospline.HarmonicSpec()._replace(exponent=0.0), "exponent must be positive"),
+        (lambda: spec._replace(width=0),
+         f"plot dimensions must be positive and at most {MAX_DIMENSION}"),
+        (lambda: series._replace(knots=((1.0, 1.0), (0.0, 2.0))),
+         "knot times must be finite and strictly increasing"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message

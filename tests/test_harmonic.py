@@ -2,7 +2,6 @@
 
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -227,7 +226,7 @@ def _power_loops():
 def test_fitted_spec_is_a_plain_value(seeded_fit):
     _, _, fitted = seeded_fit
     assert vars(fitted).keys() == {"angular_coeff", "exponent", "amplitude", "offset"}
-    assert fitted == replace(fitted) and hash(fitted) == hash(replace(fitted))
+    assert fitted == fitted._replace() and hash(fitted) == hash(fitted._replace())
     assert repr(fitted) == (
         f"HarmonicSpec(angular_coeff={fitted.angular_coeff!r}, exponent={fitted.exponent!r}, "
         f"amplitude={fitted.amplitude!r}, offset={fitted.offset!r})"
@@ -272,9 +271,9 @@ def test_seed_misses_compute_the_reference(seeded_fit, miss):
         spec = HarmonicSpec(amplitude=fitted.amplitude, offset=fitted.offset)
         loops = 1
     elif miss == "exponent":
-        spec = replace(fitted, exponent=2.5)
+        spec = fitted._replace(exponent=2.5)
     else:
-        spec = replace(fitted, angular_coeff=0.3)
+        spec = fitted._replace(angular_coeff=0.3)
     result = _harmonic_outputs(curve, spec, imap)
     assert _power_loops() == loops
     reference = [harmonic_reference(index_at(imap, t), spec) for t in curve.t]
@@ -326,7 +325,7 @@ def test_seeded_overflow_is_typed_like_unseeded(seeded_fit, amplitude):
     # amplitude * power leaves the float range where |power| > 1.06; the least-squares
     # solver never returns such an amplitude, so the spec is moved by hand
     curve, imap, fitted = seeded_fit
-    spec = replace(fitted, amplitude=amplitude)
+    spec = fitted._replace(amplitude=amplitude)
     outcomes = []
     for clear in (False, True):
         if clear:

@@ -9,7 +9,6 @@ gaps between knots, so their coefficients keep their bits.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,7 +37,7 @@ def _hex(values):
 
 
 def _doubled(series):
-    return replace(series, knots=tuple((t, 2.0 * y) for t, y in series.knots))
+    return series._replace(knots=tuple((t, 2.0 * y) for t, y in series.knots))
 
 
 @pytest.fixture(scope="module", params=PARAMETERS)
@@ -99,7 +98,7 @@ def test_doubling_one_side_keeps_pearson(gropeni):
 
 
 def _shifted(series, c):
-    return replace(series, knots=tuple((t + c, y) for t, y in series.knots))
+    return series._replace(knots=tuple((t + c, y) for t, y in series.knots))
 
 
 @pytest.mark.parametrize("c", [1, 1_000, 36_500])

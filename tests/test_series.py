@@ -1,6 +1,5 @@
 """Series construction from a table's column and the M/D/YYYY date axis."""
 
-import dataclasses
 from datetime import date
 from functools import partial
 
@@ -137,7 +136,7 @@ def test_series_axes_are_built_once(od_series):
 def test_series_arrays_are_read_only_float64_knots(od_series):
     hand_built = TimeSeries(station="s", parameter="y", knots=((0, 4), (3, -2), (10, 7)),
                             epoch=date(2000, 1, 1))
-    replaced = dataclasses.replace(od_series, knots=((1.5, 2.0), (4.0, -1.25)))
+    replaced = od_series._replace(knots=((1.5, 2.0), (4.0, -1.25)))
     for series in (od_series, hand_built, replaced):
         for array, axis, column in ((series.times, series.t, 0), (series.values, series.y, 1)):
             assert array.dtype == np.float64 and array.ndim == 1
@@ -182,7 +181,7 @@ def test_list_built_values_equal_and_hash_as_tuple_built():
     series = TimeSeries("s", "p", pairs, epoch)
     cases = [
         (TimeSeries("s", "p", list(pairs), epoch), series),
-        (dataclasses.replace(series, knots=[list(pair) for pair in pairs]), series),
+        (series._replace(knots=[list(pair) for pair in pairs]), series),
         (SplineModel(list(pairs), rows), SplineModel(pairs, rows)),
         (LagrangeModel(list(pairs), [1.0] * 3), LagrangeModel(pairs, [1.0] * 3)),
     ]
@@ -199,7 +198,7 @@ def test_tuple_of_lists_built_values_equal_and_hash_as_tuple_built():
     for given in (tuple(map(list, pairs)), (pairs[0], [1.0, 2.0], pairs[2])):
         cases = [
             (TimeSeries("s", "p", given, epoch), series),
-            (dataclasses.replace(series, knots=given), series),
+            (series._replace(knots=given), series),
             (SplineModel(given, rows), SplineModel(pairs, rows)),
             (LagrangeModel(given, [1.0] * 3), LagrangeModel(pairs, [1.0] * 3)),
         ]
