@@ -2,7 +2,8 @@
 
 The format is one header row (date column first, then parameter codes)
 followed by one row per sampling date.  Cells holding "*" or "-" mean the
-measurement is absent; serialization re-emits absent cells as "*".
+measurement is absent; serialization re-emits absent cells as "*".  The
+dates are read and written in ``series``, the one home of their M/D/YYYY format.
 """
 
 import csv
@@ -23,15 +24,13 @@ from .errors import (
     EmptySeries,
     HeaderMismatch,
     HydrosplineError,
-    InvalidDate,
-    MalformedDate,
     MalformedNumber,
     MalformedRow,
     UndecodableFile,
     UnknownParameter,
     typed_overflow,
 )
-from .series import _DATE_RE, TimeSeries, _Value, format_date, parse_date
+from .series import TimeSeries, _parse_dates, _Value, format_date
 
 GROPENI_STATION = "Dunare-Gropeni"
 
@@ -44,9 +43,6 @@ _NON_CELL_CHAR_RE = re.compile(r"[^0-9.eE+\-*\n]")
 # a line of a "\n"-joined column that is neither a number nor a missing marker
 _NON_CELL_LINE_RE = re.compile(r"^(?!(?:[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?|[*-])$)",
                                re.M)
-
-# the M/D/YYYY fields of each line of a "\n"-joined date column
-_DATE_LINE_RE = re.compile(_DATE_RE.pattern, re.M)
 
 _Bad = tuple[int, HydrosplineError]  # a column's first bad cell: its index and its error
 
@@ -104,23 +100,6 @@ class Dataset(_Value):
         return tuple(map(DatasetRow, self.dates, values))
 
 
-def _date_column(cells: list[str]) -> list[date] | _Bad:
-    """The dates of a column, or its first bad cell."""
-    joined = "\n".join(cells)
-    fields = _DATE_LINE_RE.findall(joined)
-    if len(fields) == len(cells) == joined.count("\n") + 1:  # one M/D/YYYY line per cell
-        try:
-            return [date(int(year), int(month), int(day)) for month, day, year in fields]
-        except ValueError:  # no such calendar day
-            pass
-    for i, cell in enumerate(cells):
-        try:
-            parse_date(cell)
-        except (MalformedDate, InvalidDate) as exc:
-            return i, exc
-    return []  # an empty column
-
-
 def _first_non_cell(cells: list[str], joined: str) -> int:
     """The index of the first cell that is neither a number nor a missing marker,
     or ``len(cells)``."""
@@ -158,7 +137,7 @@ def _parse_body(body: list[list[str]], parameters: tuple[str, ...]) -> list[list
     width = len(parameters) + 1
     good = next((i for i, record in enumerate(body) if len(record) != width), len(body))
     columns = [[cell.strip() for cell in map(itemgetter(j), body[:good])] for j in range(width)]
-    scans = [_date_column(columns[0])]
+    scans = [_parse_dates(columns[0])]
     scans += [_value_column(cells, code) for cells, code in zip(columns[1:], parameters)]
     failures = [scan for scan in scans if isinstance(scan, tuple)]
     if good < len(body):  # no scan reached this row, so it ties with no scanned cell

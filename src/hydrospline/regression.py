@@ -7,7 +7,6 @@ live in u-space and :func:`eval_poly` maps back from days.
 
 import math
 import sys
-from itertools import chain
 
 import numpy as np
 
@@ -158,13 +157,14 @@ def _pearson_of_pairs(pairs: list[tuple[float, float, float]]) -> float:
     n = len(pairs)
     if n < 3:
         raise InsufficientPairs(f"need at least 3 matched pairs, have {n}")
-    _, x, y = np.fromiter(chain.from_iterable(pairs), float, 3 * n).reshape(n, 3).T
+    _, xs, ys = zip(*pairs)
+    x, y = np.fromiter(xs, float, n), np.fromiter(ys, float, n)
     if x.max() == x.min() or y.max() == y.min():
         raise ZeroVariance("correlation is undefined for a constant series")
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite sums raise NumericOverflow
         try:
-            dx = x - math.fsum(x.tolist()) / n
-            dy = y - math.fsum(y.tolist()) / n
+            dx = x - math.fsum(xs) / n
+            dy = y - math.fsum(ys) / n
             sxy = math.fsum((dx * dy).tolist())
             # libm pow squares as Python's pow(d, 2) does; float64 d * d rounds differently
             sxx = math.fsum(np.float_power(dx, 2.0).tolist())

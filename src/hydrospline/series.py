@@ -8,7 +8,9 @@ grid, as the spline, trend and harmonic modules return it;
 ``dense_grid`` and ``poly_curve`` (``ResolutionTooSmall``,
 ``ResolutionTooLarge``).  The shared internals, ``_Value`` and the knot
 reader ``_knot_arrays``, live here too, so those modules need not import
-each other.
+each other.  The M/D/YYYY calendar format lives here alone: ``_parse_dates``
+reads a column of dates, ``parse_date`` is its one-cell case, and
+``format_date`` writes one.
 """
 
 import math
@@ -16,6 +18,7 @@ import re
 from dataclasses import FrozenInstanceError
 from datetime import date, timedelta
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -45,24 +48,41 @@ def parameter_unit(code: str) -> str:
     return PARAMETER_UNITS.get(code, "unknown")
 
 
-_DATE_RE = re.compile(r"^(\d{1,2})/(\d{1,2})/(\d{4})$")
+# the M/D/YYYY fields of a date, or of each line of a "\n"-joined column of dates
+_DATE_RE = re.compile(r"^(\d{1,2})/(\d{1,2})/(\d{4})$", re.M)
+
+
+def _parse_dates(cells: list[str]) -> list[date] | tuple[int, MalformedDate | InvalidDate]:
+    """The dates of M/D/YYYY cells, or the index and error of the first bad cell."""
+    joined = "\n".join(cells)
+    fields = _DATE_RE.findall(joined)
+    if len(fields) == len(cells) == joined.count("\n") + 1:  # one M/D/YYYY line per cell
+        try:
+            return [date(int(year), int(month), int(day)) for month, day, year in fields]
+        except ValueError:  # no such calendar day
+            pass
+    for i, cell in enumerate(cells):
+        match = _DATE_RE.fullmatch(cell)
+        if match is None:
+            return i, MalformedDate(f"expected M/D/YYYY, got {cell!r}")
+        try:
+            date(*map(int, match.group(3, 1, 2)))  # year, month, day
+        except ValueError:
+            return i, InvalidDate(f"no such calendar day: {cell!r}")
+    return []  # no cells
 
 
 def parse_date(text: str) -> date:
-    """Parse a M/D/YYYY date string.
+    """Parse a string that is exactly one M/D/YYYY date.
 
     Month and day may be one or two digits; the year must be four.
     Raises MalformedDate when the shape is wrong and InvalidDate when the
     shape is fine but the calendar day does not exist (e.g. 2/30/2004).
     """
-    match = _DATE_RE.match(text)
-    if match is None:
-        raise MalformedDate(f"expected M/D/YYYY, got {text!r}")
-    month, day, year = int(match.group(1)), int(match.group(2)), int(match.group(3))
-    try:
-        return date(year, month, day)
-    except ValueError as exc:
-        raise InvalidDate(f"no such calendar day: {text!r}") from exc
+    dates = _parse_dates([text])
+    if isinstance(dates, tuple):
+        raise dates[1]
+    return dates[0]
 
 
 def format_date(d: date) -> str:
@@ -83,7 +103,9 @@ class _Value:
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         code = cls.__init__.__code__
-        cls._fields = code.co_varnames[1:code.co_argcount]
+        fields = cls._fields = code.co_varnames[1:code.co_argcount]
+        getter = attrgetter(*fields)  # of one name, attrgetter returns the bare value
+        cls._values = property(getter if len(fields) > 1 else lambda self: (getter(self),))
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -91,25 +113,22 @@ class _Value:
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
     def __eq__(self, other):
-        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+        return self._values == other._values if type(other) is type(self) else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values)
 
     def __repr__(self) -> str:
-        args = ", ".join(map("{}={!r}".format, self._fields, self._values()))
+        args = ", ".join(map("{}={!r}".format, self._fields, self._values))
         return f"{type(self).__qualname__}({args})"
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), self._values
 
     def _replace(self, **changes):
         """A copy with ``changes`` applied, built and so checked again by the constructor."""
-        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+        return type(self)(**dict(zip(self._fields, self._values), **changes))
 
 
 def _knot_arrays(knots) -> tuple[tuple, np.ndarray, np.ndarray]:

@@ -12,6 +12,7 @@ import importlib
 import importlib.util
 import inspect
 import pickle
+import re
 from datetime import date
 from pathlib import Path
 from types import ModuleType
@@ -121,6 +122,30 @@ def test_curve_users_take_the_curve_type_from_series_not_splines():
     assert hydrospline.splines.CurveSamples is hydrospline.CurveSamples
 
 
+def _pattern_arguments(tree):
+    """The first argument of each ``re.<function>(...)`` call in a tree."""
+    for node in ast.walk(tree):
+        func = getattr(node, "func", None)
+        if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "re":
+            yield from node.args[:1]
+
+
+def test_only_series_reads_the_date_format():
+    # the M/D/YYYY reader and writer sit in series; dataio hands it the date column
+    package = Path(hydrospline.__file__).parent
+    dataio = ast.parse((package / "dataio.py").read_text(encoding="utf-8"))
+    date_names = {"_DATE_RE", "parse_date", "MalformedDate", "InvalidDate"}
+    assert sorted(date_names & set(_imported_names(dataio))) == []
+    date_patterns = []
+    for path in sorted(package.glob("*.py")):
+        for pattern in _pattern_arguments(ast.parse(path.read_text(encoding="utf-8"))):
+            # a pattern built from another, as from its .pattern, is a second copy of it
+            assert isinstance(pattern, ast.Constant), (path.name, ast.unparse(pattern))
+            if re.fullmatch(pattern.value, "9/11/2003"):
+                date_patterns.append(path.name)
+    assert date_patterns == ["series.py"]
+
+
 def _knot_pair_loops(tree):
     """Lines of the comprehensions and for loops that unpack pairs from ``*knots``."""
     for node in ast.walk(tree):
@@ -226,6 +251,22 @@ def test_records_copy_pickle_and_print_as_before(value, text):
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
         assert repr(twin) == text
+
+
+class _OneField(_Value):
+    def __init__(self, x) -> None:
+        vars(self).update(x=x)
+
+
+def test_a_one_field_value_compares_hashes_prints_and_copies_by_a_tuple():
+    # operator.attrgetter of one name returns the bare value, not a 1-tuple
+    value = _OneField((1.5, None))
+    assert value == _OneField((1.5, None)) and value != _OneField((1.5,))
+    assert hash(value) == hash(((1.5, None),))
+    assert repr(value) == "_OneField(x=(1.5, None))"
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is _OneField and twin == value and hash(twin) == hash(value)
+    assert value._replace(x=2.0) == _OneField(2.0)
 
 
 def test_no_public_name_is_a_dataclass():

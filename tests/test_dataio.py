@@ -121,6 +121,11 @@ def test_bad_dates_rejected():
         parse_csv("Data,temp\n2/30/2004,5.0\n")
 
 
+def test_quoted_date_cell_with_a_trailing_newline_parses():
+    # cells are stripped before the date column is read
+    assert parse_csv('Data,A\n"1/2/2003\n",5\n').dates == (date(2003, 1, 2),)
+
+
 def test_duplicate_dates_rejected():
     text = "Data,temp\n1/2/2003,5.0\n1/2/2003,6.0\n"
     with pytest.raises(DuplicateTimestamp, match=r"^two rows on 1/2/2003$"):

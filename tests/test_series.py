@@ -1,5 +1,6 @@
 """Series construction from a table's column and the M/D/YYYY date axis."""
 
+import re
 from datetime import date
 from functools import partial
 
@@ -9,7 +10,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import make_dataset
-from hydrospline import Dataset, TimeSeries, dataset_series, parameter_unit, parse_date
+from hydrospline import (
+    Dataset,
+    TimeSeries,
+    dataset_series,
+    parameter_unit,
+    parse_csv,
+    parse_date,
+)
 from hydrospline.errors import (
     DuplicateTimestamp,
     EmptySeries,
@@ -20,29 +28,48 @@ from hydrospline.series import format_date
 from hydrospline.splines import LagrangeModel, SplineModel
 
 
-@pytest.mark.parametrize(
-    "text,expected",
-    [
-        ("9/11/2003", date(2003, 9, 11)),
-        ("12/5/2003", date(2003, 12, 5)),
-        ("1/30/2004", date(2004, 1, 30)),
-        ("02/05/2004", date(2004, 2, 5)),
-    ],
-)
+GOOD_DATES = [
+    ("9/11/2003", date(2003, 9, 11)),
+    ("12/5/2003", date(2003, 12, 5)),
+    ("1/30/2004", date(2004, 1, 30)),
+    ("02/05/2004", date(2004, 2, 5)),
+]
+WRONG_SHAPES = ["2003-09-11", "9/11/03", "9.11.2003", "", "9/2003", "a/b/cccc", "1/1/04",
+                "1//2004", "x"]
+IMPOSSIBLE_DAYS = ["2/30/2004", "13/1/2004", "0/10/2004", "6/31/2003", "2/30/2003", "13/1/2003"]
+
+
+@pytest.mark.parametrize("text,expected", GOOD_DATES)
 def test_parse_date_accepts_one_and_two_digit_fields(text, expected):
     assert parse_date(text) == expected
 
 
-@pytest.mark.parametrize("text", ["2003-09-11", "9/11/03", "9.11.2003", "", "9/2003", "a/b/cccc"])
+# the whole string must be the date: a trailing newline is not stripped
+@pytest.mark.parametrize("text", WRONG_SHAPES + ["9/11/2003\n"])
 def test_parse_date_rejects_wrong_shapes(text):
-    with pytest.raises(MalformedDate):
+    with pytest.raises(MalformedDate, match=f"^expected M/D/YYYY, got {re.escape(repr(text))}$"):
         parse_date(text)
 
 
-@pytest.mark.parametrize("text", ["2/30/2004", "13/1/2004", "0/10/2004", "6/31/2003"])
+@pytest.mark.parametrize("text", IMPOSSIBLE_DAYS)
 def test_parse_date_rejects_impossible_days(text):
-    with pytest.raises(InvalidDate):
+    with pytest.raises(InvalidDate, match=f"^no such calendar day: {re.escape(repr(text))}$"):
         parse_date(text)
+
+
+def _date_outcome(read, text):
+    try:
+        return read(text)
+    except (MalformedDate, InvalidDate) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("text", [text for text, _ in GOOD_DATES] + WRONG_SHAPES + IMPOSSIBLE_DAYS)
+def test_a_table_reads_a_date_cell_as_parse_date_does(text):
+    # a table's date column and parse_date share one reader, so they agree on every cell
+    def read_cell(text):
+        return parse_csv(f"Data,A\n{text},1\n").dates[0]
+    assert _date_outcome(read_cell, text) == _date_outcome(parse_date, text)
 
 
 def test_format_date_round_trips():
