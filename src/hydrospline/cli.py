@@ -36,7 +36,7 @@ from .svgplot import PlotSpec, curve_layer, marker_layer, render_svg
 PLOT_WIDTH = 800
 PLOT_HEIGHT = 500
 DEFAULT_RESOLUTION = 1000
-#: the largest --resolution; at this size interp on the fixture peaks near 250 MB of memory
+#: the largest --resolution; at this size interp on the fixture peaks near 220 MB of memory
 MAX_RESOLUTION = 1_000_000
 
 
@@ -194,7 +194,7 @@ def _cmd_interp(args, dataset: Dataset) -> int:
     model = _fit_model(series, args.method, args.lam)
     curve = dense_grid(model, args.resolution)
     lines = ["t_days,date,value"]
-    for t, y in zip(curve.t, curve.y):
+    for t, y in zip(curve.grid.tolist(), curve.values.tolist()):
         lines.append(f"{t:.6f},{format_date(series.calendar_date(t))},{y:.6f}")
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
         handle.write("\n".join(lines) + "\n")
@@ -231,7 +231,7 @@ def _cmd_harmonic(args, dataset: Dataset) -> int:
     series = dataset_series(dataset, args.param)
     model = fit_natural_spline(series)
     curve = dense_grid(model, DEFAULT_RESOLUTION)
-    index_map = IndexMap.spanning(series.t[0], series.t[-1])
+    index_map = IndexMap.spanning(series.knots[0][0], series.knots[-1][0])
     spec = HarmonicSpec(angular_coeff=args.angular_coeff, exponent=args.exponent)
     fitted = fit_amplitude_offset(curve, spec, index_map)
     result = compare_to_harmonic(curve, fitted, index_map)
@@ -245,7 +245,7 @@ def _cmd_plot(args, dataset: Dataset) -> int:
     curve = dense_grid(model, args.resolution)
     layers = [curve_layer(curve, "blue", args.method)]
     if args.harmonic:
-        index_map = IndexMap.spanning(series.t[0], series.t[-1])
+        index_map = IndexMap.spanning(series.knots[0][0], series.knots[-1][0])
         fitted = fit_amplitude_offset(curve, HarmonicSpec(), index_map)
         reference = sample_harmonic(fitted, index_map, curve.grid)
         layers.append(curve_layer(reference, "red", "harmonic"))

@@ -6,9 +6,11 @@ from a table's column.  A :class:`CurveSamples` is a curve on a uniform
 grid, as the spline, trend and harmonic modules return it;
 ``_check_resolution`` and ``_check_span`` are the grid-size rules of
 ``dense_grid`` and ``poly_curve`` (``ResolutionTooSmall``,
-``ResolutionTooLarge``).  The shared internals, ``_Value`` and the knot
-reader ``_knot_arrays``, live here too, so those modules need not import
-each other.  The M/D/YYYY calendar format lives here alone: ``_parse_dates``
+``ResolutionTooLarge``).  The shared internals, ``_Value``, the knot reader
+``_knot_arrays`` and ``_tuple_view``, live here too, so those modules need not
+import each other.  ``_tuple_view`` builds every tuple view of an array (``t``,
+``y``, ``LagrangeModel.weights``); those are for callers, as the package itself
+reads the arrays.  The M/D/YYYY calendar format lives here alone: ``_parse_dates``
 reads a column of dates, ``parse_date`` is its one-cell case, and
 ``format_date`` writes one.
 """
@@ -147,6 +149,11 @@ def _knot_arrays(knots) -> tuple[tuple, np.ndarray, np.ndarray]:
     return knots, times, values
 
 
+def _tuple_view(name: str) -> cached_property:
+    """A tuple view of the array attribute ``name``, built on first use and kept."""
+    return cached_property(lambda self: tuple(getattr(self, name).tolist()))
+
+
 class TimeSeries(_Value):
     """Strictly increasing (t, y) knots for one station and parameter.
 
@@ -163,13 +170,7 @@ class TimeSeries(_Value):
         vars(self).update(station=station, parameter=parameter, knots=knots, epoch=epoch,
                           times=times, values=values)
 
-    @cached_property
-    def t(self) -> tuple[float, ...]:
-        return tuple(self.times.tolist())
-
-    @cached_property
-    def y(self) -> tuple[float, ...]:
-        return tuple(self.values.tolist())
+    t, y = _tuple_view("times"), _tuple_view("values")
 
     @property
     def span_days(self) -> float:
@@ -211,13 +212,7 @@ class CurveSamples(_Value):
         grid.flags.writeable = values.flags.writeable = False
         vars(self).update(grid=grid, values=values, source=source)
 
-    @cached_property
-    def t(self) -> tuple[float, ...]:
-        return tuple(self.grid.tolist())
-
-    @cached_property
-    def y(self) -> tuple[float, ...]:
-        return tuple(self.values.tolist())
+    t, y = _tuple_view("grid"), _tuple_view("values")
 
 
 def _check_resolution(resolution: int) -> None:

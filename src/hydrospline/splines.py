@@ -26,7 +26,8 @@ from .errors import (
     typed_overflow,
 )
 from .linalg import TridiagonalSystem, solve_banded_spd, solve_tridiagonal
-from .series import CurveSamples, TimeSeries, _check_resolution, _check_span, _knot_arrays, _Value
+from .series import (CurveSamples, TimeSeries, _check_resolution, _check_span, _knot_arrays,
+                     _tuple_view, _Value)
 
 #: stationary points with |f''| at or below this are treated as flat and dropped
 FLAT_CURVATURE_TOL = 1e-10
@@ -81,9 +82,7 @@ class LagrangeModel(_Value):
         weights.flags.writeable = False
         vars(self).update(knots=knots, _times=times, _ys=values, _weights=weights)
 
-    @cached_property
-    def weights(self) -> tuple[float, ...]:
-        return tuple(self._weights.tolist())
+    weights = _tuple_view("_weights")
 
 
 class Extremum(NamedTuple):

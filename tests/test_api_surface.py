@@ -170,6 +170,54 @@ def test_only_the_knot_reader_splits_knot_pairs():
     assert sorted(loops - {("series.py", line) for line in reader}) == []
 
 
+def _names_cached_property(node) -> bool:
+    return getattr(node, "id", getattr(node, "attr", None)) == "cached_property"
+
+
+def _is_cached_property(node) -> bool:
+    """A method decorated with ``cached_property``, or a ``cached_property(...)`` call."""
+    if isinstance(node, ast.FunctionDef):
+        return any(map(_names_cached_property, node.decorator_list))
+    return isinstance(node, ast.Call) and _names_cached_property(node.func)
+
+
+def _is_tuple_of_tolist(node) -> bool:
+    """``tuple(<x>.tolist())``: a tuple of an array's values."""
+    return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "tuple"
+            and len(node.args) == 1 and isinstance(node.args[0], ast.Call)
+            and getattr(node.args[0].func, "attr", None) == "tolist")
+
+
+def _cached_tuple_views(tree):
+    """Lines of the cached properties, decorated or called, that build ``tuple(<x>.tolist())``."""
+    for node in ast.walk(tree):
+        if _is_cached_property(node):
+            yield from (call.lineno for call in ast.walk(node) if _is_tuple_of_tolist(call))
+
+
+def test_only_the_view_builder_makes_tuple_views_of_arrays():
+    # TimeSeries.t and .y, CurveSamples.t and .y and LagrangeModel.weights share one builder
+    package = Path(hydrospline.__file__).parent
+    views, builder = set(), set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if path.name == "series.py" and getattr(node, "name", None) == "_tuple_view":
+                builder.update(_cached_tuple_views(node))
+        views.update((path.name, line) for line in _cached_tuple_views(tree))
+    assert sorted(views - {("series.py", line) for line in builder}) == []
+    assert len(builder) == 1  # the walk finds the builder's one view
+
+
+def test_cli_reads_the_curve_arrays_not_their_tuple_views():
+    # a tuple view copies a whole grid into Python floats; the CLI reads the arrays and the
+    # knots, so only an Extremum's t and y are read as attributes
+    tree = ast.parse((Path(hydrospline.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    readers = {ast.unparse(node.value) for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr in {"t", "y"}}
+    assert readers == {"e"}
+
+
 def test_all_lists_every_public_name_once():
     public = {
         name for name, value in vars(hydrospline).items()

@@ -1,9 +1,10 @@
 """Exact rational oracles: a result of the package against the exact value of the same
 computation on the same float inputs, within a stated bound on its rounding error.
 
-``fractions.Fraction`` holds every float exactly, so the oracle's sums carry no rounding;
-its one irrational step, a square root, is taken in ``decimal`` at 40 digits, some 24
-digits beyond float64.  Needs neither scipy nor any download, so nothing here skips.
+``fractions.Fraction`` holds every float exactly, so the oracle's sums and solves carry no
+rounding; pearson's one irrational step, a square root, is taken in ``decimal`` at 40
+digits, some 24 digits beyond float64.  Needs neither scipy nor any download, so nothing
+here skips.
 """
 
 import math
@@ -11,11 +12,12 @@ from datetime import date
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hydrospline import TimeSeries, pearson
+from hydrospline import TimeSeries, fit_natural_spline, pearson
 from hydrospline.errors import ZeroVariance
 
 U = 2.0 ** -53  # the unit roundoff of float64
@@ -85,3 +87,83 @@ def test_pearson_is_within_its_rounding_bound_of_the_exact_r(pairs):
     r = pearson(a, b)
     error = abs(Decimal(r) - _exact_pearson(pairs))
     assert error <= Decimal(SLACK * _first_order_bound(pairs, r)), (r, error)
+
+
+# knot times: whole days, as a monitoring table gives them, or general floats (a 53-bit
+# mantissa at a binary exponent from -20 to 20)
+STATION_DAYS = st.integers(0, 20_000).map(float)
+GENERAL_TIMES = st.builds(math.ldexp, st.integers(0, 2**53), st.integers(-20, 20))
+
+
+@st.composite
+def knot_lists(draw):
+    """3-100 knots, the count drawn first so that long series are as likely as short."""
+    n = draw(st.integers(3, 100))
+    times = draw(st.sampled_from([STATION_DAYS, GENERAL_TIMES]))
+    values = draw(st.sampled_from([STATION_VALUES, GENERAL_VALUES]))
+    return list(zip(sorted(draw(st.lists(times, min_size=n, max_size=n, unique=True))),
+                    draw(st.lists(values, min_size=n, max_size=n))))
+
+
+# the first-order constant of the moments' error bound, derived in _moment_error_bounds
+MOMENT_BOUND = 7
+
+
+def _natural_system(knots):
+    """The exact interior rows of the natural-spline system on the float knots: the
+    tridiagonal bands of A, the right side b and the divided differences behind b."""
+    t, y = [Fraction(t) for t, _ in knots], [Fraction(y) for _, y in knots]
+    h = [b - a for a, b in zip(t, t[1:])]
+    dd = [(y1 - y0) / hi for y0, y1, hi in zip(y, y[1:], h)]
+    diag = [(h0 + h1) / 3 for h0, h1 in zip(h, h[1:])]
+    off = [hi / 6 for hi in h[1:-1]]
+    return diag, off, [d1 - d0 for d0, d1 in zip(dd, dd[1:])], dd
+
+
+def _exact_moments(diag, off, rhs):
+    """The exact solution of the symmetric tridiagonal system, by elimination in rationals."""
+    pivots, ds = [diag[0]], [rhs[0]]
+    for lo, di, r in zip(off, diag[1:], rhs[1:]):
+        factor = lo / pivots[-1]
+        pivots.append(di - factor * lo)
+        ds.append(r - factor * ds[-1])
+    moments = [ds[-1] / pivots[-1]]
+    for up, p, d in zip(reversed(off), pivots[-2::-1], ds[-2::-1]):
+        moments.append((d - up * moments[-1]) / p)
+    return moments[::-1]
+
+
+def _moment_error_bounds(diag, off, dd, computed):
+    """A first-order bound on each computed moment's error, U * MOMENT_BOUND * w.
+
+    Forming the system rounds the knot gaps h once (U relative), each band entry then once
+    or twice more (the diagonal (h0 + h1) / 3 by 3U, the off-diagonal h / 6 by 2U) and
+    each divided difference by 3U, and b = dd1 - dd0 once more: |dA| <= 3U |A| and
+    |db| <= 4U (|dd0| + |dd1|).  The solve without pivoting (Higham, "Accuracy and Stability
+    of Numerical Algorithms", 2nd ed., ch. 9) is backward stable with |dA| <= 4U |L||U|,
+    and |L||U| = |A| here: the matrix is diagonally dominant with a positive diagonal and
+    positive off-diagonals, so flipping every other sign makes it an M-matrix.  To first
+    order the moments m then err by at most 7U |A^-1| (|A| |m| + |dd0| + |dd1|), a
+    componentwise condition estimate that needs no factor of n: each row of a tridiagonal
+    solve rounds a fixed number of times, however long the system.
+    """
+    off = np.array(off, dtype=float)
+    a = np.diag(np.array(diag, dtype=float)) + np.diag(off, 1) + np.diag(off, -1)
+    spread = np.abs(np.array(dd[1:], dtype=float)) + np.abs(np.array(dd[:-1], dtype=float))
+    w = np.abs(np.linalg.inv(a)) @ (np.abs(a) @ np.abs(computed) + spread)
+    return MOMENT_BOUND * U * w
+
+
+# derandomized so the suite runs the same examples every time; raise max_examples to explore
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(knots=knot_lists())
+def test_natural_spline_moments_are_within_their_rounding_bound_of_the_exact_solve(knots):
+    series = TimeSeries("s", "x", tuple(knots), date(2003, 9, 11))
+    # the moments are twice the quadratic coefficients (exactly), and zero at both ends
+    computed = np.array([2.0 * row[2] for row in fit_natural_spline(series).coefficients[1:]])
+    diag, off, rhs, dd = _natural_system(knots)
+    exact = _exact_moments(diag, off, rhs)
+    bounds = _moment_error_bounds(diag, off, dd, computed)
+    for m, e, bound in zip(computed.tolist(), exact, bounds.tolist()):
+        error = float(abs(Fraction(m) - e))
+        assert error <= SLACK * bound, (error, bound)
