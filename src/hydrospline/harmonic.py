@@ -96,22 +96,21 @@ def _signed_powers(
     offset t of ``key.grid``.
 
     The angles are one float64 array, rounded step by step as Python floats
-    round them.  sin, cos and pow are libm's, one call per point: ``math.sin``
-    and ``math.cos`` through ``map``, and ``np.float_power``, whose float64
-    loop calls libm ``pow``; numpy's SIMD sin, cos and ``**`` round
-    differently.  The last result is memoized by the coefficients, the map
-    and the grid's :class:`_GridKey`, so fitting, comparing and sampling on
-    one grid compute the powers once: the same grid object hits in O(1), an
+    round them.  sin, cos and pow are libm's: the float64 loops of ``np.sin``,
+    ``np.cos`` and ``np.float_power`` call libm once per point, so they give
+    the bits of ``math.sin``, ``math.cos`` and ``pow``, while numpy's ``**``
+    rounds differently.  The last result is memoized by the coefficients, the
+    map and the grid's :class:`_GridKey`, so fitting, comparing and sampling
+    on one grid compute the powers once: the same grid object hits in O(1), an
     equal one after one ``np.array_equal``, and equal keys (-0.0 and 0.0, an
     int and its float) give the same bits.  Raises NumericOverflow when the
-    signed power overflows or an angle is infinite.
+    signed power overflows or an angle is infinite, where ``math.sin`` raises.
     """
-    angles = (angular_coeff * (index_map.scale * key.grid + index_map.offset)).tolist()
-    try:
-        u = np.fromiter(map(math.sin, angles), float, len(angles))
-        u += np.fromiter(map(math.cos, angles), float, len(angles))
-    except ValueError:  # sin or cos of an infinite angle
-        raise NumericOverflow(_OVERFLOW) from None
+    angles = angular_coeff * (index_map.scale * key.grid + index_map.offset)
+    if np.isinf(angles).any():
+        raise NumericOverflow(_OVERFLOW)
+    u = np.sin(angles)
+    u += np.cos(angles)
     powers = np.copysign(np.float_power(np.abs(u), exponent), u)
     # a finite exponent overflows where Python's pow raises; |u| ** inf is inf without error
     if math.isfinite(exponent) and np.isinf(powers).any():

@@ -201,21 +201,22 @@ def _evaluate(model: SplineModel, t: float | np.ndarray, order: int) -> np.ndarr
 
     Points outside the knot span are clipped to it; the value then extends
     linearly with the boundary slope, the slope stays constant and the
-    curvature is zero.
+    curvature is zero; only those points, and nan, compute the slope.
     """
     ts, coefficients = model._times, model._table
-    t = np.asarray(t, dtype=float)
-    clipped = np.clip(t, ts[0], ts[-1])
+    flat = np.asarray(t, dtype=float).reshape(-1)  # a scalar t takes the array route
+    clipped = np.clip(flat, ts[0], ts[-1])
     i = np.clip(np.searchsorted(ts, clipped, side="right") - 1, 0, ts.size - 2)
-    s = clipped - ts[i]
-    rows, inside = coefficients.take(i, axis=0), t == clipped
-    if order == 0:
-        value, slope, step = _cubic(rows, s, 0), _cubic(rows, s, 1), t - clipped
+    rows, s = coefficients.take(i, axis=0), clipped - ts[i]
+    result, outside = _cubic(rows, s, order), np.flatnonzero(flat != clipped)
+    if order == 2:
+        result[outside] = 0.0
+    elif order == 0 and outside.size:  # nothing to extend when every point is inside
+        slope, step = _cubic(rows[outside], s[outside], 1), flat[outside] - clipped[outside]
         # a flat boundary adds a signed zero, also at an infinite t, where 0.0 * inf is nan
         step = np.where(slope == 0.0, np.sign(step), step)
-        return np.where(inside, value, value + slope * step)
-    derivative = _cubic(rows, s, order)
-    return derivative if order == 1 else np.where(inside, derivative, 0.0)
+        result[outside] += slope * step
+    return result.reshape(np.shape(t))
 
 
 _OVERFLOW = ("spline value leaves the float range at this t",

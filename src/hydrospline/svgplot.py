@@ -33,9 +33,6 @@ _ATTRIBUTE = {**_TEXT, ord('"'): "&quot;", ord("'"): "&#x27;"}
 #: rows written per block; bounds the writer's temporary arrays
 _BLOCK = 4096
 
-#: a slot of four bytes that the writer drops, and one that keeps only a minus sign
-_DROPPED, _MINUS = np.frombuffer(b"\xff\xff\xff\xff\xff\xff\xff-", np.uint32)
-
 
 @cache  # built on the first render, so importing the package does not pay for it
 def _tables() -> tuple[np.ndarray, np.ndarray]:
@@ -52,7 +49,7 @@ def _tables() -> tuple[np.ndarray, np.ndarray]:
     slots = np.concatenate([np.where(started, digits, 0xFF), digits], axis=1)
     units = slots.T.copy().view(np.uint32).ravel()
     upper = units.copy()
-    upper[0] = _DROPPED
+    upper[0] = 0xFFFF_FFFF  # four dropped bytes
     units.flags.writeable = upper.flags.writeable = False  # shared by every render
     return units, upper
 
@@ -118,39 +115,41 @@ def _write(columns: Sequence[np.ndarray], glue: Sequence[str]) -> list[str]:
 
     Each value is written as ``'%.4f' % v`` writes it, except that a value
     rounding to zero has no sign.  A block is a uint8 matrix of one row per
-    output row, filled through its uint32 view in 4-byte slots: per value
-    ``[_ _ _ -]``, groups of four integer digits, ``[_ _ _ .]`` and the four
-    decimals, then the value's glue padded to whole slots.  Every byte the
-    text leaves out is written as 0xFF: the pads ``_``, the sign of a value
-    that is not negative and the leading zeros of the integer part.  One
-    ``bytes.translate`` per block deletes them; a glue, being UTF-8, never
-    holds that byte.
+    output row, packed per value as a sign byte, groups of four integer
+    digits, the dot, the four decimals and the glue; unaligned uint32 views
+    store the digit groups and the decimals.  Every byte the text leaves out
+    is written as 0xFF: the sign of a value that is not negative and the
+    leading zeros of the integer part.  One ``bytes.translate`` per block
+    deletes them; a glue, being UTF-8, never holds that byte.
     """
     units, upper = _tables()
     padded = units[10_000:]
     glue = [g.encode() for g in glue]
     # a column's integer digit groups; the + 1 covers a value that rounds up
     groups = [(len(str(int(max(c.max(), -c.min())) + 1)) + 3) // 4 for c in columns]
-    chars = b"".join(b"\xff\xff\xff-" + b"0000" * count + b"\xff\xff\xff.0000" + g
-                     + b"\xff" * (-len(g) % 4) for g, count in zip(glue, groups))
+    chars = b"".join(b"\xff" + b"0000" * count + b".0000" + g for g, count in zip(glue, groups))
     n = len(columns[0])
     text = np.tile(np.frombuffer(chars, np.uint8), (min(n, _BLOCK), 1))
+
+    def slots(offset: int) -> np.ndarray:  # bytes offset to offset + 3 of each row, as uint32
+        return np.ndarray(len(text), np.uint32, text, offset, (len(chars),))
+
     blocks = []
     for start in range(0, n, _BLOCK):
         rows = min(n - start, _BLOCK)
-        text32 = text[:rows].view(np.uint32)
-        slot = 0
+        offset = 0
         for column, g, count in zip(columns, glue, groups):
             negative, part, decimals = _round4(column[start:start + rows])
-            text32[:, slot] = np.where(negative, _MINUS, _DROPPED)
-            for group in range(slot + count, slot, -1):  # from the units digit's group up
+            text[:rows, offset] = np.where(negative, ord("-"), 0xFF)
+            for group in range(count, 0, -1):  # from the units digit's group up
                 # below the top group, a part of 10,000 or more takes the zero-padded slot
-                index = part if group == slot + 1 else np.minimum(part, part % 10_000 + 10_000)
-                text32[:, group] = (units if group == slot + count else upper).take(index)
-                if group > slot + 1:
+                index = part if group == 1 else np.minimum(part, part % 10_000 + 10_000)
+                table = units if group == count else upper
+                slots(offset + 4 * group - 3)[:rows] = table.take(index)
+                if group > 1:
                     part //= 10_000
-            text32[:, slot + count + 2] = padded.take(decimals)
-            slot += count + 3 + (len(g) + 3) // 4
+            slots(offset + 4 * count + 2)[:rows] = padded.take(decimals)
+            offset += 4 * count + 6 + len(g)
         data = text[:rows].tobytes().translate(None, b"\xff")
         if start + rows == n:
             data = data[:len(data) - len(glue[-1])]

@@ -386,6 +386,28 @@ def test_float_power_edges_are_libm_pow(x, p):
     assert {v.hex() for v in powers} == {_python_pow(x, p).hex()}
 
 
+def _assert_sin_cos_are_libm(xs):
+    angles = np.array(xs, float)
+    for ufunc, libm in ((np.sin, math.sin), (np.cos, math.cos)):
+        assert [v.hex() for v in ufunc(angles).tolist()] == [libm(x).hex() for x in xs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=70))
+def test_sin_and_cos_are_libm(xs):
+    # _signed_powers relies on this: the float64 loops of np.sin and np.cos call libm.
+    # A numpy that fails it needs math.sin and math.cos back, not a tolerance
+    _assert_sin_cos_are_libm(xs)
+
+
+@pytest.mark.parametrize(
+    "x", [0.0, -0.0, 5e-324, -5e-324, 1e22, 1.7976931348623157e308, -1.7976931348623157e308,
+          math.nan],
+)
+def test_sin_and_cos_edges_are_libm(x):
+    _assert_sin_cos_are_libm([x] * 20)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.floats(min_value=-1e6, max_value=1e6),

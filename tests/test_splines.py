@@ -568,6 +568,29 @@ def test_scalar_t_evaluates_one_row(od_series):
             assert value == _evaluate(model, np.array([t]), order)[0]
 
 
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_array_route_matches_scalar_evaluation(order):
+    # flat (with a signed zero) at one end, sloped and curved at the other, each taken as
+    # the left end; the boundary slope is computed only outside the span, so inside
+    # points add nothing and warn nothing
+    flat, sloped = (1.0, -0.0, 0.0, 0.0), (1.0, 0.25, 0.5, -0.125)
+    knots = ((0.0, 1.0), (1.0, 1.0), (3.0, 2.0))
+    ts = [-math.inf, -1e300, -2.0, -1e-300, -0.0, 0.0, 0.5, 1.0, 2.9, 3.0, 3.5, 1e300,
+          math.inf, math.nan]
+    for coefficients in ((flat, sloped), (sloped, flat)):
+        model = SplineModel(knots=knots, coefficients=coefficients)
+        expected = [scalar_spline(model, t, order).hex() for t in ts]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = _evaluate(model, np.array(ts), order)
+            scalars = [_evaluate(model, np.array(t), order) for t in ts]
+            per_point = [_evaluate_scalar(model, t, order) for t in ts]
+        assert [v.hex() for v in values.tolist()] == expected
+        assert [v.hex() for v in per_point] == expected
+        assert all(value.shape == () for value in scalars)
+        assert [float(v).hex() for v in scalars] == expected
+
+
 def test_dense_grid_sources(od_series):
     assert dense_grid(fit_natural_spline(od_series), 10).source == "spline"
     assert dense_grid(fit_smoothing_spline(od_series, 2.0), 10).source == "smoothing"
