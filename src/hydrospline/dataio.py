@@ -7,7 +7,6 @@ dates are read and written in ``series``, the one home of their M/D/YYYY format.
 """
 
 import csv
-import importlib.resources
 import io
 import math
 import re
@@ -196,7 +195,7 @@ def load_csv(path: str | Path, station: str | None = None) -> Dataset:
 
 def gropeni_dataset() -> Dataset:
     """The bundled Dunare-Gropeni table (11 rows, 6 parameters), 9/11/2003 .. 7/15/2004."""
-    text = importlib.resources.files(__package__).joinpath("data/gropeni.csv").read_text("utf-8")
+    text = Path(__file__).with_name("data").joinpath("gropeni.csv").read_text(encoding="utf-8")
     return parse_csv(text, station=GROPENI_STATION, source="fixture:gropeni")
 
 

@@ -20,7 +20,7 @@ class MalformedDate(HydrosplineError):
 
 
 class InvalidDate(HydrosplineError):
-    """Date text is well shaped but names no real calendar day."""
+    """Well-shaped date text, or a day offset, that names no real calendar day."""
 
 
 class DuplicateTimestamp(HydrosplineError):

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericOverflow, typed_overflow
+from .errors import InsufficientData, NumericOverflow, typed_overflow
 from .linalg import LeastSquaresProblem, solve_least_squares
 from .series import CurveSamples, _Value
 
@@ -143,8 +143,11 @@ def fit_amplitude_offset(
     """Fit amplitude and offset to a curve by two-column least squares.
 
     The angular coefficient and exponent are kept; only the affine scaling
-    of the unit-amplitude, zero-offset reference is re-estimated.
+    of the unit-amplitude, zero-offset reference is re-estimated.  A curve of
+    fewer than 2 points raises InsufficientData.
     """
+    if curve.grid.size < 2:
+        raise InsufficientData("a harmonic fit needs at least 2 curve points")
     unit = _reference_values(spec._replace(amplitude=1.0, offset=0.0), index_map, curve.grid)
     design = np.column_stack([unit, np.ones(unit.size)])
     amplitude, offset = solve_least_squares(LeastSquaresProblem(design, curve.values))

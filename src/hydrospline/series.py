@@ -88,8 +88,8 @@ def parse_date(text: str) -> date:
 
 
 def format_date(d: date) -> str:
-    """Render a date back in the M/D/YYYY shape used by the CSV format."""
-    return f"{d.month}/{d.day}/{d.year}"
+    """Render a date back in the M/D/YYYY shape used by the CSV format (a four-digit year)."""
+    return f"{d.month}/{d.day}/{d.year:04d}"
 
 
 class _Value:
@@ -177,8 +177,13 @@ class TimeSeries(_Value):
         return self.knots[-1][0] - self.knots[0][0]
 
     def calendar_date(self, t: float) -> date:
-        """Calendar day containing day-offset ``t`` (fractions truncated)."""
-        return self.epoch + timedelta(days=math.floor(t))
+        """Calendar day containing day-offset ``t`` (fractions rounded down).  Raises InvalidDate
+        when that day is not a date from 1/1/0001 to 12/31/9999, as for a nan or infinite t."""
+        try:
+            return self.epoch + timedelta(days=math.floor(t))
+        except (OverflowError, ValueError):  # beyond the calendar, infinite, or nan
+            epoch = format_date(self.epoch)
+            raise InvalidDate(f"day offset {t!r} from {epoch} is not a calendar date") from None
 
 
 #: the most float64 values one numpy array can hold, and so the most grid points

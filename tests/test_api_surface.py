@@ -122,6 +122,16 @@ def test_curve_users_take_the_curve_type_from_series_not_splines():
     assert hydrospline.splines.CurveSamples is hydrospline.CurveSamples
 
 
+def test_no_module_imports_importlib():
+    # the bundled table is a plain file beside the modules, so nothing needs importlib's
+    # resource readers or what they import when a process starts
+    source = Path(hydrospline.__file__).resolve().parents[1]
+    trees = {path.relative_to(source).as_posix(): ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(source.rglob("*.py"))}
+    assert "hydrospline/dataio.py" in trees
+    assert [name for name, tree in trees.items() if "importlib" in _imported_names(tree)] == []
+
+
 def _pattern_arguments(tree):
     """The first argument of each ``re.<function>(...)`` call in a tree."""
     for node in ast.walk(tree):

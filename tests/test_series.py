@@ -1,5 +1,6 @@
 """Series construction from a table's column and the M/D/YYYY date axis."""
 
+import math
 import re
 from datetime import date
 from functools import partial
@@ -76,6 +77,7 @@ def test_format_date_round_trips():
     d = date(2004, 2, 5)
     assert parse_date(format_date(d)) == d
     assert format_date(d) == "2/5/2004"
+    assert format_date(date(999, 1, 1)) == "1/1/0999"  # the reader takes four-digit years
 
 
 def test_parameter_registry_is_case_sensitive():
@@ -237,3 +239,17 @@ def test_tuple_of_lists_built_values_equal_and_hash_as_tuple_built():
 def test_calendar_date_truncates_fractions(od_series):
     assert od_series.calendar_date(0.0) == date(2003, 9, 11)
     assert od_series.calendar_date(33.9) == date(2003, 10, 14)
+
+
+@pytest.mark.parametrize(
+    "epoch,t",
+    [(date(2003, 9, 11), t) for t in (1e12, math.inf, -math.inf, math.nan, -1e6, 10**400)]
+    + [(date(9999, 12, 31), 1.0), (date(1, 1, 1), -0.5)],
+    ids=["1e12", "inf", "-inf", "nan", "-1e6", "int-1e400", "after-9999", "before-0001"],
+)
+def test_calendar_date_beyond_the_calendar_raises_invalid_date(epoch, t):
+    series = TimeSeries("s", "p", ((0.0, 1.0),), epoch)
+    message = f"day offset {t!r} from {format_date(epoch)} is not a calendar date"
+    with pytest.raises(InvalidDate, match=f"^{re.escape(message)}$"):
+        series.calendar_date(t)
+    assert series.calendar_date(0.5) == epoch

@@ -239,6 +239,20 @@ def _marks(svg):
     return [line for line in svg.split("\n") if line.startswith(("<polyline", "<circle"))]
 
 
+def test_a_one_point_curve_builds_samples_and_draws_one_pair():
+    # a one-point grid has no step to check for uniformity
+    curve = CurveSamples(t=[3.0], y=[1.5], source="spline")
+    twin = CurveSamples(t=(3,), y=(1.5,), source="spline")
+    assert curve == curve == twin and hash(curve) == hash(twin) and curve.t == (3.0,)
+    spec, index_map = HarmonicSpec(), IndexMap(0.5, 1.0)
+    harmonic = sample_harmonic(spec, index_map, [3.0])
+    assert harmonic.t == (3.0,) and harmonic.source == "harmonic"
+    assert harmonic.y == sample_harmonic(spec, index_map, [3.0, 4.0]).y[:1]
+    svg = render_svg(PlotSpec(width=100, height=80, layers=(curve_layer(curve, "red"),)))
+    assert _marks(svg) == ['<polyline fill="none" stroke="red" stroke-width="1.5" '
+                           'points="50.0000,40.0000"/>']
+
+
 def _curve_specs(series, resolution, width, height):
     """Spline, smoothing and fitted harmonic curves plus the knots, as dense_curve draws them."""
     curve = dense_grid(fit_natural_spline(series), resolution)
