@@ -10,6 +10,7 @@ import argparse
 import gc
 import math
 import sys
+from functools import partial
 
 from .dataio import Dataset, dataset_series, gropeni_dataset, load_csv
 from .errors import HydrosplineError
@@ -23,7 +24,7 @@ from .harmonic import (
     sample_harmonic,
 )
 from .regression import matched_pairs, pearson, trend_report
-from .series import TimeSeries, format_date, parameter_unit
+from .series import CurveSamples, TimeSeries, format_date, parameter_unit
 from .splines import (
     dense_grid,
     fit_lagrange,
@@ -65,34 +66,17 @@ def _resolution(text: str) -> int:
     return value
 
 
-def _finite(text: str) -> float:
+def _number(text: str, positive: bool = False) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    if value < 0 or (positive and value == 0):
+        need = "positive" if positive else "non-negative"
+        raise argparse.ArgumentTypeError(f"must be {need}")
     return value
-
-
-def _non_negative(text: str) -> float:
-    value = _finite(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be non-negative")
-    return value
-
-
-def _positive(text: str) -> float:
-    value = _finite(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be positive")
-    return value
-
-
-def _add_io_args(parser: argparse.ArgumentParser) -> None:
-    source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument("--input", metavar="FILE", help="monitoring CSV file")
-    source.add_argument("--fixture", choices=["gropeni"], help="bundled dataset")
 
 
 def _add_method_args(parser: argparse.ArgumentParser) -> None:
@@ -102,7 +86,7 @@ def _add_method_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--lambda",
         dest="lam",
-        type=_non_negative,
+        type=_number,
         default=0.0,
         help="smoothing weight for --method smooth",
     )
@@ -118,60 +102,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hydrospline", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
 
-    interp = commands.add_parser("interp", help="export an interpolated curve as CSV")
-    _add_io_args(interp)
-    interp.add_argument("--param", required=True)
+    def command(name, run, help, *params):
+        """A subcommand reading one data source and the required parameter flags."""
+        sub = commands.add_parser(name, help=help)
+        source = sub.add_mutually_exclusive_group(required=True)
+        source.add_argument("--input", metavar="FILE", help="monitoring CSV file")
+        source.add_argument("--fixture", choices=["gropeni"], help="bundled dataset")
+        for param in params:
+            sub.add_argument(param, required=True)
+        sub.set_defaults(run=run)
+        return sub
+
+    interp = command("interp", _cmd_interp, "export an interpolated curve as CSV", "--param")
     _add_method_args(interp)
     interp.add_argument("--out", required=True, metavar="FILE")
-    interp.set_defaults(run=_cmd_interp)
-
-    extrema = commands.add_parser("extrema", help="interior extrema of the spline")
-    _add_io_args(extrema)
-    extrema.add_argument("--param", required=True)
-    extrema.set_defaults(run=_cmd_extrema)
-
-    trend = commands.add_parser("trend", help="linear trend over the series span")
-    _add_io_args(trend)
-    trend.add_argument("--param", required=True)
-    trend.set_defaults(run=_cmd_trend)
-
-    correlate = commands.add_parser(
-        "correlate", help="correlation between two parameters"
-    )
-    _add_io_args(correlate)
-    correlate.add_argument("--param-a", required=True)
-    correlate.add_argument("--param-b", required=True)
-    correlate.set_defaults(run=_cmd_correlate)
-
-    harmonic = commands.add_parser(
-        "harmonic", help="compare the spline against the harmonic reference"
-    )
-    _add_io_args(harmonic)
-    harmonic.add_argument("--param", required=True)
-    harmonic.add_argument(
-        "--angular-coeff",
-        type=_positive,
-        default=DEFAULT_ANGULAR_COEFF,
-        help=f"radians per index unit (default {DEFAULT_ANGULAR_COEFF:.10f})",
-    )
-    harmonic.add_argument(
-        "--exponent",
-        type=_positive,
-        default=DEFAULT_EXPONENT,
-        help=f"signed-power exponent (default {DEFAULT_EXPONENT:.10f})",
-    )
-    harmonic.set_defaults(run=_cmd_harmonic)
-
-    plot = commands.add_parser("plot", help="render curve and knots as SVG")
-    _add_io_args(plot)
-    plot.add_argument("--param", required=True)
+    command("extrema", _cmd_extrema, "interior extrema of the spline", "--param")
+    command("trend", _cmd_trend, "linear trend over the series span", "--param")
+    command("correlate", _cmd_correlate, "correlation between two parameters",
+            "--param-a", "--param-b")
+    harmonic = command("harmonic", _cmd_harmonic,
+                       "compare the spline against the harmonic reference", "--param")
+    positive = partial(_number, positive=True)
+    harmonic.add_argument("--angular-coeff", type=positive, default=DEFAULT_ANGULAR_COEFF,
+                          help=f"radians per index unit (default {DEFAULT_ANGULAR_COEFF:.10f})")
+    harmonic.add_argument("--exponent", type=positive, default=DEFAULT_EXPONENT,
+                          help=f"signed-power exponent (default {DEFAULT_EXPONENT:.10f})")
+    plot = command("plot", _cmd_plot, "render curve and knots as SVG", "--param")
     _add_method_args(plot)
     plot.add_argument(
         "--harmonic", action="store_true", help="overlay the fitted harmonic reference"
     )
     plot.add_argument("--out", required=True, metavar="FILE")
-    plot.set_defaults(run=_cmd_plot)
-
     return parser
 
 
@@ -181,23 +142,35 @@ def _load(args) -> Dataset:
     return load_csv(args.input)
 
 
-def _fit_model(series: TimeSeries, method: str, lam: float):
-    if method == "lagrange":
-        return fit_lagrange(series)
-    if method == "smooth":
-        return fit_smoothing_spline(series, lam)
-    return fit_natural_spline(series)
+def _curve(series: TimeSeries, args) -> CurveSamples:
+    """The ``--method`` fit of ``series`` on a grid of ``--resolution`` points."""
+    if args.method == "lagrange":
+        model = fit_lagrange(series)
+    elif args.method == "smooth":
+        model = fit_smoothing_spline(series, args.lam)
+    else:
+        model = fit_natural_spline(series)
+    return dense_grid(model, args.resolution)
+
+
+def _harmonic_fit(series: TimeSeries, curve: CurveSamples, spec: HarmonicSpec):
+    """The index map over the series' span, and ``spec`` fitted to ``curve`` on it."""
+    index_map = IndexMap.spanning(series.knots[0][0], series.knots[-1][0])
+    return index_map, fit_amplitude_offset(curve, spec, index_map)
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
 
 
 def _cmd_interp(args, dataset: Dataset) -> int:
     series = dataset_series(dataset, args.param)
-    model = _fit_model(series, args.method, args.lam)
-    curve = dense_grid(model, args.resolution)
+    curve = _curve(series, args)
     lines = ["t_days,date,value"]
     for t, y in zip(curve.grid.tolist(), curve.values.tolist()):
         lines.append(f"{t:.6f},{format_date(series.calendar_date(t))},{y:.6f}")
-    with open(args.out, "w", encoding="utf-8", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -229,11 +202,9 @@ def _cmd_correlate(args, dataset: Dataset) -> int:
 
 def _cmd_harmonic(args, dataset: Dataset) -> int:
     series = dataset_series(dataset, args.param)
-    model = fit_natural_spline(series)
-    curve = dense_grid(model, DEFAULT_RESOLUTION)
-    index_map = IndexMap.spanning(series.knots[0][0], series.knots[-1][0])
+    curve = dense_grid(fit_natural_spline(series), DEFAULT_RESOLUTION)
     spec = HarmonicSpec(angular_coeff=args.angular_coeff, exponent=args.exponent)
-    fitted = fit_amplitude_offset(curve, spec, index_map)
+    index_map, fitted = _harmonic_fit(series, curve, spec)
     result = compare_to_harmonic(curve, fitted, index_map)
     print(f"{_num(result.rmse)} {_num(result.max_abs_dev)} {_num(result.argmax_t)}")
     return 0
@@ -241,12 +212,10 @@ def _cmd_harmonic(args, dataset: Dataset) -> int:
 
 def _cmd_plot(args, dataset: Dataset) -> int:
     series = dataset_series(dataset, args.param)
-    model = _fit_model(series, args.method, args.lam)
-    curve = dense_grid(model, args.resolution)
+    curve = _curve(series, args)
     layers = [curve_layer(curve, "blue", args.method)]
     if args.harmonic:
-        index_map = IndexMap.spanning(series.knots[0][0], series.knots[-1][0])
-        fitted = fit_amplitude_offset(curve, HarmonicSpec(), index_map)
+        index_map, fitted = _harmonic_fit(series, curve, HarmonicSpec())
         reference = sample_harmonic(fitted, index_map, curve.grid)
         layers.append(curve_layer(reference, "red", "harmonic"))
     layers.append(marker_layer(series.knots, "black", "samples"))
@@ -258,9 +227,7 @@ def _cmd_plot(args, dataset: Dataset) -> int:
         x_label=f"days since {format_date(series.epoch)}",
         y_label=f"{args.param} [{parameter_unit(args.param)}]",
     )
-    svg = render_svg(spec)  # before opening --out, so a failed render leaves no file
-    with open(args.out, "w", encoding="utf-8", newline="") as handle:
-        handle.write(svg)
+    _write(args.out, render_svg(spec))  # rendered first, so a failed render leaves no file
     return 0
 
 

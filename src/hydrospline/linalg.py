@@ -81,7 +81,8 @@ def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
     """Solve a tridiagonal system by forward elimination and back substitution.
 
     Runs in O(n) with no pivoting.  Raises ZeroPivot when an eliminated
-    pivot falls below ``ZERO_PIVOT_TOL`` in magnitude.
+    pivot falls below ``ZERO_PIVOT_TOL`` in magnitude, and NumericOverflow
+    when the solution leaves the float range.
     """
     lower, diag, upper, rhs = (
         v.tolist() for v in (system.lower, system.diag, system.upper, system.rhs)
@@ -102,7 +103,10 @@ def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
     x = [d]  # back substitution, from the last unknown to the first
     for g, dk in zip(reversed(gamma), delta[-2::-1]):
         x.append(dk - g * x[-1])
-    return np.array(x[::-1])
+    x = np.array(x[::-1])
+    if not np.isfinite(x).all():
+        raise NumericOverflow("tridiagonal solution overflows the float range for these values")
+    return x
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite solution raises NumericOverflow

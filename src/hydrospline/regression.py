@@ -19,7 +19,7 @@ from .errors import (
     typed_overflow,
 )
 from .linalg import LeastSquaresProblem, solve_least_squares
-from .series import CurveSamples, TimeSeries, _check_resolution, _check_span, _Value
+from .series import CurveSamples, TimeSeries, _grid, _Value
 
 MAX_DEGREE = 10
 
@@ -92,11 +92,9 @@ def eval_poly(model: PolyModel, t: float) -> float:
 @np.errstate(over="ignore", invalid="ignore")  # CurveSamples rejects non-finite values
 def poly_curve(model: PolyModel, t_start: float, t_end: float, resolution: int) -> CurveSamples:
     """Sample a fitted polynomial on a uniform grid."""
-    _check_resolution(resolution)
     with typed_overflow("polynomial grid leaves the float range"):
         t_start, t_end = float(t_start), float(t_end)
-    _check_span(t_start, t_end, resolution)
-    grid = np.linspace(t_start, t_end, resolution)
+    grid = _grid(t_start, t_end, resolution)
     return CurveSamples(t=grid, y=eval_poly(model, grid), source="regression")
 
 

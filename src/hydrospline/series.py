@@ -3,16 +3,15 @@
 A :class:`TimeSeries` holds the knots of one station/parameter, with
 ``t`` counting days since its epoch; ``dataio.dataset_series`` builds one
 from a table's column.  A :class:`CurveSamples` is a curve on a uniform
-grid, as the spline, trend and harmonic modules return it;
-``_check_resolution`` and ``_check_span`` are the grid-size rules of
-``dense_grid`` and ``poly_curve`` (``ResolutionTooSmall``,
-``ResolutionTooLarge``).  The shared internals, ``_Value``, the knot reader
-``_knot_arrays`` and ``_tuple_view``, live here too, so those modules need not
-import each other.  ``_tuple_view`` builds every tuple view of an array (``t``,
-``y``, ``LagrangeModel.weights``); those are for callers, as the package itself
-reads the arrays.  The M/D/YYYY calendar format lives here alone: ``_parse_dates``
-reads a column of dates, ``parse_date`` is its one-cell case, and
-``format_date`` writes one.
+grid, as the spline, trend and harmonic modules return it; ``_grid`` builds
+the grids of ``dense_grid`` and ``poly_curve`` and holds their size and span
+rules (``ResolutionTooSmall``, ``ResolutionTooLarge``).  The shared internals,
+``_Value``, the knot reader ``_knot_arrays`` and ``_tuple_view``, live here
+too, so those modules need not import each other.  ``_tuple_view`` builds
+every tuple view of an array (``t``, ``y``, ``LagrangeModel.weights``); those
+are for callers, as the package itself reads the arrays.  The M/D/YYYY
+calendar format lives here alone: ``_parse_dates`` reads a column of dates,
+``parse_date`` is its one-cell case, and ``format_date`` writes one.
 """
 
 import math
@@ -220,16 +219,15 @@ class CurveSamples(_Value):
     t, y = _tuple_view("grid"), _tuple_view("values")
 
 
-def _check_resolution(resolution: int) -> None:
-    """Raise a typed error for a grid size that ``np.linspace`` cannot give."""
+def _grid(start: float, end: float, resolution: int) -> np.ndarray:
+    """``np.linspace(start, end, resolution)``, or a typed error for a grid it cannot give:
+    ResolutionTooSmall below 2 points, ResolutionTooLarge beyond one array or when a rising
+    span is too narrow for that many distinct points (a step below the float spacing at the
+    span's larger end)."""
     if resolution < 2:
         raise ResolutionTooSmall(f"need at least 2 grid points, got {resolution}")
     if resolution > _MAX_POINTS:
         raise ResolutionTooLarge(f"a grid holds at most {_MAX_POINTS} points")
-
-
-def _check_span(start: float, end: float, resolution: int) -> None:
-    """Raise ResolutionTooLarge when a rising span is too narrow for ``resolution`` distinct
-    grid points: their step would fall below the float spacing at the span's larger end."""
     if start < end and (end - start) / (resolution - 1) < np.spacing(max(abs(start), abs(end))):
         raise ResolutionTooLarge(f"the span is too narrow for {resolution} distinct grid points")
+    return np.linspace(start, end, resolution)

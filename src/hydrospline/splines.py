@@ -26,8 +26,7 @@ from .errors import (
     typed_overflow,
 )
 from .linalg import TridiagonalSystem, solve_banded_spd, solve_tridiagonal
-from .series import (CurveSamples, TimeSeries, _check_resolution, _check_span, _knot_arrays,
-                     _tuple_view, _Value)
+from .series import CurveSamples, TimeSeries, _grid, _knot_arrays, _tuple_view, _Value
 
 #: stationary points with |f''| at or below this are treated as flat and dropped
 FLAT_CURVATURE_TOL = 1e-10
@@ -323,12 +322,10 @@ def dense_grid(model: SplineModel | LagrangeModel, resolution: int) -> CurveSamp
     The grid runs from the first to the last knot inclusive, so
     ``resolution = 2`` yields exactly the two endpoints.
     """
-    _check_resolution(resolution)
     ts = model._times
     if ts.size < 2:
         raise TooFewKnots("a dense grid needs at least 2 knots")
-    _check_span(ts[0], ts[-1], resolution)
-    grid = np.linspace(ts[0], ts[-1], resolution)
+    grid = _grid(ts[0], ts[-1], resolution)
     if isinstance(model, SplineModel):
         source = "smoothing" if model.smoothing > 0 else "spline"
         values = _evaluate(model, grid, 0)

@@ -219,6 +219,29 @@ def test_only_the_view_builder_makes_tuple_views_of_arrays():
     assert len(builder) == 1  # the walk finds the builder's one view
 
 
+def _linspace_calls(tree):
+    """Lines of the ``linspace`` calls, as ``np.linspace`` or a bare imported name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            if getattr(node.func, "attr", getattr(node.func, "id", None)) == "linspace":
+                yield node.lineno
+
+
+def test_only_the_grid_rule_calls_linspace():
+    # dense_grid and poly_curve take their grids from series._grid, which checks the grid
+    # size and span first, so no grid is built past those checks
+    package = Path(hydrospline.__file__).parent
+    calls, rule = set(), set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if path.name == "series.py" and getattr(node, "name", None) == "_grid":
+                rule.update(_linspace_calls(node))
+        calls.update((path.name, line) for line in _linspace_calls(tree))
+    assert len(rule) == 1  # the walk finds the rule's one grid
+    assert sorted(calls - {("series.py", line) for line in rule}) == []
+
+
 def test_cli_reads_the_curve_arrays_not_their_tuple_views():
     # a tuple view copies a whole grid into Python floats; the CLI reads the arrays and the
     # knots, so only an Extremum's t and y are read as attributes

@@ -1,6 +1,7 @@
 """Command line interface: outputs, exit codes, and determinism."""
 
 import gc
+import hashlib
 import importlib.metadata
 import importlib.util
 import json
@@ -228,6 +229,48 @@ def test_resolution_cap_is_in_the_help(capsys, monkeypatch):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["interp", "--help"])
     assert f"2 to {MAX_RESOLUTION}" in capsys.readouterr().out
+
+
+# sha256 of each --help text and usage error at 80 columns, as Python 3.11's argparse
+# lays them out; a rewiring of the parser must leave every one of them byte-identical
+HELP_DIGESTS = {
+    "": "15e128d41a2a359a0861b0eba6fc22556c7c65d9035813c05c52a698b3111e18",
+    "interp": "29fda45e05d1d9b17ac42e464df10a482a74c25aa04e1fd2b1c66faf06509d53",
+    "extrema": "1c45cfbfdfee26e411508ab53eea2855a82217fbfed804af7fe129e102768033",
+    "trend": "e3fcd347c884c912254c53cf5ac6d64916ddbda52779b7359348be3f102596c8",
+    "correlate": "c6600a02019728ec71a690d4184db6817ce50c0a51133a32536273ca25c791b1",
+    "harmonic": "68635c2fb60f27fdbb3893d52bb1e847d0a9763d0751b8bf4251233f75a11ef3",
+    "plot": "a0c9ca2dc8ef22dba6febb6dd912a05e34def3aa09e38d4e54132569d02df679",
+}
+USAGE_ERROR_DIGESTS = {
+    ("harmonic", "--fixture", "gropeni", "--param", "OD", "--exponent", "0"):
+        "42d60ccce7deae523ac4a7d9ce913d26f1fbffe35cf4bf42585ae5fafb5ae5d2",
+    ("interp", "--fixture", "gropeni", "--param", "OD", "--lambda", "-1", "--out", "x.csv"):
+        "e526f960c0280dc618da90692b7bb73c69627d6e9ed3d18b38e2b5cdc0a74fd0",
+    ("trend", "--fixture", "gropeni"):
+        "bc96067d3933d8629958e26492497b8156a81b13bc083b449665c9d6c7147bbe",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("command", HELP_DIGESTS, ids=lambda c: c or "top")
+def test_help_text_is_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        build_parser().parse_args([command, "--help"] if command else ["--help"])
+    assert info.value.code == 0
+    assert _sha256(capsys.readouterr().out) == HELP_DIGESTS[command]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERROR_DIGESTS, ids=["exponent", "lambda", "param"])
+def test_usage_errors_are_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert _sha256(err) == USAGE_ERROR_DIGESTS[argv]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "Infinity"])

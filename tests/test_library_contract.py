@@ -28,6 +28,7 @@ from hydrospline import (
     HydrosplineError,
     IndexMap,
     PlotSpec,
+    TridiagonalSystem,
     compare_to_harmonic,
     curve_layer,
     dataset_series,
@@ -51,6 +52,7 @@ from hydrospline import (
     render_svg,
     sample_harmonic,
     serialize_csv,
+    solve_tridiagonal,
     spline_extrema,
     trend_report,
 )
@@ -140,6 +142,20 @@ def test_public_computations_return_or_raise_typed(
         assert svg is None or svg.startswith("<svg")
 
 
+@st.composite
+def tridiagonal_systems(draw):
+    """The lower, diagonal, upper and right-hand-side entries of 1 to 6 unknowns."""
+    n = draw(st.integers(1, 6))
+    return [draw(st.lists(VALUES, min_size=size, max_size=size)) for size in (n - 1, n, n - 1, n)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(entries=tridiagonal_systems())
+def test_tridiagonal_solves_return_finite_or_raise_typed(entries):
+    x = _run(solve_tridiagonal, TridiagonalSystem(*entries))
+    assert x is None or np.isfinite(x).all()
+
+
 def test_a_harmonic_fit_to_one_point_raises_insufficient_data():
     curve = CurveSamples(t=[0.0], y=[1.0], source="x")
     with pytest.raises(InsufficientData, match="^a harmonic fit needs at least 2 curve points$"):
@@ -182,8 +198,6 @@ NOT_CALLED = {
     "SplineModel": "built by fit_natural_spline and fit_smoothing_spline in every example",
     "LagrangeModel": "built by fit_lagrange in every example",
     "PlotLayer": "built by curve_layer and marker_layer in every example",
-    "TridiagonalSystem": "built by the spline fits in every example",
-    "solve_tridiagonal": "called by the spline fits in every example",
     "LeastSquaresProblem": "built by fit_polynomial and fit_amplitude_offset in every example",
     "solve_least_squares": "called by fit_polynomial and fit_amplitude_offset in every example",
     "load_csv": "reads a file for parse_csv; tests/test_contract.py gives it arbitrary bytes",

@@ -288,3 +288,12 @@ def test_least_squares_overflow_is_typed_and_silent():
     design = np.column_stack([np.linspace(-1.0, 1.0, 4), np.ones(4)])
     with pytest.raises(NumericOverflow):
         solve_least_squares(LeastSquaresProblem(design, [1e308] * 4))
+
+
+def test_tridiagonal_overflow_is_typed():
+    # finite entries whose elimination overflows: the solver returned [inf, -inf, inf]
+    system = TridiagonalSystem(lower=[1.7e308, 5e-324], diag=[1.0, 1.0, 1.0],
+                               upper=[5e-324, 5e-324], rhs=[1.7e308, 5e-324, 5e-324])
+    message = "^tridiagonal solution overflows the float range for these values$"
+    with pytest.raises(NumericOverflow, match=message):
+        solve_tridiagonal(system)

@@ -539,9 +539,10 @@ def test_dense_grid_five_points_unit_span():
 
 def test_dense_grid_resolution_too_small(od_series):
     model = fit_natural_spline(od_series)
-    with pytest.raises(ResolutionTooSmall):
+    message = "^need at least 2 grid points, got 1$"
+    with pytest.raises(ResolutionTooSmall, match=message):
         dense_grid(model, 1)
-    with pytest.raises(ResolutionTooSmall):
+    with pytest.raises(ResolutionTooSmall, match=message):
         poly_curve(fit_polynomial(od_series, 1), od_series.t[0], od_series.t[-1], 1)
 
 
@@ -645,9 +646,15 @@ def test_span_too_narrow_for_the_grid_is_typed():
         assert dense_grid(model, 3).t == (start, middle, end)
         with pytest.raises(ResolutionTooSmall):  # the grid size is still checked first
             dense_grid(model, 1)
+        with pytest.raises(ResolutionTooLarge, match=f"at most {_MAX_POINTS} points"):
+            dense_grid(model, _MAX_POINTS + 1)
     poly = fit_polynomial(series, 1)
     with pytest.raises(ResolutionTooLarge, match=message):
         poly_curve(poly, start, end, 50)
+    with pytest.raises(ResolutionTooSmall):
+        poly_curve(poly, start, end, 1)
+    with pytest.raises(ResolutionTooLarge, match=f"at most {_MAX_POINTS} points"):
+        poly_curve(poly, start, end, _MAX_POINTS + 1)
     assert poly_curve(poly, start, end, 3).t == (start, middle, end)
     with pytest.raises(ValueError, match="strictly increasing"):  # a falling span is no grid
         poly_curve(poly, end, start, 50)
@@ -944,6 +951,7 @@ _HARMONIC_CASES = {
         lambda: Dataset("s", ("a",), (EPOCH,), ((BEYOND,),), "x"),
         lambda: eval_poly(fit_polynomial(_small_series(), 1), BEYOND),
         lambda: poly_curve(fit_polynomial(_small_series(), 1), 0.0, BEYOND, 3),
+        lambda: poly_curve(fit_polynomial(_small_series(), 1), 0.0, BEYOND, 1),
         lambda: eval_lagrange(fit_lagrange(_small_series()), BEYOND),
         lambda: fit_smoothing_spline(_small_series(), BEYOND),
         *_HARMONIC_CASES.values(),
@@ -951,13 +959,14 @@ _HARMONIC_CASES = {
     ids=["spline-knot", "spline-coefficient", "spline-value", "series-time", "series-value", "lagrange-value",
          "lagrange-time", "lagrange-weight", "layer", "marker-layer", "tridiagonal",
          "tridiagonal-rhs", "lstsq-design", "lstsq-targets", "index-span", "index-offset",
-         "dataset-cell", "eval-poly", "poly-curve", "eval-lagrange", "smoothing-lam",
+         "dataset-cell", "eval-poly", "poly-curve", "poly-curve-one-point", "eval-lagrange",
+         "smoothing-lam",
          *_HARMONIC_CASES],
 )
 def test_ints_beyond_the_float_range_are_typed(build):
     # converting the int raised a bare OverflowError (a TypeError for a Lagrange
     # knot value, from np.isfinite on a list, and for a poly_curve end, from the
-    # grid's subtraction)
+    # grid's subtraction); a poly_curve end is read before the grid size
     with pytest.raises(NumericOverflow):
         build()
 
@@ -1051,8 +1060,9 @@ def test_overflowing_extremum_is_typed_and_silent():
 
 def test_single_knot_lagrange_has_no_grid():
     model = fit_lagrange(make_series([3.0], [1.0]))
-    with pytest.raises(TooFewKnots):
-        dense_grid(model, 10)
+    for resolution in (10, 1):  # too few knots is checked before the grid size
+        with pytest.raises(TooFewKnots, match="^a dense grid needs at least 2 knots$"):
+            dense_grid(model, resolution)
 
 
 def test_fitted_arrays_equal_arrays_built_from_the_tuples(od_series):
