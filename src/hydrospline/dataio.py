@@ -35,13 +35,12 @@ GROPENI_STATION = "Dunare-Gropeni"
 
 _MISSING_MARKERS = {"*", "-"}
 
-# a character that no number or missing marker in ASCII holds; over the others,
-# float() takes exactly the numbers that _NON_CELL_LINE_RE lets through
-_NON_CELL_CHAR_RE = re.compile(r"[^0-9.eE+\-*\n]")
+# a number or a missing marker: the one grammar of a value cell
+_CELL_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?|[*-]")
 
-# a line of a "\n"-joined column that is neither a number nor a missing marker
-_NON_CELL_LINE_RE = re.compile(r"^(?!(?:[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?|[*-])$)",
-                               re.M)
+# a character that no number or missing marker in ASCII holds; over the others,
+# float() takes exactly the numbers that _CELL_RE takes
+_NON_CELL_CHAR_RE = re.compile(r"[^0-9.eE+\-*]")
 
 _Bad = tuple[int, HydrosplineError]  # a column's first bad cell: its index and its error
 
@@ -99,26 +98,16 @@ class Dataset(_Value):
         return tuple(map(DatasetRow, self.dates, values))
 
 
-def _first_non_cell(cells: list[str], joined: str) -> int:
-    """The index of the first cell that is neither a number nor a missing marker,
-    or ``len(cells)``."""
-    bad = _NON_CELL_LINE_RE.search(joined)
-    end = len(cells) if bad is None else joined.count("\n", 0, bad.start())
-    # a quoted cell holding "\n" is bad, and the lines after it are not cells
-    if joined.count("\n") >= len(cells):
-        end = min(end, next((i for i, cell in enumerate(cells) if "\n" in cell), end))
-    return end
-
-
 def _value_column(cells: list[str], code: str) -> list[float | None] | _Bad:
     """The values of a column, or its first bad cell: one that is neither a
     number nor a missing marker, or a number outside the float range."""
-    joined = "\n".join(cells)
-    end = len(cells) if _NON_CELL_CHAR_RE.search(joined) is None else _first_non_cell(cells, joined)
-    try:
-        values = [None if cell in _MISSING_MARKERS else float(cell) for cell in cells[:end]]
-    except ValueError:  # a cell of the character class that is no number, such as "1e" or "--"
-        end = _first_non_cell(cells, joined)
+    end = len(cells)
+    try:  # a clean column: ASCII cells, each a missing marker or a number float() takes
+        if _NON_CELL_CHAR_RE.search("".join(cells)):  # such as a Unicode digit or a "\n"
+            raise ValueError
+        values = [None if cell in _MISSING_MARKERS else float(cell) for cell in cells]
+    except ValueError:  # or a cell of the class that is no number, such as "1e" or "--"
+        end = next((i for i, cell in enumerate(cells) if not _CELL_RE.fullmatch(cell)), end)
         values = [None if cell in _MISSING_MARKERS else float(cell) for cell in cells[:end]]
     if math.inf in values or -math.inf in values:  # float() overflowed before row `end`
         i = next(i for i, value in enumerate(values) if value in (math.inf, -math.inf))

@@ -51,10 +51,10 @@ class IndexMap(_Value):
     @classmethod
     def spanning(cls, t_start: float, t_end: float) -> "IndexMap":
         """Map [t_start, t_end] onto [0, INDEX_UNITS]."""
-        span = t_end - t_start
-        if span <= 0:
-            raise ValueError("index map needs a positive span")
         with typed_overflow(_SPAN_OVERFLOW):
+            span = t_end - t_start
+            if span <= 0:
+                raise ValueError("index map needs a positive span")
             scale = INDEX_UNITS / span
             offset = -scale * t_start
         if not (0.0 < scale < math.inf and math.isfinite(offset)):

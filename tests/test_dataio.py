@@ -7,11 +7,14 @@ import io
 import pickle
 import random
 from datetime import date, datetime, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import make_dataset, scalar_parse_rows
+from helpers import make_dataset, scalar_parse_rows, station_csv
 from hydrospline import (
     Dataset,
     DatasetRow,
@@ -21,6 +24,7 @@ from hydrospline import (
     parse_csv,
     serialize_csv,
 )
+from hydrospline import dataio
 from hydrospline.dataio import GROPENI_STATION
 from hydrospline.errors import (
     DuplicateTimestamp,
@@ -441,6 +445,36 @@ def test_first_error_equals_row_major_reference():
         kinds.add(got[0])
     # the tables reach every outcome: parsed, and each error of the body
     assert kinds == {"parsed", MalformedRow, MalformedDate, InvalidDate, MalformedNumber}
+
+
+# the characters of the clean-column screen, where float() decides, and decimal
+# digits of two other scripts, which send the column to the per-cell walk
+_SCREEN_CELLS = st.text("0123456789.eE+-*", max_size=8)
+_UNICODE_CELLS = st.text("0123456789.eE+-*٣١٥१५", max_size=8)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(cells=st.lists(st.one_of(_SCREEN_CELLS, _UNICODE_CELLS), min_size=1, max_size=5))
+def test_screened_cells_parse_as_the_number_grammar(cells):
+    # the clean-column path trusts float() and the walk trusts the cell grammar,
+    # so over these characters both must take exactly the reference's numbers
+    lines = [f"1/{day}/2003,{cell}" for day, cell in enumerate(cells, start=1)]
+    text = "\n".join(["Data,A", *lines]) + "\n"
+    assert _outcome(parse_csv, text) == _outcome(_reference_parse, text)
+
+
+def test_only_a_column_with_a_bad_cell_is_walked(monkeypatch):
+    grammar = mock.Mock(wraps=dataio._CELL_RE)  # counts the walk's fullmatch calls
+    monkeypatch.setattr(dataio, "_CELL_RE", grammar)
+    parse_csv(station_csv(1))
+    assert grammar.fullmatch.call_count == 0
+    lines = station_csv(1, days=30).splitlines()
+    date_cell, *cells = lines[-1].split(",")
+    cells[2] = "1e"
+    lines[-1] = ",".join([date_cell, *cells])
+    assert _parse_failure("\n".join(lines)) == (
+        MalformedNumber, "row 31, column OD: not a number: '1e'")
+    assert grammar.fullmatch.call_count == 30
 
 
 @pytest.mark.parametrize("ending", ["\r\n", "\r"])

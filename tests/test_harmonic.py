@@ -105,8 +105,10 @@ def test_index_map_spanning():
     with pytest.raises(ValueError):
         IndexMap.spanning(5.0, 5.0)
     # 192 / 1e-320 overflows to inf; an infinite start leaves a nan offset; a span
-    # that overflows to inf gives scale 0, which mapped every day to index 0
-    for t_start, t_end in ((0.0, 1e-320), (-math.inf, 0.0), (-1e308, 1e308)):
+    # that overflows to inf gives scale 0, which mapped every day to index 0; an int
+    # end beyond the float range overflows the span
+    for t_start, t_end in ((0.0, 1e-320), (-math.inf, 0.0), (-1e308, 1e308), (0.0, 10**400),
+                           (-10**400, 0.0)):
         with pytest.raises(NumericOverflow):
             IndexMap.spanning(t_start, t_end)
 
